@@ -1,22 +1,25 @@
 """Exhaustive verification of the covering genus floors.
 
-For small base genus g and degree n the package enumerates every monodromy
-tuple in S_n^(2g) and checks the two floors directly:
+For small base genus g and degree n the package accounts for every
+monodromy tuple in S_n^(2g) and checks the two floors directly:
 
     genus >= n*g - (n - 1)             for every unbranched cover
     genus >= n*g - floor((n - 1) / 2)  when the boundary is one circle
 
 together with exactly where equality occurs, including after one simple
-branch point.  The scan is budgeted, deterministic, and thread-splittable.
+branch point.  The scan is budgeted and deterministic.  It never visits
+tuples one by one: a single pass collapses the generator pairs of S_n into
+classes, and each further handle combines the reachable (boundary product,
+orbit partition) states with those classes, so deep genus stays cheap.
 """
 
 from satgenus import enumerate_covers, realizability_table, verify_sharpness
 from satgenus.perms import cycles_str
 
-GRID = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)]
+GRID = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 5), (10, 5)]
 
 for g, n in GRID:
-    r = enumerate_covers(g, n, threads=2)
+    r = enumerate_covers(g, n)
     sharp = verify_sharpness(g, n)
     floor_all = n * g - (n - 1)
     floor_k1 = n * g - (n - 1) // 2
@@ -32,8 +35,8 @@ for g, n in GRID:
               f"(degree {n} is even)")
 
 # Everything the scan found at g=1, n=3, class by class.  The witness is the
-# lexicographically first monodromy tuple with that shape, so reruns and
-# thread counts cannot change this table.
+# lexicographically first monodromy tuple with that shape, so reruns cannot
+# change this table.
 print()
 print("realizable (components, boundary, genus) classes at g=1, n=3:")
 for (m, k, genus), wit in realizability_table(1, 3).items():

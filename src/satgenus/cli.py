@@ -79,7 +79,10 @@ def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> 
     }
     text = json.dumps(envelope, indent=2, sort_keys=True)
     if args.out:
-        _write_atomic(args.out, text + "\n")
+        try:
+            _write_atomic(args.out, text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     if args.json:
         print(text)
     else:
@@ -220,7 +223,7 @@ def _cmd_cover_from_hom(args) -> int:
 
 
 def _cmd_cover_enumerate(args) -> int:
-    report = enumerate_covers(args.genus, args.degree, budget=args.budget, threads=args.threads)
+    report = enumerate_covers(args.genus, args.degree, budget=args.budget)
     results = report.to_json()
     failed = bool(report.violations)
     if args.sharpness:
@@ -238,8 +241,7 @@ def _cmd_cover_enumerate(args) -> int:
     ]
     if args.sharpness:
         human.append(f"sharpness ok:      {results['sharpness']['ok']}")
-    inputs = {"genus": args.genus, "degree": args.degree,
-              "budget": report.budget, "threads": args.threads}
+    inputs = {"genus": args.genus, "degree": args.degree, "budget": report.budget}
     _emit(args, "cover enumerate", inputs, results, human)
     return EXIT_INVARIANT if failed else EXIT_OK
 
@@ -390,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = cover_sub.add_parser("enumerate", help="exhaustive scan of all monodromy tuples")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--budget", type=int, help="tuple budget (default 10^9 or SATGENUS_BUDGET)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--budget", type=int,
+                   help="work budget: the (n!)^2 pair pass plus states x pair classes per "
+                        "genus level (default 10^9 or SATGENUS_BUDGET)")
     p.add_argument("--sharpness", action="store_true", help="also run the equality analysis")
     _add_output_flags(p)
     p.set_defaults(run=_cmd_cover_enumerate)

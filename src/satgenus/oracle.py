@@ -1,10 +1,10 @@
 """Exhaustive ground truth for the covering-genus floors.
 
 For a one-holed base surface of genus g and a covering degree n, every
-monodromy tuple in S_n^(2g) is enumerated in lexicographic order (by image
-tables) and its cover shape is computed: components from point orbits,
-boundary circles from the cycles of the commutator product, genus from the
-Euler count.  The scan checks the two genus floors
+monodromy tuple in S_n^(2g) is accounted for and its cover shape is known:
+components from point orbits, boundary circles from the cycles of the
+commutator product, genus from the Euler count.  The scan checks the two
+genus floors
 
     genus >= n*g - (n - 1)                 (all covers)
     genus >= n*g - floor((n - 1) / 2)      (covers with connected boundary)
@@ -13,11 +13,20 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The scan works on precomputed multiplication, commutator, cycle-count and
-orbit-partition tables for S_n, so the hot loop touches nothing but flat
-lists.  Shapes agree with ``covering.cover_from_homomorphism`` by
-construction; the tests cross-check the two routes tuple by tuple on small
-groups and on random samples of the larger ones.  Violations and
+The shape of a tuple depends only on its state: the running boundary
+product b of the handle commutators and the orbit partition of the images.
+So the scan never visits tuples.  One pass over S_n x S_n collapses the
+generator pairs into classes (commutator, pair partition), each with its pair
+count and its lexicographically first pair; then g - 1 rounds combine every
+reachable state with every class.  States and classes are visited in the
+order of their witnesses, so the first hit on a state carries the
+lexicographically first tuple reaching it, and summed counts give the
+boundary-circle histogram.  The reachable states close at the number of
+pair classes (206 for S_5, 1486 for S_6), so the cost grows linearly in g.
+
+Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
+tests cross-check the scan against brute force on small groups and against
+the Frobenius-Mednykh character count on larger ones.  Violations and
 counterexamples (none are expected) are reported once per shape class, with
 the lexicographically first witness tuple.
 """
@@ -27,9 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, itemgetter
 
 from .perms import Permutation, cycles_str
 
@@ -66,7 +76,8 @@ def default_budget() -> int:
     return value
 
 
-def _check_budget(base_genus: int, degree: int, budget: int | None) -> tuple[int, int]:
+def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
+    """Validate the request and return the work limit."""
     if base_genus < 1:
         raise ValueError("the base surface needs genus at least 1")
     if degree < 1:
@@ -74,212 +85,193 @@ def _check_budget(base_genus: int, degree: int, budget: int | None) -> tuple[int
     limit = default_budget() if budget is None else budget
     if limit < 1:
         raise ValueError("budget must be positive")
-    total = math.factorial(degree) ** (2 * base_genus)
-    if total > limit:
-        raise BudgetExceededError(
-            f"enumerating S_{degree}^{2 * base_genus} needs {total} tuples, "
-            f"over the budget of {limit}"
-        )
-    return total, limit
+    return limit
 
 
-class _SymTables:
-    """Flat lookup tables for one symmetric group."""
+def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetExceededError:
+    size = math.factorial(degree)
+    return BudgetExceededError(
+        f"enumerating S_{degree}^{2 * base_genus} needs an estimated {work} work units "
+        f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
+        f"over the budget of {limit}"
+    )
+
+
+def _composer(p: tuple[int, ...]):
+    """The map q -> (apply p, then q) on image tuples."""
+    # itemgetter with a single index returns a bare item; the one
+    # permutation of S_1 composes to itself.
+    return itemgetter(*p) if len(p) > 1 else tuple
+
+
+def _cycle_labels(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Label every point by the least point of its cycle."""
+    labels = [-1] * len(p)
+    for start in range(len(p)):
+        x = start
+        while labels[x] < 0:
+            labels[x] = start
+            x = p[x]
+    return tuple(labels)
+
+
+class _Partitions:
+    """Every set partition of range(n), with a full join table.
+
+    A partition is its label tuple, each point labelled by the least point of
+    its block.  Ids run in breadth-first order from the discrete partition
+    (id 0), each new partition reached from an earlier one by merging the
+    blocks of two points, so ``join[a][p]`` follows from ``join[a]`` at p's
+    parent with one more merge.
+    """
 
     def __init__(self, n: int):
-        self.n = n
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        labels = [tuple(range(n))]
+        self.index = {labels[0]: 0}
+        parent: list[tuple[int, int]] = [(0, 0)]
+        merge: list[list[int]] = []
+        for pid, labs in enumerate(labels):  # labels grows while we walk it
+            row = []
+            for step, (i, j) in enumerate(pairs):
+                lo, hi = sorted((labs[i], labs[j]))
+                merged = tuple(lo if x == hi else x for x in labs)
+                target = self.index.get(merged)
+                if target is None:
+                    target = self.index[merged] = len(labels)
+                    labels.append(merged)
+                    parent.append((pid, step))
+                row.append(target)
+            merge.append(row)
+        self.blocks = [len(set(labs)) for labs in labels]
+        self.join: list[list[int]] = []
+        for a in range(len(labels)):
+            row = [a]
+            for up, step in parent[1:]:
+                row.append(merge[row[up]][step])
+            self.join.append(row)
+
+
+class _PairClasses:
+    """S_n x S_n collapsed into classes (commutator, pair partition).
+
+    Permutations are ranked in lexicographic order of their image tuples.
+    A class, and later a scan state (boundary product, orbit partition), is
+    coded as one integer ``rank * width + partition id``; ``code`` maps an
+    image tuple to ``rank * width``.  Classes are listed in the order of their
+    lexicographically first pair (s, q), with that pair as ranks and the
+    number of pairs in the class.  The pass keeps one row of S_n at a time.
+    """
+
+    def __init__(self, n: int):
         perms = list(itertools.permutations(range(n)))
+        parts = _Partitions(n)
+        width = len(parts.blocks)
+        code = {p: rank * width for rank, p in enumerate(perms)}
+        inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
+        cycle_part = [parts.index[_cycle_labels(p)] for p in perms]
+        getters = [_composer(p) for p in perms]
+
+        counts: Counter[int] = Counter()
+        first: dict[int, tuple[int, int]] = {}
+        for s, (then_s, inv) in enumerate(zip(getters, inverses)):
+            then_s_inv = _composer(inv)
+            # [s, q] applies s, q, s^-1, q^-1 in turn
+            comms = [then_s(then_q(then_s_inv(q_inv))) for then_q, q_inv in zip(getters, inverses)]
+            # the orbits of <s, q> join the cycle partitions of s and q
+            joined = parts.join[cycle_part[s]]
+            keys = list(map(add, map(code.__getitem__, comms), map(joined.__getitem__, cycle_part)))
+            counts.update(keys)
+            for key in set(keys).difference(first):
+                first[key] = (s, keys.index(key))
+
         self.perms = perms
-        size = len(perms)
-        self.size = size
-        index = {p: i for i, p in enumerate(perms)}
-
-        inv = []
-        for p in perms:
-            q = [0] * n
-            for x, y in enumerate(p):
-                q[y] = x
-            inv.append(index[tuple(q)])
-        self.inv = inv
-
-        rng = range(n)
-        mul = [0] * (size * size)
-        for i, p in enumerate(perms):
-            row = i * size
-            for j, q in enumerate(perms):
-                mul[row + j] = index[tuple(q[p[x]] for x in rng)]
-        self.mul = mul
-
-        comm = [0] * (size * size)
-        for i in range(size):
-            row = i * size
-            ii = inv[i]
-            for j in range(size):
-                comm[row + j] = mul[mul[row + j] * size + mul[ii * size + inv[j]]]
-        self.comm = comm
-
-        cyc = []
-        for p in perms:
-            seen = [False] * n
-            count = 0
-            for start in rng:
-                if not seen[start]:
-                    count += 1
-                    x = start
-                    while not seen[x]:
-                        seen[x] = True
-                        x = p[x]
-            cyc.append(count)
-        self.cycles = cyc
-
-        # Orbit partitions of generator pairs, interned to small ids.
-        self._pid_index: dict[tuple[int, ...], int] = {}
-        self._pid_blocks: list[int] = []
-        self._pid_parent: list[tuple[int, ...]] = []
-        pair_pid = [0] * (size * size)
-        for i, p in enumerate(perms):
-            row = i * size
-            for j, q in enumerate(perms):
-                pair_pid[row + j] = self._intern(self._pair_partition(p, q))
-        self.pair_pid = pair_pid
-        self.num_pair_pids = len(self._pid_parent)
-        self.discrete_pid = self._intern(tuple(rng))
-        self._join_cache: dict[tuple[int, int], int] = {}
-        self._mrow_cache: dict[int, list[int]] = {}
-
-    def _pair_partition(self, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in (p, q):
-            for x, y in enumerate(g):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-        return tuple(find(x) for x in range(self.n))
-
-    def _intern(self, canonical: tuple[int, ...]) -> int:
-        pid = self._pid_index.get(canonical)
-        if pid is None:
-            pid = len(self._pid_parent)
-            self._pid_index[canonical] = pid
-            self._pid_parent.append(canonical)
-            self._pid_blocks.append(len(set(canonical)))
-        return pid
-
-    def blocks(self, pid: int) -> int:
-        return self._pid_blocks[pid]
-
-    def join(self, pid_a: int, pid_b: int) -> int:
-        """Finest common coarsening of two point partitions."""
-        key = (pid_a, pid_b) if pid_a <= pid_b else (pid_b, pid_a)
-        cached = self._join_cache.get(key)
-        if cached is not None:
-            return cached
-        pa, pb = self._pid_parent[key[0]], self._pid_parent[key[1]]
-        parent = list(pa)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x in range(self.n):
-            rx, ry = find(x), find(pb[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-        pid = self._intern(tuple(find(x) for x in range(self.n)))
-        self._join_cache[key] = pid
-        return pid
-
-    def mrow(self, pid: int) -> list[int]:
-        """Block count of join(pid, pp) for every pair-partition id pp."""
-        row = self._mrow_cache.get(pid)
-        if row is None:
-            row = [self._pid_blocks[self.join(pid, pp)] for pp in range(self.num_pair_pids)]
-            self._mrow_cache[pid] = row
-        return row
+        self.code = code
+        self.width = width
+        self.join = parts.join
+        self.blocks = parts.blocks
+        self.cycles = [parts.blocks[c] for c in cycle_part]
+        self.keys = sorted(first, key=first.__getitem__)
+        self.counts = [counts[key] for key in self.keys]
+        self.firsts = [first[key] for key in self.keys]
+        self.comms = [perms[key // width] for key in self.keys]
+        self.pair_parts = [key % width for key in self.keys]
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> _SymTables:
-    return _SymTables(n)
+def _classes(n: int) -> _PairClasses:
+    return _PairClasses(n)
 
 
-def _scan_block(base_genus: int, degree: int, lo: int, hi: int) -> dict:
-    """Scan all tuples whose first coordinate lies in [lo, hi).
+def _advance(states: dict[int, list], pc: _PairClasses) -> dict[int, list]:
+    """One more handle: every state followed by every pair class.
 
-    Returns the tuple count, the boundary-circle histogram, and for every
-    achieved (components, boundary circles, genus) class the first witness in
-    lexicographic order, as a tuple of permutation indices.
+    ``states`` maps a state code to [tuple count, first witness] and iterates
+    in witness order; so does the result, because the first hit on a new
+    state comes from the earliest state and then the earliest class.
+    """
+    perms, code, join, width = pc.perms, pc.code, pc.join, pc.width
+    out: dict[int, list] = {}
+    for key, (count, wit) in states.items():
+        rank, pid = divmod(key, width)
+        joined = join[pid]
+        targets = map(
+            add,
+            map(code.__getitem__, map(_composer(perms[rank]), pc.comms)),
+            map(joined.__getitem__, pc.pair_parts),
+        )
+        for target, weight, pair in zip(targets, pc.counts, pc.firsts):
+            entry = out.get(target)
+            if entry is None:
+                out[target] = [count * weight, wit + pair]
+            else:
+                entry[0] += count * weight
+    return out
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """Shape classes with their first witnesses (as permutation ranks) and
+    the boundary-circle histogram."""
+
+    rows: dict[tuple[int, int, int], tuple[int, ...]]
+    khist: tuple[int, ...]
+
+
+@lru_cache(maxsize=16)
+def _scan(base_genus: int, degree: int, limit: int) -> _Scan:
+    """The scan behind enumerate_covers, verify_sharpness and
+    realizability_table, cached so that a request scans once.
+
+    Work is the (n!)^2 pair pass plus states x classes per genus level; the
+    pass is checked against ``limit`` before any table is built and each
+    level before it runs.
     """
     g, n = base_genus, degree
-    t = _tables(n)
-    size = t.size
-    mul, comm, cyc, ppid = t.mul, t.comm, t.cycles, t.pair_pid
+    work = math.factorial(n) ** 2
+    if work > limit:
+        raise _over_budget(g, n, work, limit)
+    pc = _classes(n)
+    states = {key: [count, pair] for key, count, pair in zip(pc.keys, pc.counts, pc.firsts)}
+    for level in range(2, g + 1):
+        # the identity pair keeps every state, so later levels cost no less
+        step = len(states) * len(pc.keys)
+        if work + step > limit:
+            raise _over_budget(g, n, work + (g - level + 1) * step, limit)
+        work += step
+        states = _advance(states, pc)
+
     base_odd = n * (2 * g - 1)
     khist = [0] * (n + 1)
     rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-    def scan(level: int, b_idx: int, pid: int, prefix: tuple) -> None:
-        s_range = range(lo, hi) if level == 0 else range(size)
-        first = level == 0
-        if level == g - 1:
-            mrow = t.mrow(pid)
-            for s in s_range:
-                row = s * size
-                for q in range(size):
-                    c = comm[row + q]
-                    b = c if first else mul[b_idx * size + c]
-                    k = cyc[b]
-                    m = mrow[ppid[row + q]]
-                    khist[k] += 1
-                    key = (m, k, (base_odd + 2 * m - k) >> 1)
-                    if key not in rows:
-                        rows[key] = prefix + (s, q)
-        else:
-            for s in s_range:
-                row = s * size
-                for q in range(size):
-                    c = comm[row + q]
-                    scan(
-                        level + 1,
-                        c if first else mul[b_idx * size + c],
-                        ppid[row + q] if first else t.join(pid, ppid[row + q]),
-                        prefix + (s, q),
-                    )
-
-    scan(0, 0, t.discrete_pid, ())
-    return {"count": (hi - lo) * size ** (2 * g - 1), "khist": khist, "rows": rows}
-
-
-def _merge_blocks(blocks: list[dict]) -> dict:
-    merged = blocks[0]
-    for b in blocks[1:]:
-        merged["count"] += b["count"]
-        merged["khist"] = [x + y for x, y in zip(merged["khist"], b["khist"])]
-        for key, wit in b["rows"].items():
-            merged["rows"].setdefault(key, wit)
-    return merged
-
-
-def _run_scan(base_genus: int, degree: int, threads: int = 1) -> dict:
-    size = math.factorial(degree)
-    threads = max(1, min(threads, size))
-    if threads == 1:
-        return _scan_block(base_genus, degree, 0, size)
-    cuts = [i * size // threads for i in range(threads + 1)]
-    spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(_scan_block, base_genus, degree, lo, hi) for lo, hi in spans]
-        blocks = [f.result() for f in futures]
-    return _merge_blocks(blocks)
+    for key, (count, wit) in states.items():
+        rank, pid = divmod(key, pc.width)
+        k, m = pc.cycles[rank], pc.blocks[pid]
+        khist[k] += count
+        rows.setdefault((m, k, (base_odd + 2 * m - k) >> 1), wit)
+    if sum(khist) != math.factorial(n) ** (2 * g):
+        raise AssertionError("scan lost tuples; this is a bug")
+    return _Scan(rows, tuple(khist))
 
 
 def _class_finding(check: str, key: tuple[int, int, int], wit: tuple, **extra) -> dict:
@@ -335,7 +327,7 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
 
 
 def _witness_perms(degree: int, wit: tuple) -> tuple[Permutation, ...]:
-    perms = _tables(degree).perms
+    perms = _classes(degree).perms
     return tuple(Permutation(perms[i]) for i in wit)
 
 
@@ -381,27 +373,22 @@ class EnumerationReport:
         }
 
 
-def enumerate_covers(
-    base_genus: int, degree: int, budget: int | None = None, threads: int = 1
-) -> EnumerationReport:
-    """Scan every monodromy tuple and report minima, histogram and any
+def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) -> EnumerationReport:
+    """Account for every monodromy tuple and report minima, histogram and any
     violations of the two genus floors (there should never be any).
 
-    ``budget`` caps the tuple count (default 10^9, or SATGENUS_BUDGET);
-    ``threads`` > 1 partitions the scan on the first coordinate into
-    contiguous lexicographic blocks and merges deterministically, so the
-    report is identical whatever the thread count.
+    ``budget`` caps the work units (default 10^9, or SATGENUS_BUDGET): the
+    (n!)^2 pair pass plus states x pair classes per genus level.  At genus 1
+    that is the tuple count.
     """
-    total, limit = _check_budget(base_genus, degree, budget)
-    r = _run_scan(base_genus, degree, threads)
-    if r["count"] != total:
-        raise AssertionError("scan lost tuples; this is a bug")
-    a = _analyze(base_genus, degree, r["rows"])
+    limit = _check_budget(base_genus, degree, budget)
+    r = _scan(base_genus, degree, limit)
+    a = _analyze(base_genus, degree, r.rows)
     min_k1 = a["min_k1"]
     return EnumerationReport(
         base_genus=base_genus,
         degree=degree,
-        total_tuples=total,
+        total_tuples=math.factorial(degree) ** (2 * base_genus),
         budget=limit,
         violations=tuple(a["violations"]),
         min_genus_overall=a["min_overall"][0],
@@ -410,7 +397,7 @@ def enumerate_covers(
         connected_boundary_witness=(
             None if min_k1 is None else _witness_perms(degree, min_k1[1])
         ),
-        boundary_k_histogram={k: v for k, v in enumerate(r["khist"]) if v},
+        boundary_k_histogram={k: v for k, v in enumerate(r.khist) if v},
     )
 
 
@@ -452,9 +439,8 @@ def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) ->
     is recorded in the notes without being asserted.
     """
     g, n = base_genus, degree
-    _check_budget(g, n, budget)
-    r = _run_scan(g, n)
-    a = _analyze(g, n, r["rows"])
+    r = _scan(g, n, _check_budget(g, n, budget))
+    a = _analyze(g, n, r.rows)
     bound_all, bound_k1 = a["bound_all"], a["bound_k1"]
     counterexamples = list(a["violations"]) + list(a["counterexamples"])
 
@@ -543,6 +529,5 @@ def realizability_table(
 ) -> dict[tuple[int, int, int], tuple[Permutation, ...]]:
     """Every achievable (components, boundary circles, genus) triple of an
     unbranched cover, with the lexicographically first witness tuple."""
-    _check_budget(base_genus, degree, budget)
-    r = _run_scan(base_genus, degree)
-    return {key: _witness_perms(degree, wit) for key, wit in sorted(r["rows"].items())}
+    r = _scan(base_genus, degree, _check_budget(base_genus, degree, budget))
+    return {key: _witness_perms(degree, wit) for key, wit in sorted(r.rows.items())}

@@ -1,0 +1,93 @@
+"""Frobenius-Mednykh counts of commutator products, used as a test oracle.
+
+The number of tuples (a_1, b_1, ..., a_g, b_g) in G^(2g) whose product of
+commutators is a given element z is
+
+    |G|^(2g-1) * sum over irreducible characters chi of chi(z) / chi(1)^(2g-1)
+
+(Frobenius 1896; Mednykh 1978, counting coverings of surfaces).  For the
+symmetric group the characters come from the Murnaghan-Nakayama rule.  The
+count is a class function, so it gives the boundary-circle histogram of the
+oracle for any genus without enumerating a single tuple, and nothing here
+touches the package.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+
+@lru_cache(maxsize=None)
+def partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples, largest first."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        return ((),)
+    return tuple(
+        (part,) + rest
+        for part in range(min(n, largest), 0, -1)
+        for rest in partitions(n - part, part)
+    )
+
+
+@lru_cache(maxsize=None)
+def character(shape, cycle_type):
+    """Value of the irreducible character ``shape`` on the class
+    ``cycle_type`` by Murnaghan-Nakayama: remove a rim hook of the first
+    cycle length in every possible way, with sign (-1)^(height).
+
+    On beta numbers (first-column hook lengths) removing a rim hook of
+    length r moves one bead from b to an empty b - r; the hook's height is
+    the number of beads strictly between.
+    """
+    if not cycle_type:
+        return 1
+    r, rest = cycle_type[0], cycle_type[1:]
+    rows = len(shape)
+    beta = [part + rows - 1 - i for i, part in enumerate(shape)]
+    total = 0
+    for i, b in enumerate(beta):
+        if b < r or b - r in beta:
+            continue
+        height = sum(1 for c in beta if b - r < c < b)
+        moved = sorted(beta[:i] + [b - r] + beta[i + 1:], reverse=True)
+        smaller = tuple(x - (rows - 1 - j) for j, x in enumerate(moved))
+        total += (-1) ** height * character(tuple(p for p in smaller if p), rest)
+    return total
+
+
+def class_size(cycle_type):
+    """Number of permutations with the given cycle type."""
+    n = sum(cycle_type)
+    centralizer = 1
+    for length in set(cycle_type):
+        mult = cycle_type.count(length)
+        centralizer *= length**mult * factorial(mult)
+    return factorial(n) // centralizer
+
+
+def commutator_product_count(g, cycle_type):
+    """Tuples in S_n^(2g) whose commutator product is one fixed permutation
+    of the given cycle type."""
+    n = sum(cycle_type)
+    shapes = partitions(n)
+    total = sum(
+        Fraction(character(lam, cycle_type), character(lam, (1,) * n) ** (2 * g - 1))
+        for lam in shapes
+    )
+    count = factorial(n) ** (2 * g - 1) * total
+    if count.denominator != 1:
+        raise AssertionError(f"non-integral Frobenius count at g={g}, type {cycle_type}")
+    return count.numerator
+
+
+def boundary_histogram(g, n):
+    """Tuples in S_n^(2g) by the number of cycles of their commutator
+    product, which is the number of boundary circles of the cover."""
+    hist = {}
+    for mu in partitions(n):
+        count = class_size(mu) * commutator_product_count(g, mu)
+        if count:
+            hist[len(mu)] = hist.get(len(mu), 0) + count
+    return hist

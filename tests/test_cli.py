@@ -3,11 +3,13 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import satgenus.cli as cli
+from satgenus import oracle
 from satgenus.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -189,10 +191,35 @@ def test_cover_enumerate(capsys):
 def test_cover_enumerate_sharpness(capsys):
     code, env = run_json(
         capsys,
-        ["cover", "enumerate", "--genus", "1", "--degree", "4", "--sharpness", "--threads", "2"],
+        ["cover", "enumerate", "--genus", "1", "--degree", "4", "--sharpness"],
     )
     assert code == EXIT_OK
+    assert env["inputs"] == {"genus": 1, "degree": 4, "budget": 10**9}
     assert env["results"]["sharpness"]["ok"] is True
+
+
+def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
+    passes, levels = [], []
+    build, advance = oracle._PairClasses, oracle._advance
+    monkeypatch.setattr(oracle, "_PairClasses", lambda n: passes.append(n) or build(n))
+    monkeypatch.setattr(oracle, "_advance", lambda *a: levels.append(a) or advance(*a))
+    oracle._classes.cache_clear()
+    oracle._scan.cache_clear()
+    code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
+    assert code == EXIT_OK
+    assert passes == [4]
+    assert len(levels) == 1
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_cover_enumerate_matches_golden(capsys, args):
+    # results captured from the tuple-by-tuple scanner this oracle replaced
+    code, env = run_json(capsys, ["cover", "enumerate"] + args.split())
+    assert code == EXIT_OK
+    assert env["results"] == GOLDEN[args]
 
 
 def test_cover_enumerate_budget(capsys):
@@ -303,16 +330,37 @@ def test_out_without_json_keeps_human_output(tmp_path, capsys):
     assert json.loads(target.read_text())["command"] == "braid halftwist"
 
 
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["cover", "cyclic", "--genus", "1", "--degree", "2", "--out", str(target)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+    assert not target.parent.exists()
+
+
+def test_out_onto_directory_is_usage_error(tmp_path, capsys):
+    code = main(["cover", "cyclic", "--genus", "1", "--degree", "2", "--json", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+    assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(".satgenus-")] == []
+
+
 def test_json_output_is_deterministic(capsys):
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     first = capsys.readouterr().out
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     repeat = capsys.readouterr().out
     assert first == repeat
-    main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json", "--threads", "3"])
-    threaded = capsys.readouterr().out
-    # the thread count is echoed under inputs; the results must not move
-    assert json.loads(threaded)["results"] == json.loads(first)["results"]
+    oracle._classes.cache_clear()
+    oracle._scan.cache_clear()
+    main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
+    cold = capsys.readouterr().out
+    # a cold rebuild of the pair classes must not move a byte
+    assert cold == first
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
 
 import pytest
 
+from satgenus import oracle
 from satgenus.covering import HomomorphismCover, cover_from_homomorphism
 from satgenus.oracle import (
     DEFAULT_BUDGET,
@@ -14,6 +16,7 @@ from satgenus.oracle import (
 )
 from satgenus.perms import Permutation, cycles_str
 
+from _frobenius import boundary_histogram
 from _naive import naive_cover_shape
 
 
@@ -165,12 +168,15 @@ def test_min_witnesses_reproduce_their_minima():
             assert cover.genus_total == r.min_genus_connected_boundary
 
 
-def test_json_deterministic_across_runs_and_threads():
-    baseline = json.dumps(enumerate_covers(1, 4).to_json(), sort_keys=True)
-    again = json.dumps(enumerate_covers(1, 4).to_json(), sort_keys=True)
-    threaded = json.dumps(enumerate_covers(1, 4, threads=2).to_json(), sort_keys=True)
-    many = json.dumps(enumerate_covers(1, 4, threads=5).to_json(), sort_keys=True)
-    assert baseline == again == threaded == many
+def test_json_deterministic_across_runs_and_cold_caches():
+    baseline = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
+    again = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
+    oracle._scan.cache_clear()
+    rescanned = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
+    oracle._classes.cache_clear()
+    oracle._scan.cache_clear()
+    cold = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
+    assert baseline == again == rescanned == cold
 
 
 def test_report_json_shape():
@@ -227,14 +233,15 @@ def test_sharpness_json_round_trip():
     json.dumps(data)
 
 
-def test_threads_do_not_change_sharpness_inputs():
-    # the sharpness pass reuses the single-threaded scan; make sure a
-    # partitioned enumeration sees the same class table
-    direct = realizability_table(1, 4)
-    r1 = enumerate_covers(1, 4, threads=3)
-    assert (
-        r1.min_genus_overall
-        == min(genus for (_, _, genus) in direct)
+def test_enumeration_and_sharpness_share_one_class_table():
+    # all three entry points read one cached scan; make sure they agree on it
+    direct = realizability_table(2, 4)
+    r1 = enumerate_covers(2, 4)
+    sharp = verify_sharpness(2, 4)
+    assert r1.min_genus_overall == min(genus for (_, _, genus) in direct)
+    assert sharp.notes["min_genus_overall"] == r1.min_genus_overall
+    assert sharp.notes["floor_value_boundary_counts_unbranched"] == sorted(
+        {k for (_, k, genus) in direct if genus == sharp.notes["connected_boundary_floor"]}
     )
 
 
@@ -243,3 +250,81 @@ def test_witness_permutation_types():
     for p in r.min_overall_witness:
         assert isinstance(p, Permutation)
         assert p.degree == 3
+
+
+def test_frobenius_oracle_matches_naive_exhaustion():
+    for g, n in [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4)]:
+        hist = {}
+        for images in all_tuples(g, n):
+            k = naive_cover_shape(g, images)[1]
+            hist[k] = hist.get(k, 0) + 1
+        assert boundary_histogram(g, n) == hist
+
+
+BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6)]
+
+
+@pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
+def test_histogram_matches_frobenius_count(g, n):
+    r = enumerate_covers(g, n)
+    assert r.boundary_k_histogram == boundary_histogram(g, n)
+    assert sum(r.boundary_k_histogram.values()) == r.total_tuples
+
+
+@pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
+def test_every_witness_reproduces_its_class(g, n):
+    def shape(wit):
+        cover = cover_from_homomorphism(HomomorphismCover(g, n, wit)).cover
+        return cover.components, cover.boundary_components, cover.genus_total
+
+    for key, wit in realizability_table(g, n).items():
+        assert shape(wit) == key
+    r = enumerate_covers(g, n)
+    assert shape(r.min_overall_witness)[2] == r.min_genus_overall
+    if r.connected_boundary_witness is not None:
+        _, k, genus = shape(r.connected_boundary_witness)
+        assert (k, genus) == (1, r.min_genus_connected_boundary)
+
+
+def test_budget_counts_work_not_tuples():
+    # (3, 5) has 120^6 tuples, far over the default budget, but the scan
+    # costs the 14400-pair pass plus two levels of states x classes
+    classes = len(oracle._classes(5).keys)
+    assert classes == 206
+    work = 14400 + 2 * classes * classes
+    assert enumerate_covers(3, 5, budget=work).total_tuples == 120**6 > DEFAULT_BUDGET
+    with pytest.raises(BudgetExceededError):
+        enumerate_covers(3, 5, budget=work - 1)
+
+
+def test_budget_at_genus_one_is_the_tuple_count():
+    for n in (2, 3, 4):
+        tuples = math.factorial(n) ** 2
+        assert enumerate_covers(1, n, budget=tuples).total_tuples == tuples
+        with pytest.raises(BudgetExceededError):
+            enumerate_covers(1, n, budget=tuples - 1)
+
+
+def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch):
+    def refuse(n):
+        raise AssertionError("pair classes built over budget")
+
+    oracle._classes.cache_clear()
+    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_covers(2, 5, budget=14399)
+    assert "estimated 14400 work units" in str(exc.value)
+    assert oracle._classes.cache_info().currsize == 0
+
+
+def test_budget_checks_each_level_before_it_runs(monkeypatch):
+    def refuse(states, pc):
+        raise AssertionError("level scanned over budget")
+
+    monkeypatch.setattr(oracle, "_advance", refuse)
+    classes = len(oracle._classes(5).keys)
+    # the pair pass fits, the second genus level does not; the estimate
+    # covers both remaining levels at no fewer states than now
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_covers(3, 5, budget=14400 + classes * classes - 1)
+    assert f"estimated {14400 + 2 * classes * classes} work units" in str(exc.value)
