@@ -13,15 +13,12 @@ line tool.
 from .braids import (
     BandFactorization,
     BraidWord,
-    band_factorization_from_json,
-    band_factorization_to_json,
     braid_text,
     cable_generator,
     closure_component_count,
     concat,
     expand_bands,
     exponent_sum,
-    free_reduce,
     half_twist,
     inverse,
     orevkov_k1,
@@ -49,12 +46,10 @@ from .covering import (
     SurfaceShape,
     add_branch_point,
     boundary_permutation,
-    cover_data_from_json,
     cover_data_to_json,
     cover_from_homomorphism,
     cyclic_cover,
     euler_characteristic,
-    pattern_word,
     rh_euler,
 )
 from .oracle import (

@@ -4,6 +4,10 @@ A braid word on n strands is a finite sequence of nonzero letters, where
 letter ``+i`` is the Artin generator sigma_i (1 <= i <= n-1) and ``-i`` its
 inverse.  Words multiply left to right, and so do the induced strand
 permutations: the first letter acts first.
+
+Words longer than ``MAX_WORD_LENGTH`` letters are refused with ValueError
+before their letters are built: the families check their closed-form
+lengths, ``parse_braid`` its running letter count before each ``^e``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from .perms import Permutation, cycle_count
 
 __all__ = [
+    "MAX_WORD_LENGTH",
     "BraidWord",
     "BandFactorization",
     "parse_braid",
@@ -20,7 +25,6 @@ __all__ = [
     "concat",
     "inverse",
     "exponent_sum",
-    "free_reduce",
     "half_twist",
     "cable_generator",
     "orevkov_k1",
@@ -28,9 +32,14 @@ __all__ = [
     "permutation_of",
     "closure_component_count",
     "expand_bands",
-    "band_factorization_to_json",
-    "band_factorization_from_json",
 ]
+
+MAX_WORD_LENGTH = 10**6
+
+
+def _check_length(length: int, what: str) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"{what} has {length} letters, over the limit of {MAX_WORD_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     ``1^-3`` means ``-1 -1 -1`` and ``2^0`` contributes nothing.
     """
     letters: list[int] = []
+    length = 0
     for pos, token in enumerate(text.split(), start=1):
         base_text, caret, exp_text = token.partition("^")
         try:
@@ -75,6 +85,12 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             raise ValueError(
                 f"token {pos} ({token!r}): index {abs(base)} out of range "
                 f"for {strands} strands (valid: 1..{strands - 1})"
+            )
+        length += abs(exp)
+        if length > MAX_WORD_LENGTH:
+            raise ValueError(
+                f"token {pos} ({token!r}): the word reaches {length} letters, "
+                f"over the limit of {MAX_WORD_LENGTH}"
             )
         letter = base if exp >= 0 else -base
         letters.extend([letter] * abs(exp))
@@ -101,17 +117,6 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(1 if letter > 0 else -1 for letter in w.letters)
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    stack: list[int] = []
-    for letter in w.letters:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(w.strands, tuple(stack))
-
-
 def half_twist(n: int) -> BraidWord:
     """The positive half twist on n strands.
 
@@ -121,6 +126,7 @@ def half_twist(n: int) -> BraidWord:
     """
     if n < 0:
         raise ValueError("strand count must be non-negative")
+    _check_length(n * (n - 1) // 2, f"the half twist on {n} strands")
     letters: list[int] = []
     for top in range(n - 1, 0, -1):
         letters.extend(range(1, top + 1))
@@ -144,6 +150,7 @@ def orevkov_k1(n: int) -> BraidWord:
     is a knot."""
     if n < 2:
         raise ValueError("the family starts at two strands")
+    _check_length(n * n - 1, f"orevkov_k1({n})")
     twist = half_twist(n)
     tail = BraidWord(n, tuple(range(n - 1, 0, -1)))
     return concat(concat(twist, twist), tail)
@@ -158,6 +165,7 @@ def orevkov_k2(n: int, twists: int) -> BraidWord:
         raise ValueError("the family starts at two strands")
     if twists < 0:
         raise ValueError("the kink count must be non-negative")
+    _check_length(twists + 4 * (n - 1) + 2 * n * (2 * n - 1), f"orevkov_k2({n}, {twists})")
     letters: list[int] = [-1] * twists
     for j in range(n - 1, 0, -1):
         letters.extend(cable_generator(j).letters)
@@ -222,26 +230,3 @@ def expand_bands(f: BandFactorization) -> BraidWord:
         letters.append(index)
         letters.extend(conjugator.letters)
     return BraidWord(f.strands, tuple(letters))
-
-
-def band_factorization_to_json(f: BandFactorization) -> dict:
-    return {
-        "strands": f.strands,
-        "bands": [
-            {"conjugator": braid_text(conjugator), "index": index}
-            for conjugator, index in f.bands
-        ],
-    }
-
-
-def band_factorization_from_json(data: dict) -> BandFactorization:
-    try:
-        strands = data["strands"]
-        raw_bands = data["bands"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"band factorization JSON is missing {exc}") from None
-    bands = tuple(
-        (parse_braid(entry["conjugator"], strands), entry["index"])
-        for entry in raw_bands
-    )
-    return BandFactorization(strands, bands)

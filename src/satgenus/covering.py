@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BandFactorization, BraidWord, concat, expand_bands, inverse
 from .perms import Permutation, commutator, compose, cycle_count, identity, orbits
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "cover_from_homomorphism",
     "cyclic_cover",
     "add_branch_point",
-    "pattern_word",
     "cover_data_to_json",
-    "cover_data_from_json",
 ]
 
 
@@ -202,22 +199,6 @@ def add_branch_point(c: CoverData, merge: tuple[int, int] | None = None) -> Cove
     )
 
 
-def pattern_word(
-    qp: BandFactorization,
-    commutator_pairs: list[tuple[BraidWord, BraidWord]] | tuple[tuple[BraidWord, BraidWord], ...] = (),
-) -> BraidWord:
-    """Expand a band presentation and append word-level commutators
-    a b a^-1 b^-1, one per pair, without free reduction.
-
-    The commutator tails do not change the exponent sum, so the result still
-    has exponent sum equal to the band count.
-    """
-    word = expand_bands(qp)
-    for a, b in commutator_pairs:
-        word = concat(word, concat(concat(a, b), concat(inverse(a), inverse(b))))
-    return word
-
-
 def cover_data_to_json(c: CoverData) -> dict:
     return {
         "degree": c.degree,
@@ -232,16 +213,3 @@ def cover_data_to_json(c: CoverData) -> dict:
             "boundary": c.cover.boundary_components,
         },
     }
-
-
-def cover_data_from_json(data: dict) -> CoverData:
-    try:
-        base = SurfaceShape(1, data["base"]["genus"], data["base"]["boundary"])
-        cover = SurfaceShape(
-            data["cover"]["components"],
-            data["cover"]["genus"],
-            data["cover"]["boundary"],
-        )
-        return CoverData(data["degree"], base, data["branch"], cover)
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"cover JSON is missing {exc}") from None

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -85,7 +86,39 @@ def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
     limit = default_budget() if budget is None else budget
     if limit < 1:
         raise ValueError("budget must be positive")
+    _check_printable(base_genus, degree)
     return limit
+
+
+def _check_printable(base_genus: int, degree: int) -> None:
+    """Refuse a tuple count (n!)^(2g) with more decimal digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``, 0 for no
+    limit).  The histogram counts never exceed that total.
+
+    The digit count floor(2g log10 n!) + 1 comes from a log estimate; the
+    power is formed only near the limit, where the estimate may be one off.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    size = math.factorial(degree)
+    if not limit or size == 1:
+        return
+    exponent = 2 * base_genus
+    # exact rational arithmetic on the float log, so no genus overflows it
+    num, den = math.log10(size).as_integer_ratio()
+    digits = exponent * num // den + 1
+    if digits < limit - 1:
+        return
+    if digits <= limit + 2:
+        total = size**exponent
+        while total >= 10**digits:
+            digits += 1
+        while total < 10 ** (digits - 1):
+            digits -= 1
+    if digits > limit:
+        raise BudgetExceededError(
+            f"the tuple count of S_{degree}^{exponent} has {digits} decimal digits, "
+            f"over this interpreter's limit of {limit} for printing an integer"
+        )
 
 
 def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetExceededError:
@@ -201,6 +234,18 @@ class _PairClasses:
 @lru_cache(maxsize=None)
 def _classes(n: int) -> _PairClasses:
     return _PairClasses(n)
+
+
+@lru_cache(maxsize=None)
+def _commutator_witnesses(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every commutator of S_n with its lexicographically first pair (a, b),
+    as image tuples.  Classes are listed in the order of their first pair, so
+    the first class with a given commutator carries its first pair."""
+    pc = _classes(n)
+    witnesses: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for comm, (a, b) in zip(pc.comms, pc.firsts):
+        witnesses.setdefault(comm, (pc.perms[a], pc.perms[b]))
+    return witnesses
 
 
 def _advance(states: dict[int, list], pc: _PairClasses) -> dict[int, list]:

@@ -4,14 +4,16 @@ Permutations are stored as 0-indexed image tuples but every piece of text
 I/O (cycle notation) is 1-indexed, matching the usual convention for
 braid-strand and sheet labels.  Composition is left-to-right throughout:
 ``compose(a, b)`` means "apply a first, then b".
+
+The exhaustive commutator search (``ore_commutator_search``) keeps no tables
+of its own: it reads its witnesses off the pair classes that
+:mod:`satgenus.oracle` builds in its one pass over S_n x S_n.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
@@ -223,36 +225,19 @@ def example2_pair(m: int) -> tuple[Permutation, Permutation]:
     return s1, s2
 
 
-@lru_cache(maxsize=None)
-def _first_commutator_witnesses(degree: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """First (a, b) in lexicographic image order with [a, b] = target, for
-    every target that is a commutator in S_degree."""
-    elements = list(itertools.permutations(range(degree)))
-    inv = {}
-    for p in elements:
-        q = [0] * degree
-        for x, y in enumerate(p):
-            q[y] = x
-        inv[p] = tuple(q)
-    witnesses: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for a in elements:
-        ai = inv[a]
-        for b in elements:
-            bi = inv[b]
-            c = tuple(bi[ai[b[a[x]]]] for x in range(degree))
-            if c not in witnesses:
-                witnesses[c] = (a, b)
-    return witnesses
-
-
 def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[Permutation, Permutation] | None:
     """Exhaustive search for (a, b) with ``commutator(a, b) == target``.
 
     Returns the lexicographically first witness pair, or None when the target
-    is not a commutator (odd permutations are rejected up front).  The search
-    space is all of S_n x S_n, so degrees above ``degree_limit`` (default 6)
-    are refused; raise the limit explicitly if you accept the cost.
+    is not a commutator (odd permutations are rejected up front).  The
+    witness is looked up in the oracle's pass over S_n x S_n, which records
+    the first pair of every (commutator, pair partition) class and is shared
+    with the covering enumeration at the same degree.  That pass covers all
+    of S_n x S_n, so degrees above ``degree_limit`` (default 6) are refused;
+    raise the limit explicitly if you accept the cost.
     """
+    from .oracle import _commutator_witnesses  # oracle imports this module
+
     n = target.degree
     if n > degree_limit:
         raise ValueError(
@@ -261,7 +246,7 @@ def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[P
         )
     if not is_even(target):
         return None
-    found = _first_commutator_witnesses(n).get(target.images)
+    found = _commutator_witnesses(n).get(target.images)
     if found is None:
         return None
     a, b = found

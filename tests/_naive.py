@@ -6,6 +6,7 @@ union-find, boundary permutations by pointwise application instead of table
 products, braid permutations by composing transposition maps.
 """
 
+import itertools
 from collections import deque
 
 
@@ -24,6 +25,16 @@ def naive_inverse(a):
 def naive_commutator(a, b):
     ai, bi = naive_inverse(a), naive_inverse(b)
     return tuple(bi[ai[b[a[x]]]] for x in range(len(a)))
+
+
+def naive_first_commutator_pairs(n):
+    """Every commutator of S_n with its first (a, b) in lexicographic image
+    order, by a plain double loop over S_n x S_n."""
+    first = {}
+    for a in itertools.permutations(range(n)):
+        for b in itertools.permutations(range(n)):
+            first.setdefault(naive_commutator(a, b), (a, b))
+    return first
 
 
 def naive_cycles(p):

@@ -1,18 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from satgenus import braids
 from satgenus.braids import (
     BandFactorization,
     BraidWord,
-    band_factorization_from_json,
-    band_factorization_to_json,
     braid_text,
     cable_generator,
     closure_component_count,
     concat,
     expand_bands,
     exponent_sum,
-    free_reduce,
     half_twist,
     inverse,
     orevkov_k1,
@@ -94,23 +92,9 @@ def test_exponent_sum_additive(a, b):
 def test_inverse_properties(w):
     assert inverse(inverse(w)) == w
     assert exponent_sum(inverse(w)) == -exponent_sum(w)
-    assert free_reduce(concat(w, inverse(w))).letters == ()
-
-
-def test_free_reduce():
-    assert free_reduce(BraidWord(3, (1, -1, 2))).letters == (2,)
-    assert free_reduce(BraidWord(3, (1, 2, -2, -1))).letters == ()
-    assert free_reduce(BraidWord(3, (1, 1))).letters == (1, 1)
-    # cancellation can cascade through newly adjacent pairs
-    assert free_reduce(BraidWord(4, (3, 1, 2, -2, -1, -3))).letters == ()
-
-
-@given(words())
-def test_free_reduce_is_idempotent_and_reduced(w):
-    r = free_reduce(w)
-    assert free_reduce(r) == r
-    assert all(x != -y for x, y in zip(r.letters, r.letters[1:]))
-    assert exponent_sum(r) == exponent_sum(w)
+    # w w^-1 is anti-palindromic: letter i is the negative of letter -1-i
+    letters = concat(w, inverse(w)).letters
+    assert all(letters[i] == -letters[-1 - i] for i in range(len(letters)))
 
 
 def test_half_twist_words():
@@ -134,6 +118,22 @@ def test_half_twist_permutation_reverses_strands():
     for n in range(2, 9):
         p = permutation_of(half_twist(n))
         assert [p.apply(i) for i in range(1, n + 1)] == list(range(n, 0, -1))
+
+
+def test_word_length_cap_uses_the_closed_forms(monkeypatch):
+    monkeypatch.setattr(braids, "MAX_WORD_LENGTH", 20)
+    assert len(half_twist(6)) == 15
+    with pytest.raises(ValueError, match="21 letters"):
+        half_twist(7)
+    assert len(orevkov_k1(4)) == 15
+    with pytest.raises(ValueError, match="24 letters"):
+        orevkov_k1(5)
+    assert len(orevkov_k2(2, 4)) == 20
+    with pytest.raises(ValueError, match="21 letters"):
+        orevkov_k2(2, 5)
+    assert len(parse_braid("1^12 -1^-8", 2)) == 20
+    with pytest.raises(ValueError, match="token 3"):
+        parse_braid("1^12 -1^-8 1", 2)
 
 
 def test_cable_generator():
@@ -248,11 +248,3 @@ def factorizations(draw):
 @given(factorizations())
 def test_expanded_exponent_sum_counts_bands(f):
     assert exponent_sum(expand_bands(f)) == len(f)
-
-
-@given(factorizations())
-def test_band_json_round_trip(f):
-    data = band_factorization_to_json(f)
-    assert band_factorization_from_json(data) == f
-    assert data["strands"] == f.strands
-    assert all(set(entry) == {"conjugator", "index"} for entry in data["bands"])

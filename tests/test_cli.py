@@ -97,6 +97,22 @@ def test_braid_parse_error_names_token(capsys):
     assert "'x'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["braid", "halftwist", "--strands", "100000"],
+    ["braid", "analyze", "--word", "1^1000000000", "--strands", "2"],
+    ["braid", "analyze", "--word", "1 2^-1000000", "--strands", "3"],
+    ["braid", "orevkov", "--family", "k1", "--n", "1001"],
+    ["braid", "orevkov", "--family", "k2", "--n", "2", "--twists", "999999999"],
+    ["examples", "orevkov", "--n", "1000"],
+])
+def test_oversized_braid_words_are_usage_errors(capsys, argv):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "over the limit of 1000000" in captured.err
+
+
 def test_bounds(capsys):
     code, env = run_json(capsys, ["bounds", "--g4k", "1", "--winding", "3"])
     assert code == EXIT_OK
@@ -258,6 +274,37 @@ def test_cover_enumerate_sharpness_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_sharpness", lambda *a, **k: rigged)
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "2", "--sharpness"])
     assert code == EXIT_INVARIANT
+
+
+@pytest.fixture
+def default_int_digits():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_cover_enumerate_prints_the_largest_printable_tuple_count(capsys, default_int_digits):
+    # 6^(2g) < 10^4300 up to g = 2762; its histogram counts are smaller still
+    assert 36**2762 < 10**default_int_digits <= 36**2763
+    code, env = run_json(capsys, ["cover", "enumerate", "--genus", "2762", "--degree", "3"])
+    assert code == EXIT_OK
+    assert env["results"]["total_tuples"] == 36**2762
+    assert main(["cover", "enumerate", "--genus", "2762", "--degree", "3"]) == EXIT_OK
+    assert "tuples scanned:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("genus", ["2763", "3000", "1" + "0" * 400])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_cover_enumerate_refuses_unprintable_tuple_counts(capsys, default_int_digits, genus, mode):
+    code = main(["cover", "enumerate", "--genus", genus, "--degree", "3"] + mode)
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "decimal digits" in captured.err and "4300" in captured.err
+    if genus == "2763":
+        assert "has 4301 decimal digits" in captured.err
 
 
 def test_perm_commutator(capsys):

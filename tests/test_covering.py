@@ -3,19 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from satgenus.braids import BandFactorization, exponent_sum, parse_braid
 from satgenus.covering import (
     CoverData,
     HomomorphismCover,
     SurfaceShape,
     add_branch_point,
     boundary_permutation,
-    cover_data_from_json,
     cover_data_to_json,
     cover_from_homomorphism,
     cyclic_cover,
     euler_characteristic,
-    pattern_word,
     rh_euler,
 )
 from satgenus.perms import (
@@ -186,20 +183,6 @@ def test_branch_points_stack():
     assert twice.cover == SurfaceShape(1, 3, 2)
 
 
-def test_pattern_word():
-    qp = BandFactorization(3, ((parse_braid("1", 3), 2),))
-    a = parse_braid("1 2", 3)
-    b = parse_braid("-1", 3)
-    word = pattern_word(qp, [(a, b)])
-    assert word.letters == (-1, 2, 1) + (1, 2, -1, -2, -1, 1)
-    assert exponent_sum(word) == 1  # commutator tails cancel
-
-
-def test_pattern_word_no_pairs():
-    qp = BandFactorization(2, ((parse_braid("", 2), 1),))
-    assert pattern_word(qp).letters == (1,)
-
-
 def test_cover_json_round_trip():
     data = cyclic_cover(2, 3)
     encoded = cover_data_to_json(data)
@@ -209,9 +192,6 @@ def test_cover_json_round_trip():
         "branch": 0,
         "cover": {"components": 1, "genus": 4, "boundary": 3},
     }
-    assert cover_data_from_json(encoded) == data
-    with pytest.raises(ValueError):
-        cover_data_from_json({"degree": 3})
 
 
 def test_exhaustive_shapes_agree_with_naive_for_degree_3():

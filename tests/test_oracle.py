@@ -317,6 +317,24 @@ def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch):
     assert oracle._classes.cache_info().currsize == 0
 
 
+def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scanned an unprintable count")
+
+    monkeypatch.setattr(oracle, "_scan", refuse)
+    limit = 1000
+    monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: limit)
+    # 2^(2g) has 1000 digits up to g = 1660; this close to the limit the
+    # check forms the power exactly
+    assert 4**1660 < 10**limit <= 4**1661
+    with pytest.raises(AssertionError):
+        enumerate_covers(1660, 2)
+    with pytest.raises(BudgetExceededError, match="1001 decimal digits"):
+        enumerate_covers(1661, 2)
+    with pytest.raises(BudgetExceededError, match="decimal digits"):
+        verify_sharpness(10**400, 6)
+
+
 def test_budget_checks_each_level_before_it_runs(monkeypatch):
     def refuse(states, pc):
         raise AssertionError("level scanned over budget")

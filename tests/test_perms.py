@@ -23,7 +23,9 @@ from satgenus.perms import (
     parse_cycles,
 )
 
-from _naive import naive_commutator, naive_compose, naive_orbits
+from satgenus import oracle
+
+from _naive import naive_commutator, naive_compose, naive_first_commutator_pairs, naive_orbits
 
 
 @st.composite
@@ -229,6 +231,33 @@ def test_ore_search_witness_is_lexicographically_first():
             if naive_commutator(x, y) == target.images:
                 assert (a.images, b.images) == (x, y)
                 return
+
+
+def test_ore_search_matches_naive_first_pairs():
+    for n in range(1, 7):
+        first = naive_first_commutator_pairs(n)
+        for images in itertools.permutations(range(n)):
+            target = Permutation(images)
+            witness = ore_commutator_search(target)
+            if is_even(target):
+                a, b = witness
+                assert (a.images, b.images) == first[images]
+            else:
+                assert witness is None
+
+
+def test_ore_search_shares_the_oracle_pair_classes(monkeypatch):
+    built = []
+    real = oracle._PairClasses
+    monkeypatch.setattr(oracle, "_PairClasses", lambda n: built.append(n) or real(n))
+    oracle._classes.cache_clear()
+    oracle._commutator_witnesses.cache_clear()
+    oracle._scan.cache_clear()
+    ore_commutator_search(parse_cycles("(1 2 3 4 5)", 5))
+    assert built == [5]
+    oracle.enumerate_covers(1, 5)
+    assert built == [5]
+    assert oracle._classes.cache_info().misses == 1
 
 
 def test_ore_search_degree_limit():
