@@ -8,13 +8,15 @@ permutations: the first letter acts first.
 Words longer than ``MAX_WORD_LENGTH`` letters are refused with ValueError
 before their letters are built: the families check their closed-form
 lengths, ``parse_braid`` its running letter count before each ``^e``.
+Strand counts over ``perms.MAX_DEGREE`` are refused the same way, before a
+strand permutation of that size is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Permutation, cycle_count
+from .perms import Permutation, check_size, cycle_count
 
 __all__ = [
     "MAX_WORD_LENGTH",
@@ -52,6 +54,7 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
+        check_size(self.strands, "strand count")
         for pos, letter in enumerate(self.letters):
             if letter == 0 or not -self.strands < letter < self.strands:
                 raise ValueError(
@@ -206,6 +209,7 @@ class BandFactorization:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
+        check_size(self.strands, "strand count")
         for pos, (conjugator, index) in enumerate(self.bands):
             if conjugator.strands != self.strands:
                 raise ValueError(

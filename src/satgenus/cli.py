@@ -296,8 +296,10 @@ def _cmd_perm_examples(args) -> int:
 
 
 def _cmd_perm_ore(args) -> int:
-    from .perms import ore_commutator_search
+    from .perms import check_search_degree, ore_commutator_search
 
+    # refuse before parse_cycles builds a list of args.degree images
+    check_search_degree(args.degree, args.degree_limit)
     target = parse_cycles(args.target, args.degree)
     witness = ore_commutator_search(target, degree_limit=args.degree_limit)
     results = {
@@ -393,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--budget", type=int,
-                   help="work budget: the (n!)^2 pair pass plus states x pair classes per "
-                        "genus level (default 10^9 or SATGENUS_BUDGET)")
+                   help="work budget: the pair pass, charged at (n!)^2, plus states x pair "
+                        "classes per genus level (default 10^9 or SATGENUS_BUDGET)")
     p.add_argument("--sharpness", action="store_true", help="also run the equality analysis")
     _add_output_flags(p)
     p.set_defaults(run=_cmd_cover_enumerate)

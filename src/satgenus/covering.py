@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Permutation, commutator, compose, cycle_count, identity, orbits
+from .perms import Permutation, check_size, commutator, compose, cycle_count, identity, orbits
 
 __all__ = [
     "SurfaceShape",
@@ -151,8 +151,12 @@ def cyclic_cover(base_genus: int, degree: int) -> CoverData:
     Its boundary has n circles and its genus is n*g - (n - 1), the floor
     allowed by the Euler count for unbranched covers.
     """
+    if base_genus < 1:
+        raise ValueError("the base surface needs genus at least 1")
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    check_size(degree, "degree")
+    check_size(2 * base_genus * degree, "the image entry count")
     n = degree
     full_cycle = Permutation(tuple((x + 1) % n for x in range(n)))
     images = [identity(n)] * (2 * base_genus)

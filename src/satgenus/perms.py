@@ -7,7 +7,7 @@ braid-strand and sheet labels.  Composition is left-to-right throughout:
 
 The exhaustive commutator search (``ore_commutator_search``) keeps no tables
 of its own: it reads its witnesses off the pair classes that
-:mod:`satgenus.oracle` builds in its one pass over S_n x S_n.
+:mod:`satgenus.oracle` builds for S_n x S_n.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from typing import Iterable, Sequence
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
 CycleType = tuple[int, ...]
+
+# Degrees, strand counts and image-entry totals above this are refused with
+# ValueError before any list of that size is built.
+MAX_DEGREE = 10**6
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -46,9 +50,16 @@ class Permutation:
         return f"Permutation({cycles_str(self)!r}, degree={self.degree})"
 
 
+def check_size(size: int, what: str) -> None:
+    """Refuse ``size`` points or image entries over MAX_DEGREE."""
+    if size > MAX_DEGREE:
+        raise ValueError(f"{what} {size} is over the limit of {MAX_DEGREE}")
+
+
 def identity(degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    check_size(degree, "degree")
     return Permutation(tuple(range(degree)))
 
 
@@ -130,6 +141,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    check_size(degree, "degree")
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise ValueError(f"cycle notation syntax error near {stripped.strip()[:20]!r}")
@@ -208,6 +220,7 @@ def example1_pair(m: int) -> tuple[Permutation, Permutation]:
     if m < 1:
         raise ValueError("m must be at least 1")
     n = 2 * m + 1
+    check_size(n, "degree")
     s1 = from_cycles([(2 * i, 2 * i + 1) for i in range(1, m + 1)], n)
     s2 = from_cycles([(2 * i - 1, 2 * i) for i in range(1, m + 1)], n)
     return s1, s2
@@ -220,9 +233,19 @@ def example2_pair(m: int) -> tuple[Permutation, Permutation]:
     if m < 2:
         raise ValueError("m must be at least 2")
     n = 2 * m
+    check_size(n, "degree")
     s1 = from_cycles([(2 * i, 2 * i + 1) for i in range(1, m)], n)
     s2 = from_cycles([(2 * i - 1, 2 * i) for i in range(1, m + 1)], n)
     return s1, s2
+
+
+def check_search_degree(degree: int, degree_limit: int) -> None:
+    """Refuse an exhaustive commutator search above ``degree_limit``."""
+    if degree > degree_limit:
+        raise ValueError(
+            f"degree {degree} exceeds the search limit {degree_limit}; "
+            "pass a larger degree_limit to search anyway"
+        )
 
 
 def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[Permutation, Permutation] | None:
@@ -230,20 +253,16 @@ def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[P
 
     Returns the lexicographically first witness pair, or None when the target
     is not a commutator (odd permutations are rejected up front).  The
-    witness is looked up in the oracle's pass over S_n x S_n, which records
-    the first pair of every (commutator, pair partition) class and is shared
-    with the covering enumeration at the same degree.  That pass covers all
-    of S_n x S_n, so degrees above ``degree_limit`` (default 6) are refused;
+    witness is looked up in the oracle's pair classes of S_n x S_n, which
+    record the first pair of every (commutator, pair partition) class and are
+    shared with the covering enumeration at the same degree.  Their cost grows
+    with (n!)^2, so degrees above ``degree_limit`` (default 6) are refused;
     raise the limit explicitly if you accept the cost.
     """
     from .oracle import _commutator_witnesses  # oracle imports this module
 
+    check_search_degree(target.degree, degree_limit)
     n = target.degree
-    if n > degree_limit:
-        raise ValueError(
-            f"degree {n} exceeds the search limit {degree_limit}; "
-            "pass a larger degree_limit to search anyway"
-        )
     if not is_even(target):
         return None
     found = _commutator_witnesses(n).get(target.images)

@@ -37,6 +37,19 @@ def naive_first_commutator_pairs(n):
     return first
 
 
+def naive_pair_classes(n):
+    """Every class (commutator, orbit partition of <a, b>) of S_n x S_n with
+    its pair count and first (a, b) in lexicographic image order, listed in
+    the order of those first pairs, by a plain double loop."""
+    classes = {}
+    for a in itertools.permutations(range(n)):
+        for b in itertools.permutations(range(n)):
+            key = (naive_commutator(a, b), frozenset(naive_orbits([a, b], n)))
+            entry = classes.setdefault(key, [0, (a, b)])
+            entry[0] += 1
+    return [(key, count, first) for key, (count, first) in classes.items()]
+
+
 def naive_cycles(p):
     n = len(p)
     seen = set()

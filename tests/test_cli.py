@@ -179,6 +179,44 @@ def test_cover_cyclic(capsys):
     }
 
 
+def test_cover_cyclic_needs_base_genus_one(capsys):
+    code = main(["cover", "cyclic", "--genus", "0", "--degree", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: the base surface needs genus at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["perm", "commutator", "--a", "(1 2)", "--b", "()", "--degree", "100000000"],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", "100000000"],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", "100000000", "--degree-limit", "100000000"],
+    ["cover", "cyclic", "--genus", "1", "--degree", "100000000"],
+    ["cover", "cyclic", "--genus", "100000000000", "--degree", "100000000000"],
+    ["cover", "cyclic", "--genus", "100000000000", "--degree", "1"],
+    ["cover", "from-hom", "--genus", "1", "--degree", "100000000", "--images", "();()"],
+    ["braid", "analyze", "--word", "1", "--strands", "1000000000"],
+    ["perm", "examples", "--type", "odd", "--m", "100000000"],
+    ["perm", "examples", "--type", "even", "--m", "100000000"],
+])
+def test_oversized_degrees_are_refused_before_allocation(argv):
+    # a child with 256 MB of address space and a 20 s limit: an input built
+    # before its check would end in MemoryError or a timeout, not exit 2
+    def cap_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "satgenus.cli", *argv, "--json"],
+        capture_output=True, text=True, timeout=20, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "limit" in proc.stderr
+
+
 def test_cover_from_hom(capsys):
     images = "(2 3)(4 5)(6 7);(1 2)(3 4)(5 6)"
     code, env = run_json(

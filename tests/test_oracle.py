@@ -17,7 +17,7 @@ from satgenus.oracle import (
 from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram
-from _naive import naive_cover_shape
+from _naive import naive_cover_shape, naive_pair_classes
 
 
 def all_tuples(base_genus, degree):
@@ -261,7 +261,34 @@ def test_frobenius_oracle_matches_naive_exhaustion():
         assert boundary_histogram(g, n) == hist
 
 
-BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6)]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_classes_match_naive_double_loop(n):
+    pc = oracle._PairClasses(n)
+    labels = list(oracle._Partitions(n).index)
+
+    def blocks(pid):
+        return frozenset(
+            frozenset(x for x in range(n) if labels[pid][x] == least)
+            for least in set(labels[pid])
+        )
+
+    found = [
+        ((pc.perms[key // pc.width], blocks(key % pc.width)), count, (pc.perms[s], pc.perms[q]))
+        for key, count, (s, q) in zip(pc.keys, pc.counts, pc.firsts)
+    ]
+    assert found == naive_pair_classes(n)
+
+
+def test_first_pair_sweep_stops_once_every_class_is_found():
+    # the first pairs of all 1486 classes of S_6 lie in rows s <= 107
+    pc = oracle._classes(6)
+    assert len(pc.keys) == 1486
+    assert pc.rows_swept == 108
+    assert max(s for s, _ in pc.firsts) == 107
+    assert oracle._classes(5).rows_swept == 22
+
+
+BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6), (1, 7)]
 
 
 @pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
@@ -284,6 +311,12 @@ def test_every_witness_reproduces_its_class(g, n):
     if r.connected_boundary_witness is not None:
         _, k, genus = shape(r.connected_boundary_witness)
         assert (k, genus) == (1, r.min_genus_connected_boundary)
+
+
+def test_sharpness_at_degree_seven():
+    report = verify_sharpness(1, 7)
+    assert report.ok, (report.checks, report.counterexamples)
+    assert report.notes["connected_boundary_floor"] == 4
 
 
 def test_budget_counts_work_not_tuples():
