@@ -9,9 +9,10 @@ monodromy tuple in S_n^(2g) and checks the two floors directly:
 together with exactly where equality occurs, including after one simple
 branch point.  The scan is budgeted and deterministic.  It never visits
 tuples one by one: the generator pairs of S_n are collapsed into classes,
-counted by conjugacy from one row per cycle type, and each further handle
-combines the reachable (boundary product, orbit partition) states with those
-classes, so deep genus stays cheap.
+counted by conjugacy from one row per cycle type.  Those classes are the
+reachable (boundary product, orbit partition) states at every genus, so each
+further handle is one product of conjugation-orbit totals with a small
+orbit-to-orbit transfer table, and deep genus stays cheap.
 """
 
 from satgenus import enumerate_covers, realizability_table, verify_sharpness

@@ -127,13 +127,13 @@ def half_twist(n: int) -> BraidWord:
     sigma_1 ... sigma_{n-1} times the half twist on n-1 strands".  Its
     exponent sum is n(n-1)/2 and its square generates the center.
     """
-    if n < 0:
-        raise ValueError("strand count must be non-negative")
+    if n < 1:
+        raise ValueError("a braid needs at least one strand")
     _check_length(n * (n - 1) // 2, f"the half twist on {n} strands")
     letters: list[int] = []
     for top in range(n - 1, 0, -1):
         letters.extend(range(1, top + 1))
-    return BraidWord(max(n, 1), tuple(letters))
+    return BraidWord(n, tuple(letters))
 
 
 def cable_generator(j: int) -> BraidWord:

@@ -21,13 +21,13 @@ lexicographically first pair, and two passes over rows (s, all q) find them
 without visiting every pair.  Conjugation permutes the classes and keeps
 their counts, so the counts come from one row per cycle type of s by
 orbit-stabilizer; the first pairs come from a sweep of rows in rank order
-that stops once every class has been hit (108 of the 720 rows of S_6).  Then
-g - 1 rounds combine every reachable state with every class.  States and
-classes are visited in the order of their witnesses, so the first hit on a
-state carries the lexicographically first tuple reaching it, and summed
-counts give the boundary-circle histogram.  The reachable states close at
-the number of pair classes (206 for S_5, 1486 for S_6, 12412 for S_7), so
-the cost grows linearly in g.
+that stops once every class has been hit (108 of the 720 rows of S_6).  By
+Hurwitz existence for bases of positive genus (Husemoller 1962;
+Edmonds-Kulkarni-Stong 1984) the reachable states are the pair classes at
+every genus; the identity pair keeps every state, so a class's first tuple
+at genus g is 2g - 2 identities and its first pair.  Counts are constant on
+conjugation orbits (27 at S_6, 47 at S_7), so a genus level multiplies the
+orbit totals by one transfer row per orbit; (2, 7) takes about 4.5 s.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -45,7 +45,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .perms import Permutation, cycles_str
 
@@ -222,7 +222,9 @@ class _PairClasses:
     rows scaled by the sizes of their types, evenly among its classes.  The
     first-pair pass sweeps rows s = 0, 1, ... in rank order, recording first
     hits, and stops once every class has one (``rows_swept``: 22 of 120 rows
-    at n = 5, 108 of 720 at n = 6).
+    at n = 5, 108 of 720 at n = 6).  For the genus levels, ``orbit_of``,
+    ``orbit_reps`` and ``orbit_pairs`` keep the orbits, one class of each and
+    their pair totals.
     """
 
     def __init__(self, n: int):
@@ -263,12 +265,14 @@ class _PairClasses:
                 [parts.index[_relabel([labs[x] for x in h_inv])] for labs in labels],
             ))
         orbit_of: dict[int, int] = {}
+        orbit_reps: list[int] = []
         orbit_sizes: list[int] = []
         for start in (key for keys in rep_rows.values() for key in keys):
             if start in orbit_of:
                 continue
             orbit = [start]
-            orbit_of[start] = len(orbit_sizes)
+            orbit_of[start] = len(orbit_reps)
+            orbit_reps.append(start)
             for key in orbit:  # orbit grows while we walk it
                 rank, pid = divmod(key, width)
                 for perm_move, part_move in moves:
@@ -308,6 +312,9 @@ class _PairClasses:
         self.firsts = [first[key] for key in self.keys]
         self.comms = [perms[key // width] for key in self.keys]
         self.pair_parts = [key % width for key in self.keys]
+        self.orbit_of = orbit_of
+        self.orbit_reps = orbit_reps
+        self.orbit_pairs = orbit_pairs
         if sum(self.counts) != len(perms) ** 2:
             raise AssertionError("the class counts miss pairs; this is a bug")
 
@@ -329,30 +336,31 @@ def _commutator_witnesses(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...]
     return witnesses
 
 
-def _advance(states: dict[int, list], pc: _PairClasses) -> dict[int, list]:
-    """One more handle: every state followed by every pair class.
+def _transfer(pc: _PairClasses) -> list[list[int]]:
+    """One more handle, orbit to orbit: ``rows[o][p]`` counts the pairs that
+    take the representative state of orbit o into orbit p.
 
-    ``states`` maps a state code to [tuple count, first witness] and iterates
-    in witness order; so does the result, because the first hit on a new
-    state comes from the earliest state and then the earliest class.
+    Conjugating a state and a pair together conjugates the state they reach,
+    so every state of an orbit has its representative's row, and one check
+    here covers every genus: classes only ever reach classes.
     """
     perms, code, join, width = pc.perms, pc.code, pc.join, pc.width
-    out: dict[int, list] = {}
-    for key, (count, wit) in states.items():
-        rank, pid = divmod(key, width)
+    rows = []
+    for rep in pc.orbit_reps:
+        rank, pid = divmod(rep, width)
         joined = join[pid]
         targets = map(
             add,
             map(code.__getitem__, map(_composer(perms[rank]), pc.comms)),
             map(joined.__getitem__, pc.pair_parts),
         )
-        for target, weight, pair in zip(targets, pc.counts, pc.firsts):
-            entry = out.get(target)
-            if entry is None:
-                out[target] = [count * weight, wit + pair]
-            else:
-                entry[0] += count * weight
-    return out
+        row = [0] * len(pc.orbit_reps)
+        for target, weight in zip(targets, pc.counts):
+            if target not in pc.orbit_of:
+                raise AssertionError("a genus level left the pair classes; this is a bug")
+            row[pc.orbit_of[target]] += weight
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -369,33 +377,34 @@ def _scan(base_genus: int, degree: int, limit: int) -> _Scan:
     """The scan behind enumerate_covers, verify_sharpness and
     realizability_table, cached so that a request scans once.
 
-    Work is the (n!)^2 pair pass plus states x classes per genus level; the
-    pass is checked against ``limit`` before any table is built and each
-    level before it runs.  The pass is still charged at (n!)^2 although it
-    sweeps only some rows, so the refusal boundaries stay where they were.
+    Work is the (n!)^2 pair pass plus classes x classes per genus level, the
+    cost of the state-by-class scan the transfer rows replaced, so refusal
+    boundaries and estimates stay where they were.  The pass is checked
+    against ``limit`` before any table is built, the total before the rows.
     """
     g, n = base_genus, degree
     work = math.factorial(n) ** 2
     if work > limit:
         raise _over_budget(g, n, work, limit)
     pc = _classes(n)
-    states = {key: [count, pair] for key, count, pair in zip(pc.keys, pc.counts, pc.firsts)}
-    for level in range(2, g + 1):
-        # the identity pair keeps every state, so later levels cost no less
-        step = len(states) * len(pc.keys)
-        if work + step > limit:
-            raise _over_budget(g, n, work + (g - level + 1) * step, limit)
-        work += step
-        states = _advance(states, pc)
+    work += (g - 1) * len(pc.keys) ** 2
+    if work > limit:
+        raise _over_budget(g, n, work, limit)
+    totals = pc.orbit_pairs
+    columns = list(zip(*_transfer(pc))) if g > 1 else []
+    for _ in range(g - 1):
+        totals = [sum(map(mul, totals, column)) for column in columns]
 
-    base_odd = n * (2 * g - 1)
     khist = [0] * (n + 1)
+    for rep, total in zip(pc.orbit_reps, totals):
+        khist[pc.cycles[rep // pc.width]] += total
+    base_odd = n * (2 * g - 1)
+    identities = (0,) * (2 * g - 2)
     rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for key, (count, wit) in states.items():
+    for key, pair in zip(pc.keys, pc.firsts):
         rank, pid = divmod(key, pc.width)
         k, m = pc.cycles[rank], pc.blocks[pid]
-        khist[k] += count
-        rows.setdefault((m, k, (base_odd + 2 * m - k) >> 1), wit)
+        rows.setdefault((m, k, (base_odd + 2 * m - k) >> 1), identities + pair)
     if sum(khist) != math.factorial(n) ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
     return _Scan(rows, tuple(khist))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
 CycleType = tuple[int, ...]
@@ -68,16 +68,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     return Permutation(tuple(b.images[x] for x in a.images))
-
-
-def compose_all(perms: Iterable[Permutation]) -> Permutation:
-    """Left-to-right product of a non-empty sequence."""
-    result = None
-    for p in perms:
-        result = p if result is None else compose(result, p)
-    if result is None:
-        raise ValueError("cannot compose an empty sequence without a degree")
-    return result
 
 
 def inverse(p: Permutation) -> Permutation:

@@ -14,7 +14,7 @@ touches the package.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 
 @lru_cache(maxsize=None)
@@ -91,3 +91,31 @@ def boundary_histogram(g, n):
         if count:
             hist[len(mu)] = hist.get(len(mu), 0) + count
     return hist
+
+
+def connected_boundary_histogram(g, n):
+    """Transitive tuples in S_n^(2g), the connected covers, by the number
+    of boundary circles.
+
+    The orbit of the first point has some j points, chosen in C(n-1, j-1)
+    ways, and carries a transitive tuple; the other n - j points carry any
+    tuple, and the boundary circles add up.  So the exponential formula
+
+        F_n = sum over j of C(n-1, j-1) * (T_j conv F_{n-j})
+
+    with conv the convolution in the boundary count, solved for T_n, gives
+    the connected counts from the Frobenius histograms F alone.
+    """
+    full = [boundary_histogram(g, size) for size in range(n + 1)]
+    transitive = {}
+    for size in range(1, n + 1):
+        hist = dict(full[size])
+        for j in range(1, size):
+            ways = comb(size - 1, j - 1)
+            for k, count in transitive[j].items():
+                for rest, other in full[size - j].items():
+                    hist[k + rest] = hist.get(k + rest, 0) - ways * count * other
+        if any(count < 0 for count in hist.values()):
+            raise AssertionError(f"negative connected count at g={g}, n={size}")
+        transitive[size] = {k: count for k, count in hist.items() if count}
+    return transitive[n]

@@ -98,7 +98,8 @@ def test_inverse_properties(w):
 
 
 def test_half_twist_words():
-    assert half_twist(0).letters == ()
+    with pytest.raises(ValueError, match="at least one strand"):
+        half_twist(0)
     assert half_twist(1).letters == ()
     assert half_twist(2).letters == (1,)
     assert half_twist(3).letters == (1, 2, 1)

@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import itertools
 import json
 import subprocess
 import sys
@@ -217,6 +219,80 @@ def test_oversized_degrees_are_refused_before_allocation(argv):
     assert "limit" in proc.stderr
 
 
+# one valid command line per subcommand (both families of braid orevkov);
+# the contract test below sets each integer option in turn to 0 and to -1
+VALID_COMMANDS = [
+    ["braid", "analyze", "--word", "1 1", "--strands", "2"],
+    ["braid", "halftwist", "--strands", "3"],
+    ["braid", "orevkov", "--family", "k1", "--n", "3"],
+    ["braid", "orevkov", "--family", "k2", "--n", "2", "--twists", "1"],
+    ["bounds", "--g4k", "1", "--winding", "3", "--pattern-genus", "1"],
+    ["examples", "orevkov", "--n", "2", "--twists", "1"],
+    ["cover", "cyclic", "--genus", "1", "--degree", "3"],
+    ["cover", "from-hom", "--genus", "1", "--degree", "3", "--images", "();()"],
+    ["cover", "enumerate", "--genus", "1", "--degree", "3", "--budget", "100"],
+    ["perm", "commutator", "--a", "(1 2)", "--b", "()", "--degree", "3"],
+    ["perm", "examples", "--type", "odd", "--m", "1"],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", "3", "--degree-limit", "3"],
+]
+
+
+def _integer_options(parser, path=()):
+    """{subcommand path: its integer options}, read off the parser."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_integer_options(sub, path + (name,)))
+        elif action.type is int:
+            found.setdefault(path, set()).add(action.option_strings[-1])
+    return found
+
+
+def _integer_positions(argv):
+    """Indices of the integer values in a command line."""
+    return [i for i in range(1, len(argv)) if argv[i - 1].startswith("--") and argv[i].isdigit()]
+
+
+def _boundary_cases():
+    for argv in VALID_COMMANDS:
+        for i in _integer_positions(argv):
+            for value in ("0", "-1"):
+                yield argv[:i] + [value] + argv[i + 1:]
+
+
+def test_boundary_cases_cover_every_integer_option():
+    covered = {}
+    for argv in VALID_COMMANDS:
+        path = tuple(itertools.takewhile(lambda token: not token.startswith("--"), argv))
+        covered.setdefault(path, set()).update(argv[i - 1] for i in _integer_positions(argv))
+    assert covered == _integer_options(cli.build_parser())
+
+
+@pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
+def test_boundary_integers_keep_the_exit_code_contract(capsys, argv):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET, EXIT_INVARIANT)
+    if code == EXIT_OK:
+        assert captured.err == ""
+        env = json.loads(captured.out)
+        # a result named like an input reports the value that was asked for
+        for key, value in env["inputs"].items():
+            assert env["results"].get(key, value) == value, key
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_braid_halftwist_needs_a_strand(capsys):
+    code = main(["braid", "halftwist", "--strands", "0", "--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: a braid needs at least one strand\n"
+
+
 def test_cover_from_hom(capsys):
     images = "(2 3)(4 5)(6 7);(1 2)(3 4)(5 6)"
     code, env = run_json(
@@ -253,16 +329,16 @@ def test_cover_enumerate_sharpness(capsys):
 
 
 def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
-    passes, levels = [], []
-    build, advance = oracle._PairClasses, oracle._advance
+    passes, transfers = [], []
+    build, transfer = oracle._PairClasses, oracle._transfer
     monkeypatch.setattr(oracle, "_PairClasses", lambda n: passes.append(n) or build(n))
-    monkeypatch.setattr(oracle, "_advance", lambda *a: levels.append(a) or advance(*a))
+    monkeypatch.setattr(oracle, "_transfer", lambda pc: transfers.append(pc) or transfer(pc))
     oracle._classes.cache_clear()
     oracle._scan.cache_clear()
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
     assert passes == [4]
-    assert len(levels) == 1
+    assert len(transfers) == 1
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())

@@ -16,7 +16,7 @@ from satgenus.oracle import (
 )
 from satgenus.perms import Permutation, cycles_str
 
-from _frobenius import boundary_histogram
+from _frobenius import boundary_histogram, connected_boundary_histogram
 from _naive import naive_cover_shape, naive_pair_classes
 
 
@@ -261,6 +261,16 @@ def test_frobenius_oracle_matches_naive_exhaustion():
         assert boundary_histogram(g, n) == hist
 
 
+def test_frobenius_connected_rows_match_naive_exhaustion():
+    for g, n in [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3)]:
+        hist = {}
+        for images in all_tuples(g, n):
+            m, k, _ = naive_cover_shape(g, images)
+            if m == 1:
+                hist[k] = hist.get(k, 0) + 1
+        assert connected_boundary_histogram(g, n) == hist
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pair_classes_match_naive_double_loop(n):
     pc = oracle._PairClasses(n)
@@ -288,7 +298,7 @@ def test_first_pair_sweep_stops_once_every_class_is_found():
     assert oracle._classes(5).rows_swept == 22
 
 
-BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6), (1, 7)]
+BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6), (1, 7), (2, 7), (7, 7)]
 
 
 @pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
@@ -311,6 +321,12 @@ def test_every_witness_reproduces_its_class(g, n):
     if r.connected_boundary_witness is not None:
         _, k, genus = shape(r.connected_boundary_witness)
         assert (k, genus) == (1, r.min_genus_connected_boundary)
+
+
+@pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
+def test_connected_rows_match_frobenius_count(g, n):
+    connected = {k for (m, k, _) in realizability_table(g, n) if m == 1}
+    assert connected == set(connected_boundary_histogram(g, n))
 
 
 def test_sharpness_at_degree_seven():
@@ -369,13 +385,13 @@ def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch):
 
 
 def test_budget_checks_each_level_before_it_runs(monkeypatch):
-    def refuse(states, pc):
-        raise AssertionError("level scanned over budget")
+    def refuse(pc):
+        raise AssertionError("transfer rows built over budget")
 
-    monkeypatch.setattr(oracle, "_advance", refuse)
+    monkeypatch.setattr(oracle, "_transfer", refuse)
     classes = len(oracle._classes(5).keys)
     # the pair pass fits, the second genus level does not; the estimate
-    # covers both remaining levels at no fewer states than now
+    # covers both levels, each at classes x classes
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(3, 5, budget=14400 + classes * classes - 1)
     assert f"estimated {14400 + 2 * classes * classes} work units" in str(exc.value)
