@@ -16,18 +16,20 @@ reports serialize to byte-identical JSON across runs.
 The shape of a tuple depends only on its state: the running boundary
 product b of the handle commutators and the orbit partition of the images.
 So the scan never visits tuples.  The generator pairs of S_n x S_n fall
-into classes (commutator, pair partition), each with its pair count and its
-lexicographically first pair, and two passes over rows (s, all q) find them
-without visiting every pair.  Conjugation permutes the classes and keeps
-their counts, so the counts come from one row per cycle type of s by
-orbit-stabilizer; the first pairs come from a sweep of rows in rank order
-that stops once every class has been hit (108 of the 720 rows of S_6).  By
-Hurwitz existence for bases of positive genus (Husemoller 1962;
-Edmonds-Kulkarni-Stong 1984) the reachable states are the pair classes at
-every genus; the identity pair keeps every state, so a class's first tuple
-at genus g is 2g - 2 identities and its first pair.  Counts are constant on
-conjugation orbits (27 at S_6, 47 at S_7), so a genus level multiplies the
-orbit totals by one transfer row per orbit; (2, 7) takes about 4.5 s.
+into classes (commutator, pair partition), each with its pair count, and
+two passes over rows (s, all q) serve the scan without visiting every pair.
+Conjugation permutes the classes and keeps their counts, so the counts come
+from one row per cycle type of s by orbit-stabilizer.  Witnesses are needed
+per cover shape (components, boundary circles), not per class: a sweep of
+rows in rank order records the first pair of every shape and stops once
+each shape of the classes has been hit (4 of the 720 rows of S_6, 10 of the
+5040 of S_7).  By Hurwitz existence for bases of positive genus (Husemoller
+1962; Edmonds-Kulkarni-Stong 1984) the reachable states are the pair
+classes at every genus; the identity pair keeps every state, so a shape's
+first tuple at genus g is 2g - 2 identities and its first pair.  Counts are
+constant on conjugation orbits (27 at S_6, 47 at S_7), so a genus level
+multiplies the orbit totals by one transfer row per orbit; (2, 7) takes
+about 0.9 s.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -38,16 +40,15 @@ the lexicographically first witness tuple.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, itemgetter, mul
+from operator import add, mul
 
-from .perms import Permutation, cycles_str
+from .perms import Permutation, cycles_str, sn_tables
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -102,19 +103,24 @@ def _check_printable(base_genus: int, degree: int) -> None:
 
     The digit count floor(2g log10 n!) + 1 comes from a log estimate; the
     power is formed only near the limit, where the estimate may be one off.
+    Above degree 1000, where (n!)^2 already has over 5000 digits, log10 n!
+    comes from lgamma rather than from n!, which takes seconds at n = 10^6.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    size = math.factorial(degree)
-    if not limit or size == 1:
+    if not limit or degree == 1:
         return
     exponent = 2 * base_genus
+    if degree <= 1000:
+        log_size = math.log10(math.factorial(degree))
+    else:
+        log_size = math.lgamma(degree + 1) / math.log(10)
     # exact rational arithmetic on the float log, so no genus overflows it
-    num, den = math.log10(size).as_integer_ratio()
+    num, den = log_size.as_integer_ratio()
     digits = exponent * num // den + 1
     if digits < limit - 1:
         return
     if digits <= limit + 2:
-        total = size**exponent
+        total = math.factorial(degree) ** exponent
         while total >= 10**digits:
             digits += 1
         while total < 10 ** (digits - 1):
@@ -133,13 +139,6 @@ def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetE
         f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
         f"over the budget of {limit}"
     )
-
-
-def _composer(p: tuple[int, ...]):
-    """The map q -> (apply p, then q) on image tuples."""
-    # itemgetter with a single index returns a bare item; the one
-    # permutation of S_1 composes to itself.
-    return itemgetter(*p) if len(p) > 1 else tuple
 
 
 def _cycle_labels(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,12 +205,14 @@ class _Partitions:
 class _PairClasses:
     """S_n x S_n collapsed into classes (commutator, pair partition).
 
-    Permutations are ranked in lexicographic order of their image tuples.
-    A class, and later a scan state (boundary product, orbit partition), is
-    coded as one integer ``rank * width + partition id``; ``code`` maps an
-    image tuple to ``rank * width``.  Classes are listed in the order of their
-    lexicographically first pair (s, q), with that pair as ranks and the
-    number of pairs in the class.
+    Permutations are ranked in lexicographic order of their image tuples
+    (``perms.sn_tables``).  A class, and later a scan state (boundary
+    product, orbit partition), is coded as one integer ``rank * width +
+    partition id``; ``code`` maps an image tuple to ``rank * width``.
+    ``keys`` lists the classes in the order the orbit closure meets them,
+    with their pair ``counts``; ``witnesses`` maps every cover shape (m, k),
+    the blocks of the pair partition and the cycles of the commutator, to
+    its lexicographically first pair (s, q) as ranks.
 
     Two passes, each over whole rows (s, all q), give those without visiting
     every pair.  Conjugating by h maps the pair (s, q) to (s^h, q^h) and its
@@ -220,29 +221,27 @@ class _PairClasses:
     closes the classes found into orbits under a transposition and the
     n-cycle (which generate S_n), and shares each orbit's pair total, the
     rows scaled by the sizes of their types, evenly among its classes.  The
-    first-pair pass sweeps rows s = 0, 1, ... in rank order, recording first
-    hits, and stops once every class has one (``rows_swept``: 22 of 120 rows
-    at n = 5, 108 of 720 at n = 6).  For the genus levels, ``orbit_of``,
-    ``orbit_reps`` and ``orbit_pairs`` keep the orbits, one class of each and
-    their pair totals.
+    shape sweep walks rows s = 0, 1, ... in rank order, recording the first
+    pair of each shape as it goes, and stops once every shape of the classes
+    has one (``rows_swept``: 4 of 120 rows at n = 5, 4 of 720 at n = 6, 10
+    of 5040 at n = 7).  For the genus levels, ``orbit_of``, ``orbit_reps``
+    and ``orbit_pairs`` keep the orbits, one class of each and their pair
+    totals.
     """
 
     def __init__(self, n: int):
-        perms = list(itertools.permutations(range(n)))
+        tables = sn_tables(n)
+        perms = tables.perms
         parts = _Partitions(n)
         width = len(parts.blocks)
         code = {p: rank * width for rank, p in enumerate(perms)}
-        inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
         cycle_part = [parts.index[_cycle_labels(p)] for p in perms]
-        getters = [_composer(p) for p in perms]
 
         def row(s: int) -> list[int]:
             """The class of every pair (s, q), in the rank order of q."""
-            then_s, then_s_inv = getters[s], _composer(inverses[s])
-            # [s, q] applies s, q, s^-1, q^-1 in turn
-            comms = [then_s(then_q(then_s_inv(q_inv))) for then_q, q_inv in zip(getters, inverses)]
             # the orbits of <s, q> join the cycle partitions of s and q
             joined = parts.join[cycle_part[s]]
+            comms = tables.commutator_row(s)
             return list(map(add, map(code.__getitem__, comms), map(joined.__getitem__, cycle_part)))
 
         # count pass: one row for the first permutation of each cycle type
@@ -259,7 +258,7 @@ class _PairClasses:
             conjugators.append((1, 0) + tuple(range(2, n)))
         moves = []
         for h in conjugators:
-            h_inv = inverses[code[h] // width]
+            h_inv = tables.inverses[code[h] // width]
             moves.append((
                 [code[_conjugate(p, h, h_inv)] for p in perms],
                 [parts.index[_relabel([labs[x] for x in h_inv])] for labs in labels],
@@ -289,27 +288,29 @@ class _PairClasses:
         if any(pairs % size for pairs, size in zip(orbit_pairs, orbit_sizes)):
             raise AssertionError("an orbit total does not divide by its size; this is a bug")
 
-        # first-pair pass: rows in rank order until every class is hit
-        first: dict[int, tuple[int, int]] = {}
+        # shape sweep: rows in rank order until every shape (m, k) is hit
+        cycles = [parts.blocks[c] for c in cycle_part]
+        shapes = {(parts.blocks[key % width], cycles[key // width]) for key in orbit_of}
+        witnesses: dict[tuple[int, int], tuple[int, int]] = {}
         for s in range(len(perms)):
-            keys = rep_rows.get(s) or row(s)
-            for key in set(keys).difference(first):
-                first[key] = (s, keys.index(key))
-            if len(first) == len(orbit_of):
+            for q, key in enumerate(rep_rows.get(s) or row(s)):
+                rank, pid = divmod(key, width)
+                witnesses.setdefault((parts.blocks[pid], cycles[rank]), (s, q))
+            if len(witnesses) == len(shapes):
                 break
-        if first.keys() != orbit_of.keys():
-            raise AssertionError("the first-pair sweep and the orbits disagree; this is a bug")
+        if witnesses.keys() != shapes:
+            raise AssertionError("the shape sweep and the pair classes disagree; this is a bug")
 
         self.perms = perms
+        self.composers = tables.composers
         self.code = code
         self.width = width
         self.join = parts.join
-        self.blocks = parts.blocks
-        self.cycles = [parts.blocks[c] for c in cycle_part]
+        self.cycles = cycles
         self.rows_swept = s + 1
-        self.keys = sorted(first, key=first.__getitem__)
+        self.witnesses = witnesses
+        self.keys = list(orbit_of)
         self.counts = [orbit_pairs[orbit_of[key]] // orbit_sizes[orbit_of[key]] for key in self.keys]
-        self.firsts = [first[key] for key in self.keys]
         self.comms = [perms[key // width] for key in self.keys]
         self.pair_parts = [key % width for key in self.keys]
         self.orbit_of = orbit_of
@@ -324,18 +325,6 @@ def _classes(n: int) -> _PairClasses:
     return _PairClasses(n)
 
 
-@lru_cache(maxsize=None)
-def _commutator_witnesses(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every commutator of S_n with its lexicographically first pair (a, b),
-    as image tuples.  Classes are listed in the order of their first pair, so
-    the first class with a given commutator carries its first pair."""
-    pc = _classes(n)
-    witnesses: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for comm, (a, b) in zip(pc.comms, pc.firsts):
-        witnesses.setdefault(comm, (pc.perms[a], pc.perms[b]))
-    return witnesses
-
-
 def _transfer(pc: _PairClasses) -> list[list[int]]:
     """One more handle, orbit to orbit: ``rows[o][p]`` counts the pairs that
     take the representative state of orbit o into orbit p.
@@ -344,14 +333,14 @@ def _transfer(pc: _PairClasses) -> list[list[int]]:
     so every state of an orbit has its representative's row, and one check
     here covers every genus: classes only ever reach classes.
     """
-    perms, code, join, width = pc.perms, pc.code, pc.join, pc.width
+    code, join, width = pc.code, pc.join, pc.width
     rows = []
     for rep in pc.orbit_reps:
         rank, pid = divmod(rep, width)
         joined = join[pid]
         targets = map(
             add,
-            map(code.__getitem__, map(_composer(perms[rank]), pc.comms)),
+            map(code.__getitem__, map(pc.composers[rank], pc.comms)),
             map(joined.__getitem__, pc.pair_parts),
         )
         row = [0] * len(pc.orbit_reps)
@@ -400,11 +389,10 @@ def _scan(base_genus: int, degree: int, limit: int) -> _Scan:
         khist[pc.cycles[rep // pc.width]] += total
     base_odd = n * (2 * g - 1)
     identities = (0,) * (2 * g - 2)
-    rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for key, pair in zip(pc.keys, pc.firsts):
-        rank, pid = divmod(key, pc.width)
-        k, m = pc.cycles[rank], pc.blocks[pid]
-        rows.setdefault((m, k, (base_odd + 2 * m - k) >> 1), identities + pair)
+    rows = {
+        (m, k, (base_odd + 2 * m - k) >> 1): identities + pair
+        for (m, k), pair in pc.witnesses.items()
+    }
     if sum(khist) != math.factorial(n) ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
     return _Scan(rows, tuple(khist))
@@ -463,7 +451,7 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
 
 
 def _witness_perms(degree: int, wit: tuple) -> tuple[Permutation, ...]:
-    perms = _classes(degree).perms
+    perms = sn_tables(degree).perms
     return tuple(Permutation(perms[i]) for i in wit)
 
 

@@ -5,15 +5,19 @@ I/O (cycle notation) is 1-indexed, matching the usual convention for
 braid-strand and sheet labels.  Composition is left-to-right throughout:
 ``compose(a, b)`` means "apply a first, then b".
 
-The exhaustive commutator search (``ore_commutator_search``) keeps no tables
-of its own: it reads its witnesses off the pair classes that
-:mod:`satgenus.oracle` builds for S_n x S_n.
+``sn_tables`` holds S_n in rank order (lexicographic order of image
+tuples) with inverses and composition maps, built once per degree.  The
+exhaustive commutator search (``ore_commutator_search``) and the pair-class
+pass of :mod:`satgenus.oracle` share it.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
@@ -229,6 +233,35 @@ def example2_pair(m: int) -> tuple[Permutation, Permutation]:
     return s1, s2
 
 
+def _composer(p: tuple[int, ...]):
+    """The map q -> (apply p, then q) on image tuples."""
+    # itemgetter with a single index returns a bare item; the one
+    # permutation of S_1 composes to itself.
+    return itemgetter(*p) if len(p) > 1 else tuple
+
+
+class SnTables:
+    """S_n as image tuples in rank order, with their inverses and their
+    composers (``composers[r]`` maps q to "apply perms[r], then q")."""
+
+    def __init__(self, n: int):
+        self.perms = list(itertools.permutations(range(n)))
+        self.inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in self.perms]
+        self.composers = [_composer(p) for p in self.perms]
+
+    def commutator_row(self, s: int) -> list[tuple[int, ...]]:
+        """The commutator [s, q] of every q, in rank order of q."""
+        then_s, then_s_inv = self.composers[s], _composer(self.inverses[s])
+        # [s, q] applies s, q, s^-1, q^-1 in turn
+        return [then_s(then_q(then_s_inv(q_inv))) for then_q, q_inv in zip(self.composers, self.inverses)]
+
+
+@lru_cache(maxsize=None)
+def sn_tables(n: int) -> SnTables:
+    """The shared tables of S_n, built on first use."""
+    return SnTables(n)
+
+
 def check_search_degree(degree: int, degree_limit: int) -> None:
     """Refuse an exhaustive commutator search above ``degree_limit``."""
     if degree > degree_limit:
@@ -242,21 +275,21 @@ def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[P
     """Exhaustive search for (a, b) with ``commutator(a, b) == target``.
 
     Returns the lexicographically first witness pair, or None when the target
-    is not a commutator (odd permutations are rejected up front).  The
-    witness is looked up in the oracle's pair classes of S_n x S_n, which
-    record the first pair of every (commutator, pair partition) class and are
-    shared with the covering enumeration at the same degree.  Their cost grows
-    with (n!)^2, so degrees above ``degree_limit`` (default 6) are refused;
-    raise the limit explicitly if you accept the cost.
+    is not a commutator (odd permutations are rejected up front).  Rows
+    (a, all b) are swept in rank order of a and the search stops at the
+    first row holding the target; by Ore's theorem every even permutation is
+    a commutator, so it always stops.  A row costs n! compositions, and the
+    search sweeps at most 97 of the 720 rows of S_6 and 601 of the 5040 of
+    S_7, so degrees above ``degree_limit`` (default 6) are refused; raise the
+    limit explicitly if you accept the cost.
     """
-    from .oracle import _commutator_witnesses  # oracle imports this module
-
     check_search_degree(target.degree, degree_limit)
-    n = target.degree
     if not is_even(target):
         return None
-    found = _commutator_witnesses(n).get(target.images)
-    if found is None:
-        return None
-    a, b = found
-    return Permutation(a), Permutation(b)
+    tables = sn_tables(target.degree)
+    goal = target.images
+    for s, a in enumerate(tables.perms):
+        row = tables.commutator_row(s)
+        if goal in row:
+            return Permutation(a), Permutation(tables.perms[row.index(goal)])
+    return None

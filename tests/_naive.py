@@ -50,6 +50,29 @@ def naive_pair_classes(n):
     return [(key, count, first) for key, (count, first) in classes.items()]
 
 
+def naive_first_shape_pairs(n):
+    """Every shape (orbits of <a, b>, cycles of [a, b]) of S_n x S_n with
+    its first (a, b) in lexicographic image order, by a plain double loop."""
+    first = {}
+    for a in itertools.permutations(range(n)):
+        for b in itertools.permutations(range(n)):
+            shape = (len(naive_orbits([a, b], n)), len(naive_cycles(naive_commutator(a, b))))
+            first.setdefault(shape, (a, b))
+    return first
+
+
+def naive_first_commutator_pair(target):
+    """The first (a, b) in lexicographic image order with [a, b] == target,
+    by a row-major double loop that returns at the first hit; None if the
+    target is not a commutator."""
+    n = len(target)
+    for a in itertools.permutations(range(n)):
+        for b in itertools.permutations(range(n)):
+            if naive_commutator(a, b) == target:
+                return a, b
+    return None
+
+
 def naive_cycles(p):
     n = len(p)
     seen = set()

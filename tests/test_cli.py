@@ -189,6 +189,21 @@ def test_cover_cyclic_needs_base_genus_one(capsys):
     assert captured.err == "error: the base surface needs genus at least 1\n"
 
 
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+
+
+def _run_capped(argv):
+    """Run the CLI in a child with 256 MB of address space and a 20 s limit:
+    an input built before its check ends in MemoryError or a timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "satgenus.cli", *argv, "--json"],
+        capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory,
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["perm", "commutator", "--a", "(1 2)", "--b", "()", "--degree", "100000000"],
     ["perm", "ore", "--target", "(1 2 3)", "--degree", "100000000"],
@@ -202,17 +217,7 @@ def test_cover_cyclic_needs_base_genus_one(capsys):
     ["perm", "examples", "--type", "even", "--m", "100000000"],
 ])
 def test_oversized_degrees_are_refused_before_allocation(argv):
-    # a child with 256 MB of address space and a 20 s limit: an input built
-    # before its check would end in MemoryError or a timeout, not exit 2
-    def cap_memory():
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "satgenus.cli", *argv, "--json"],
-        capture_output=True, text=True, timeout=20, preexec_fn=cap_memory,
-    )
+    proc = _run_capped(argv)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -220,7 +225,8 @@ def test_oversized_degrees_are_refused_before_allocation(argv):
 
 
 # one valid command line per subcommand (both families of braid orevkov);
-# the contract test below sets each integer option in turn to 0 and to -1
+# the contract tests below set each integer option in turn to 0, to -1 and
+# to 10^12
 VALID_COMMANDS = [
     ["braid", "analyze", "--word", "1 1", "--strands", "2"],
     ["braid", "halftwist", "--strands", "3"],
@@ -254,11 +260,15 @@ def _integer_positions(argv):
     return [i for i in range(1, len(argv)) if argv[i - 1].startswith("--") and argv[i].isdigit()]
 
 
-def _boundary_cases():
+def _boundary_cases(values=("0", "-1")):
     for argv in VALID_COMMANDS:
         for i in _integer_positions(argv):
-            for value in ("0", "-1"):
+            for value in values:
                 yield argv[:i] + [value] + argv[i + 1:]
+
+
+OVERSIZED = str(10**12)
+OVERSIZED_CASES = list(_boundary_cases([OVERSIZED]))
 
 
 def test_boundary_cases_cover_every_integer_option():
@@ -267,6 +277,27 @@ def test_boundary_cases_cover_every_integer_option():
         path = tuple(itertools.takewhile(lambda token: not token.startswith("--"), argv))
         covered.setdefault(path, set()).update(argv[i - 1] for i in _integer_positions(argv))
     assert covered == _integer_options(cli.build_parser())
+
+
+def test_oversized_cases_cover_every_integer_option():
+    covered = {}
+    for argv in OVERSIZED_CASES:
+        path = tuple(itertools.takewhile(lambda token: not token.startswith("--"), argv))
+        covered.setdefault(path, set()).add(argv[argv.index(OVERSIZED) - 1])
+    assert covered == _integer_options(cli.build_parser())
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_CASES, ids=" ".join)
+def test_oversized_integers_keep_the_exit_code_contract(argv):
+    # one memory-capped child per case: an oversized value must be refused
+    # (or served) before it allocates or computes its way past the caps
+    proc = _run_capped(argv)
+    assert proc.returncode in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET, EXIT_INVARIANT), proc.stderr
+    if proc.returncode == EXIT_OK:
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)

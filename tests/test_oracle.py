@@ -17,7 +17,7 @@ from satgenus.oracle import (
 from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram, connected_boundary_histogram
-from _naive import naive_cover_shape, naive_pair_classes
+from _naive import naive_cover_shape, naive_first_shape_pairs, naive_pair_classes
 
 
 def all_tuples(base_genus, degree):
@@ -282,20 +282,31 @@ def test_pair_classes_match_naive_double_loop(n):
             for least in set(labels[pid])
         )
 
-    found = [
-        ((pc.perms[key // pc.width], blocks(key % pc.width)), count, (pc.perms[s], pc.perms[q]))
-        for key, count, (s, q) in zip(pc.keys, pc.counts, pc.firsts)
-    ]
-    assert found == naive_pair_classes(n)
+    found = {
+        (pc.perms[key // pc.width], blocks(key % pc.width)): count
+        for key, count in zip(pc.keys, pc.counts)
+    }
+    assert len(found) == len(pc.keys)
+    assert found == {key: count for key, count, _ in naive_pair_classes(n)}
 
 
-def test_first_pair_sweep_stops_once_every_class_is_found():
-    # the first pairs of all 1486 classes of S_6 lie in rows s <= 107
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shape_witnesses_match_naive_double_loop(n):
+    pc = oracle._PairClasses(n)
+    found = {shape: (pc.perms[s], pc.perms[q]) for shape, (s, q) in pc.witnesses.items()}
+    assert found == naive_first_shape_pairs(n)
+
+
+def test_shape_sweep_stops_once_every_shape_is_found():
+    # the first pairs of all 12 shapes of S_6 lie in rows s <= 3, though its
+    # 1486 classes need 108 rows
     pc = oracle._classes(6)
     assert len(pc.keys) == 1486
-    assert pc.rows_swept == 108
-    assert max(s for s, _ in pc.firsts) == 107
-    assert oracle._classes(5).rows_swept == 22
+    assert len(pc.witnesses) == 12
+    assert pc.rows_swept == 4
+    assert max(s for s, _ in pc.witnesses.values()) == 3
+    assert oracle._classes(5).rows_swept == 4
+    assert oracle._classes(7).rows_swept == 10
 
 
 BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6), (1, 7), (2, 7), (7, 7)]

@@ -23,9 +23,15 @@ from satgenus.perms import (
     parse_cycles,
 )
 
-from satgenus import oracle
+from satgenus import oracle, perms as perms_module
 
-from _naive import naive_commutator, naive_compose, naive_first_commutator_pairs, naive_orbits
+from _naive import (
+    naive_commutator,
+    naive_compose,
+    naive_first_commutator_pair,
+    naive_first_commutator_pairs,
+    naive_orbits,
+)
 
 
 @st.composite
@@ -246,18 +252,50 @@ def test_ore_search_matches_naive_first_pairs():
                 assert witness is None
 
 
-def test_ore_search_shares_the_oracle_pair_classes(monkeypatch):
+# one even permutation of each cycle type of S_7, each with its first pair
+# in an early row so that the naive double loop stays quick
+S7_EVEN_TARGETS = [
+    "()",
+    "(4 5)(6 7)",
+    "(5 7 6)",
+    "(1 2)(3 7 6)(4 5)",
+    "(2 4 3)(5 6 7)",
+    "(2 3)(4 7 6 5)",
+    "(3 7 5 6 4)",
+    "(1 7 4 5 6 3 2)",
+]
+
+
+def test_s7_targets_cover_every_even_cycle_type():
+    types = {cycle_type(parse_cycles(text, 7)) for text in S7_EVEN_TARGETS}
+    even = {
+        cycle_type(Permutation(images))
+        for images in itertools.permutations(range(7))
+        if is_even(Permutation(images))
+    }
+    assert types == even and len(types) == len(S7_EVEN_TARGETS)
+
+
+@pytest.mark.parametrize("text", S7_EVEN_TARGETS)
+def test_ore_search_at_degree_seven_matches_naive_first_pair(text):
+    target = parse_cycles(text, 7)
+    a, b = ore_commutator_search(target, degree_limit=7)
+    assert (a.images, b.images) == naive_first_commutator_pair(target.images)
+
+
+def test_ore_search_builds_no_pair_classes_and_shares_the_tables(monkeypatch):
     built = []
     real = oracle._PairClasses
     monkeypatch.setattr(oracle, "_PairClasses", lambda n: built.append(n) or real(n))
+    perms_module.sn_tables.cache_clear()
     oracle._classes.cache_clear()
-    oracle._commutator_witnesses.cache_clear()
     oracle._scan.cache_clear()
     ore_commutator_search(parse_cycles("(1 2 3 4 5)", 5))
-    assert built == [5]
+    assert built == []
     oracle.enumerate_covers(1, 5)
     assert built == [5]
     assert oracle._classes.cache_info().misses == 1
+    assert perms_module.sn_tables.cache_info().misses == 1
 
 
 def test_ore_search_degree_limit():
