@@ -8,46 +8,20 @@ printed as human-readable lines by default, as canonical JSON (two-space
 indent, sorted keys) under ``--json``, and written atomically to a file with
 ``--out``.  Exit codes: 0 success, 2 bad usage or validation error, 3 budget
 exceeded, 4 internal invariant violation found by the enumeration oracle.
+
+Each handler imports the library layers it calls when it runs, so a process
+loads only what its subcommand needs: building the parser loads no layer,
+and only ``cover enumerate`` loads the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
-import tempfile
-
-from . import bounds as bounds_mod
-from .braids import (
-    braid_text,
-    closure_component_count,
-    exponent_sum,
-    half_twist,
-    orevkov_k1,
-    orevkov_k2,
-    parse_braid,
-    permutation_of,
-)
-from .covering import (
-    HomomorphismCover,
-    boundary_permutation,
-    cover_data_to_json,
-    cover_from_homomorphism,
-    cyclic_cover,
-)
-from .oracle import BudgetExceededError, enumerate_covers, verify_sharpness
-from .perms import (
-    commutator,
-    cycle_type,
-    cycles_str,
-    example1_pair,
-    example2_pair,
-    is_even,
-    is_transitive,
-    orbits,
-    parse_cycles,
-)
 
 FORMAT_VERSION = "0.1.0"
 
@@ -58,12 +32,34 @@ EXIT_INVARIANT = 4
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".satgenus-", suffix=".tmp")
+    """Write text to path through a temporary file and one rename.
+
+    A symlink is followed, so the file it points to is replaced and the link
+    kept.  An existing target that is not a regular file (a directory, a
+    FIFO, a device) is refused before anything is written.  A replaced file
+    keeps its mode; a new one gets the umask default.
+    """
+    import tempfile  # only --out needs it, and it imports shutil and random
+
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "empty path")
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(mode):
+            raise OSError(errno.EEXIST, "exists and is not a regular file")
+        mode = stat.S_IMODE(mode)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".satgenus-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -78,7 +74,7 @@ def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> 
         "results": results,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True)
-    if args.out:
+    if args.out is not None:
         try:
             _write_atomic(args.out, text + "\n")
         except OSError as exc:
@@ -91,6 +87,9 @@ def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> 
 
 
 def _word_results(w) -> dict:
+    from .braids import braid_text, closure_component_count, exponent_sum, permutation_of
+    from .perms import cycles_str
+
     perm = permutation_of(w)
     return {
         "word": braid_text(w),
@@ -114,6 +113,8 @@ def _word_human(results: dict) -> list[str]:
 
 
 def _cmd_braid_analyze(args) -> int:
+    from .braids import parse_braid
+
     w = parse_braid(args.word, args.strands)
     results = _word_results(w)
     _emit(args, "braid analyze", {"word": args.word, "strands": args.strands},
@@ -122,6 +123,8 @@ def _cmd_braid_analyze(args) -> int:
 
 
 def _cmd_braid_halftwist(args) -> int:
+    from .braids import half_twist
+
     w = half_twist(args.strands)
     results = _word_results(w)
     _emit(args, "braid halftwist", {"strands": args.strands}, results, _word_human(results))
@@ -129,13 +132,19 @@ def _cmd_braid_halftwist(args) -> int:
 
 
 def _cmd_braid_orevkov(args) -> int:
+    from .braids import orevkov_k1, orevkov_k2
+
     inputs = {"family": args.family, "n": args.n}
     if args.family == "k1":
         if args.twists is not None:
             raise ValueError("--twists only applies to family k2")
         w = orevkov_k1(args.n)
     else:
-        twists = bounds_mod.suggested_twist_count(args.n) if args.twists is None else args.twists
+        twists = args.twists
+        if twists is None:
+            from .bounds import suggested_twist_count
+
+            twists = suggested_twist_count(args.n)
         inputs["twists"] = twists
         w = orevkov_k2(args.n, twists)
     results = _word_results(w)
@@ -144,19 +153,21 @@ def _cmd_braid_orevkov(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bound_reports_to_csv, schubert_bound, thm1_knot_bound, thm1_link_bound
+
     reports = [
-        bounds_mod.schubert_bound(args.g4k, args.winding),
-        bounds_mod.thm1_knot_bound(args.g4k, args.winding),
-        bounds_mod.thm1_link_bound(args.g4k, args.winding),
+        schubert_bound(args.g4k, args.winding),
+        thm1_knot_bound(args.g4k, args.winding),
+        thm1_link_bound(args.g4k, args.winding),
     ]
     if args.pattern_genus is not None:
-        reports.insert(1, bounds_mod.schubert_bound(args.g4k, args.winding, args.pattern_genus))
+        reports.insert(1, schubert_bound(args.g4k, args.winding, args.pattern_genus))
     inputs = {"g4k": args.g4k, "winding": args.winding}
     if args.pattern_genus is not None:
         inputs["pattern_genus"] = args.pattern_genus
     results = {"bounds": [r.to_json() for r in reports]}
     if args.csv:
-        human = bounds_mod.bound_reports_to_csv(reports).splitlines()
+        human = bound_reports_to_csv(reports).splitlines()
     else:
         width = max(len(r.formula_id) for r in reports)
         human = [
@@ -168,7 +179,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_examples_orevkov(args) -> int:
-    report = bounds_mod.orevkov_gap_report(args.n, args.twists)
+    from .bounds import orevkov_gap_report
+
+    report = orevkov_gap_report(args.n, args.twists)
     results = report.to_json()
     human = [
         f"n:                          {report.n}",
@@ -196,6 +209,8 @@ def _cover_human(data: dict) -> list[str]:
 
 
 def _cmd_cover_cyclic(args) -> int:
+    from .covering import cover_data_to_json, cyclic_cover
+
     data = cover_data_to_json(cyclic_cover(args.genus, args.degree))
     _emit(args, "cover cyclic", {"genus": args.genus, "degree": args.degree},
           data, _cover_human(data))
@@ -203,6 +218,14 @@ def _cmd_cover_cyclic(args) -> int:
 
 
 def _cmd_cover_from_hom(args) -> int:
+    from .covering import (
+        HomomorphismCover,
+        boundary_permutation,
+        cover_data_to_json,
+        cover_from_homomorphism,
+    )
+    from .perms import cycles_str, orbits, parse_cycles
+
     texts = [part.strip() for part in args.images.split(";")]
     images = tuple(parse_cycles(text, args.degree) for text in texts)
     hom = HomomorphismCover(args.genus, args.degree, images)
@@ -223,13 +246,19 @@ def _cmd_cover_from_hom(args) -> int:
 
 
 def _cmd_cover_enumerate(args) -> int:
-    report = enumerate_covers(args.genus, args.degree, budget=args.budget)
-    results = report.to_json()
-    failed = bool(report.violations)
-    if args.sharpness:
-        sharp = verify_sharpness(args.genus, args.degree, budget=args.budget)
-        results["sharpness"] = sharp.to_json()
-        failed = failed or not sharp.ok
+    from . import oracle
+
+    try:
+        report = oracle.enumerate_covers(args.genus, args.degree, budget=args.budget)
+        results = report.to_json()
+        failed = bool(report.violations)
+        if args.sharpness:
+            sharp = oracle.verify_sharpness(args.genus, args.degree, budget=args.budget)
+            results["sharpness"] = sharp.to_json()
+            failed = failed or not sharp.ok
+    except oracle.BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     human = [
         f"base genus:        {report.base_genus}",
         f"degree:            {report.degree}",
@@ -247,6 +276,8 @@ def _cmd_cover_enumerate(args) -> int:
 
 
 def _cmd_perm_commutator(args) -> int:
+    from .perms import commutator, cycle_type, cycles_str, is_even, parse_cycles
+
     a = parse_cycles(args.a, args.degree)
     b = parse_cycles(args.b, args.degree)
     c = commutator(a, b)
@@ -270,6 +301,15 @@ def _cmd_perm_commutator(args) -> int:
 
 
 def _cmd_perm_examples(args) -> int:
+    from .perms import (
+        commutator,
+        cycle_type,
+        cycles_str,
+        example1_pair,
+        example2_pair,
+        is_transitive,
+    )
+
     if args.type == "odd":
         s1, s2 = example1_pair(args.m)
     else:
@@ -296,7 +336,13 @@ def _cmd_perm_examples(args) -> int:
 
 
 def _cmd_perm_ore(args) -> int:
-    from .perms import check_search_degree, ore_commutator_search
+    from .perms import (
+        check_search_degree,
+        commutator,
+        cycles_str,
+        ore_commutator_search,
+        parse_cycles,
+    )
 
     # refuse before parse_cycles builds a list of args.degree images
     check_search_degree(args.degree, args.degree_limit)
@@ -434,9 +480,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

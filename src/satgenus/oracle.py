@@ -96,6 +96,18 @@ def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
     return limit
 
 
+def _log10_factorial(n: int) -> float:
+    """log10 n!, exact up to n = 1000 and from lgamma above, where forming n!
+    takes seconds at n = 10^6 and does not finish at 10^12; inf past the
+    float range (n > 1.8 * 10^308)."""
+    if n <= 1000:
+        return math.log10(math.factorial(n))
+    try:
+        return math.lgamma(n + 1) / math.log(10)
+    except OverflowError:
+        return math.inf
+
+
 def _check_printable(base_genus: int, degree: int) -> None:
     """Refuse a tuple count (n!)^(2g) with more decimal digits than the
     interpreter converts to text (``sys.get_int_max_str_digits``, 0 for no
@@ -103,33 +115,32 @@ def _check_printable(base_genus: int, degree: int) -> None:
 
     The digit count floor(2g log10 n!) + 1 comes from a log estimate; the
     power is formed only near the limit, where the estimate may be one off.
-    Above degree 1000, where (n!)^2 already has over 5000 digits, log10 n!
-    comes from lgamma rather than from n!, which takes seconds at n = 10^6.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or degree == 1:
         return
     exponent = 2 * base_genus
-    if degree <= 1000:
-        log_size = math.log10(math.factorial(degree))
+    log_size = _log10_factorial(degree)
+    if log_size == math.inf:
+        digits = "over 10^308"
     else:
-        log_size = math.lgamma(degree + 1) / math.log(10)
-    # exact rational arithmetic on the float log, so no genus overflows it
-    num, den = log_size.as_integer_ratio()
-    digits = exponent * num // den + 1
-    if digits < limit - 1:
-        return
-    if digits <= limit + 2:
-        total = math.factorial(degree) ** exponent
-        while total >= 10**digits:
-            digits += 1
-        while total < 10 ** (digits - 1):
-            digits -= 1
-    if digits > limit:
-        raise BudgetExceededError(
-            f"the tuple count of S_{degree}^{exponent} has {digits} decimal digits, "
-            f"over this interpreter's limit of {limit} for printing an integer"
-        )
+        # exact rational arithmetic on the float log, so no genus overflows it
+        num, den = log_size.as_integer_ratio()
+        digits = exponent * num // den + 1
+        if digits < limit - 1:
+            return
+        if digits <= limit + 2:
+            total = math.factorial(degree) ** exponent
+            while total >= 10**digits:
+                digits += 1
+            while total < 10 ** (digits - 1):
+                digits -= 1
+        if digits <= limit:
+            return
+    raise BudgetExceededError(
+        f"the tuple count of S_{degree}^{exponent} has {digits} decimal digits, "
+        f"over this interpreter's limit of {limit} for printing an integer"
+    )
 
 
 def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetExceededError:
@@ -138,6 +149,23 @@ def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetE
         f"enumerating S_{degree}^{2 * base_genus} needs an estimated {work} work units "
         f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
         f"over the budget of {limit}"
+    )
+
+
+def _check_pair_pass(base_genus: int, degree: int, limit: int) -> None:
+    """Above degree 1000, refuse a (n!)^2 pair pass over ``limit`` from its
+    log size, without forming n!.  The margin of one decimal digit is far
+    above the float error of the log for any limit that fits in memory;
+    a limit too large for the estimate to refuse is checked exactly."""
+    if degree <= 1000:
+        return
+    log_work = 2 * _log10_factorial(degree)
+    if log_work <= (limit.bit_length() + 1) * math.log10(2) + 1:
+        return
+    floor = int(log_work) - 1 if log_work < math.inf else 308
+    raise BudgetExceededError(
+        f"enumerating S_{degree}^{2 * base_genus} needs over 10^{floor} work units "
+        f"(the ({degree}!)^2-pair class pass alone), over the budget of {limit}"
     )
 
 
@@ -372,6 +400,7 @@ def _scan(base_genus: int, degree: int, limit: int) -> _Scan:
     against ``limit`` before any table is built, the total before the rows.
     """
     g, n = base_genus, degree
+    _check_pair_pass(g, n, limit)
     work = math.factorial(n) ** 2
     if work > limit:
         raise _over_budget(g, n, work, limit)

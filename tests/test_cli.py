@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
+import os
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -195,12 +198,14 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
 
 
-def _run_capped(argv):
+def _run_capped(argv, env=None):
     """Run the CLI in a child with 256 MB of address space and a 20 s limit:
-    an input built before its check ends in MemoryError or a timeout."""
+    an input built before its check ends in MemoryError or a timeout.  ``env``
+    adds variables to the child's environment."""
     return subprocess.run(
         [sys.executable, "-m", "satgenus.cli", *argv, "--json"],
         capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory,
+        env={**os.environ, **(env or {})},
     )
 
 
@@ -260,6 +265,11 @@ def _integer_positions(argv):
     return [i for i in range(1, len(argv)) if argv[i - 1].startswith("--") and argv[i].isdigit()]
 
 
+def _subcommand(argv):
+    """The subcommand path of a command line, such as ("cover", "enumerate")."""
+    return tuple(itertools.takewhile(lambda token: not token.startswith("--"), argv))
+
+
 def _boundary_cases(values=("0", "-1")):
     for argv in VALID_COMMANDS:
         for i in _integer_positions(argv):
@@ -274,7 +284,7 @@ OVERSIZED_CASES = list(_boundary_cases([OVERSIZED]))
 def test_boundary_cases_cover_every_integer_option():
     covered = {}
     for argv in VALID_COMMANDS:
-        path = tuple(itertools.takewhile(lambda token: not token.startswith("--"), argv))
+        path = _subcommand(argv)
         covered.setdefault(path, set()).update(argv[i - 1] for i in _integer_positions(argv))
     assert covered == _integer_options(cli.build_parser())
 
@@ -282,7 +292,7 @@ def test_boundary_cases_cover_every_integer_option():
 def test_oversized_cases_cover_every_integer_option():
     covered = {}
     for argv in OVERSIZED_CASES:
-        path = tuple(itertools.takewhile(lambda token: not token.startswith("--"), argv))
+        path = _subcommand(argv)
         covered.setdefault(path, set()).add(argv[argv.index(OVERSIZED) - 1])
     assert covered == _integer_options(cli.build_parser())
 
@@ -300,6 +310,18 @@ def test_oversized_integers_keep_the_exit_code_contract(argv):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
+def test_huge_degrees_are_refused_without_a_print_limit(degree):
+    # with the print limit off only the budget guards the pair pass, and it
+    # must be decided without forming n!, which does not finish at 10^12
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree],
+                       env={"PYTHONINTMAXSTRDIGITS": "0"})
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "work units" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
 def test_boundary_integers_keep_the_exit_code_contract(capsys, argv):
     code = main(argv + ["--json"])
@@ -314,6 +336,71 @@ def test_boundary_integers_keep_the_exit_code_contract(capsys, argv):
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# the satgenus submodules each subcommand loads, besides the package and cli:
+# only the layers its handler calls, and the oracle only for cover enumerate
+SUBCOMMAND_MODULES = {
+    ("braid", "analyze"): {"braids", "perms"},
+    ("braid", "halftwist"): {"braids", "perms"},
+    ("braid", "orevkov"): {"braids", "perms"},
+    ("bounds",): {"bounds", "braids", "perms"},
+    ("examples", "orevkov"): {"bounds", "braids", "perms"},
+    ("cover", "cyclic"): {"covering", "perms"},
+    ("cover", "from-hom"): {"covering", "perms"},
+    ("cover", "enumerate"): {"oracle", "perms"},
+    ("perm", "commutator"): {"perms"},
+    ("perm", "examples"): {"perms"},
+    ("perm", "ore"): {"perms"},
+}
+
+# prints the exit code and the satgenus modules loaded by one cli.main call,
+# or by build_parser alone when the argument is null
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import satgenus.cli as cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    cli.build_parser()
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "satgenus")]))
+"""
+
+
+def _loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _subcommand_paths(parser, path=()):
+    """Every runnable subcommand path, read off the parser."""
+    paths = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths |= _subcommand_paths(sub, path + (name,))
+    return paths or {path}
+
+
+def test_module_table_covers_every_subcommand():
+    assert set(SUBCOMMAND_MODULES) == _subcommand_paths(cli.build_parser())
+    assert {_subcommand(argv) for argv in VALID_COMMANDS} == set(SUBCOMMAND_MODULES)
+
+
+def test_building_the_parser_loads_no_layer():
+    assert _loaded_modules(None) == [None, ["satgenus", "satgenus.cli"]]
+
+
+@pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
+def test_subcommand_loads_only_its_layers(argv):
+    expected = {"satgenus", "satgenus.cli"}
+    expected |= {f"satgenus.{name}" for name in SUBCOMMAND_MODULES[_subcommand(argv)]}
+    assert _loaded_modules(argv) == [EXIT_OK, sorted(expected)]
 
 
 def test_braid_halftwist_needs_a_strand(capsys):
@@ -397,7 +484,7 @@ def test_cover_enumerate_env_budget(capsys, monkeypatch):
 
 
 def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
-    real = cli.enumerate_covers(1, 2)
+    real = oracle.enumerate_covers(1, 2)
     fake_finding = {
         "check": "unbranched_floor",
         "components": 1,
@@ -406,7 +493,8 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
         "witness": (0, 0),
     }
     rigged = dataclasses.replace(real, violations=(fake_finding,))
-    monkeypatch.setattr(cli, "enumerate_covers", lambda *a, **k: rigged)
+    # the handler reads the oracle's functions at call time
+    monkeypatch.setattr(oracle, "enumerate_covers", lambda *a, **k: rigged)
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "2", "--json"])
     assert code == EXIT_INVARIANT
     env = json.loads(capsys.readouterr().out)
@@ -414,9 +502,9 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
 
 
 def test_cover_enumerate_sharpness_failure_exit_code(capsys, monkeypatch):
-    real = cli.verify_sharpness(1, 2)
+    real = oracle.verify_sharpness(1, 2)
     rigged = dataclasses.replace(real, ok=False)
-    monkeypatch.setattr(cli, "verify_sharpness", lambda *a, **k: rigged)
+    monkeypatch.setattr(oracle, "verify_sharpness", lambda *a, **k: rigged)
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "2", "--sharpness"])
     assert code == EXIT_INVARIANT
 
@@ -450,6 +538,40 @@ def test_cover_enumerate_refuses_unprintable_tuple_counts(capsys, default_int_di
     assert "decimal digits" in captured.err and "4300" in captured.err
     if genus == "2763":
         assert "has 4301 decimal digits" in captured.err
+
+
+def test_cover_enumerate_refuses_degrees_past_the_float_range(capsys, default_int_digits):
+    code = main(["cover", "enumerate", "--genus", "1", "--degree", "1" + "0" * 400])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("error: the tuple count of S_1")
+    assert "has over 10^308 decimal digits" in captured.err
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_budget_refusal_forms_no_factorial_above_degree_1000(capsys, no_int_digit_limit):
+    # up to degree 1000 the message states the exact estimate, as it always has
+    assert main(["cover", "enumerate", "--genus", "1", "--degree", "1000"]) == EXIT_BUDGET
+    size = math.factorial(1000)
+    assert capsys.readouterr().err == (
+        f"error: enumerating S_1000^2 needs an estimated {size ** 2} work units "
+        f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
+        f"over the budget of {10**9}\n"
+    )
+    # above it the refusal comes from log10 (1001!)^2 = 5141.2
+    assert main(["cover", "enumerate", "--genus", "1", "--degree", "1001"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "error: enumerating S_1001^2 needs over 10^5140 work units "
+        "(the (1001!)^2-pair class pass alone), over the budget of 1000000000\n"
+    )
 
 
 def test_perm_commutator(capsys):
@@ -539,6 +661,65 @@ def test_out_onto_directory_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --out")
     assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(".satgenus-")] == []
+
+
+OUT_ARGV = ["cover", "cyclic", "--genus", "1", "--degree", "2", "--json", "--out"]
+
+
+def test_out_through_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    assert main(OUT_ARGV + [str(link)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
+
+@pytest.mark.parametrize("name", ["fifo", "link"])
+def test_out_onto_fifo_is_refused_untouched(tmp_path, capsys, name):
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "link").symlink_to("fifo")
+    target = tmp_path / name
+    assert main(OUT_ARGV + [str(target)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {target}: exists and is not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(tmp_path / "fifo").st_mode)
+    assert os.readlink(tmp_path / "link") == "fifo"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link"]
+
+
+@pytest.fixture
+def umask_027():
+    saved = os.umask(0o027)
+    yield 0o027
+    os.umask(saved)
+
+
+def test_out_gives_a_new_file_the_umask_mode(tmp_path, capsys, umask_027):
+    target = tmp_path / "new.json"
+    assert main(OUT_ARGV + [str(target)]) == EXIT_OK
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o666 & ~umask_027
+
+
+def test_out_keeps_an_existing_file_mode(tmp_path, capsys, umask_027):
+    target = tmp_path / "old.json"
+    target.write_text("old\n")
+    os.chmod(target, 0o604)
+    assert main(OUT_ARGV + [str(target)]) == EXIT_OK
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o604
+    assert target.read_text() == capsys.readouterr().out
+
+
+def test_out_empty_path_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(OUT_ARGV + [""]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write --out : empty path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_output_is_deterministic(capsys):
