@@ -8,11 +8,8 @@ inputs.  Parity preconditions are enforced, never rounded away.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
-
 from .braids import closure_component_count, exponent_sum, orevkov_k1, orevkov_k2
+from .perms import _Record
 
 __all__ = [
     "FORMULA_IDS",
@@ -37,8 +34,7 @@ FORMULA_IDS = frozenset(
 QUANTITIES = frozenset({"genus4_lower", "genus4_exact", "euler4_upper", "genus3_lower"})
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """One evaluated bound: what quantity it constrains, by which formula,
     from which inputs."""
 
@@ -46,7 +42,7 @@ class BoundReport:
     formula_id: str
     value: int
     clamped: int
-    inputs: dict[str, int] = field(default_factory=dict)
+    inputs: dict[str, int]
 
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
@@ -71,6 +67,9 @@ def _genus_report(quantity: str, formula_id: str, value: int, inputs: dict[str, 
 def bound_reports_to_csv(reports: list[BoundReport] | tuple[BoundReport, ...]) -> str:
     """Render reports as CSV with columns: formula, the union of input names
     (sorted), value.  Inputs a formula does not take are left blank."""
+    import csv
+    import io
+
     keys = sorted({name for r in reports for name in r.inputs})
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -188,8 +187,7 @@ def suggested_twist_count(n: int) -> int:
     return cap if cap % 2 else cap - 1
 
 
-@dataclass(frozen=True)
-class OrevkovGapReport:
+class OrevkovGapReport(_Record):
     """Comparison of the cabled family member against the satellite bound it
     would have to meet if it were an analytic satellite."""
 

@@ -14,9 +14,7 @@ strand permutation of that size is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .perms import Permutation, check_size, cycle_count
+from .perms import Permutation, _Record, check_size, cycle_count
 
 __all__ = [
     "MAX_WORD_LENGTH",
@@ -44,8 +42,7 @@ def _check_length(length: int, what: str) -> None:
         raise ValueError(f"{what} has {length} letters, over the limit of {MAX_WORD_LENGTH}")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A word in the braid group on ``strands`` strands."""
 
     strands: int
@@ -198,8 +195,7 @@ def closure_component_count(w: BraidWord) -> int:
     return cycle_count(permutation_of(w))
 
 
-@dataclass(frozen=True)
-class BandFactorization:
+class BandFactorization(_Record):
     """A quasipositive presentation: an ordered product of conjugated
     positive generators w^-1 sigma_k w, one per band."""
 

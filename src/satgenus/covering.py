@@ -10,9 +10,7 @@ of commutators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .perms import Permutation, check_size, commutator, compose, cycle_count, identity, orbits
+from .perms import Permutation, _Record, check_size, commutator, compose, cycle_count, identity, orbits
 
 __all__ = [
     "SurfaceShape",
@@ -28,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceShape:
+class SurfaceShape(_Record):
     """(components, total genus, boundary circles) of a compact surface."""
 
     components: int
@@ -59,8 +56,7 @@ def rh_euler(degree: int, chi_base: int, branch_total: int) -> int:
     return degree * chi_base - branch_total
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(_Record):
     """A branched cover of a connected base surface, by the numbers."""
 
     degree: int
@@ -95,8 +91,7 @@ class CoverData:
             raise ValueError("genus bookkeeping is inconsistent (parity check failed)")
 
 
-@dataclass(frozen=True)
-class HomomorphismCover:
+class HomomorphismCover(_Record):
     """Monodromy data for an unbranched cover of a one-holed genus-g surface:
     images (s1, t1, ..., sg, tg) of the standard free generators."""
 

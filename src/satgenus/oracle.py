@@ -44,11 +44,10 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, mul
 
-from .perms import Permutation, cycles_str, sn_tables
+from .perms import Permutation, _Record, cycles_str, sn_tables
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -380,19 +379,14 @@ def _transfer(pc: _PairClasses) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """Shape classes with their first witnesses (as permutation ranks) and
-    the boundary-circle histogram."""
-
-    rows: dict[tuple[int, int, int], tuple[int, ...]]
-    khist: tuple[int, ...]
-
-
 @lru_cache(maxsize=16)
-def _scan(base_genus: int, degree: int, limit: int) -> _Scan:
+def _scan(
+    base_genus: int, degree: int, limit: int
+) -> tuple[dict[tuple[int, int, int], tuple[int, ...]], tuple[int, ...]]:
     """The scan behind enumerate_covers, verify_sharpness and
-    realizability_table, cached so that a request scans once.
+    realizability_table, cached so that a request scans once.  It returns
+    the shape classes with their first witnesses (as permutation ranks) and
+    the boundary-circle histogram.
 
     Work is the (n!)^2 pair pass plus classes x classes per genus level, the
     cost of the state-by-class scan the transfer rows replaced, so refusal
@@ -424,7 +418,7 @@ def _scan(base_genus: int, degree: int, limit: int) -> _Scan:
     }
     if sum(khist) != math.factorial(n) ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
-    return _Scan(rows, tuple(khist))
+    return rows, tuple(khist)
 
 
 def _class_finding(check: str, key: tuple[int, int, int], wit: tuple, **extra) -> dict:
@@ -490,8 +484,7 @@ def _finding_json(degree: int, finding: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(_Record):
     """Aggregate of one full scan of S_degree^(2*base_genus)."""
 
     base_genus: int
@@ -503,7 +496,7 @@ class EnumerationReport:
     min_overall_witness: tuple[Permutation, ...]
     min_genus_connected_boundary: int | None
     connected_boundary_witness: tuple[Permutation, ...] | None
-    boundary_k_histogram: dict[int, int] = field(default_factory=dict)
+    boundary_k_histogram: dict[int, int]
 
     def to_json(self) -> dict:
         return {
@@ -535,8 +528,8 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     At genus 1 that is the tuple count.
     """
     limit = _check_budget(base_genus, degree, budget)
-    r = _scan(base_genus, degree, limit)
-    a = _analyze(base_genus, degree, r.rows)
+    rows, khist = _scan(base_genus, degree, limit)
+    a = _analyze(base_genus, degree, rows)
     min_k1 = a["min_k1"]
     return EnumerationReport(
         base_genus=base_genus,
@@ -550,12 +543,11 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
         connected_boundary_witness=(
             None if min_k1 is None else _witness_perms(degree, min_k1[1])
         ),
-        boundary_k_histogram={k: v for k, v in enumerate(r.khist) if v},
+        boundary_k_histogram={k: v for k, v in enumerate(khist) if v},
     )
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(_Record):
     """Equality analysis for the genus floors at one (base genus, degree)."""
 
     base_genus: int
@@ -592,8 +584,8 @@ def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) ->
     is recorded in the notes without being asserted.
     """
     g, n = base_genus, degree
-    r = _scan(g, n, _check_budget(g, n, budget))
-    a = _analyze(g, n, r.rows)
+    rows, _ = _scan(g, n, _check_budget(g, n, budget))
+    a = _analyze(g, n, rows)
     bound_all, bound_k1 = a["bound_all"], a["bound_k1"]
     counterexamples = list(a["violations"]) + list(a["counterexamples"])
 
@@ -682,5 +674,5 @@ def realizability_table(
 ) -> dict[tuple[int, int, int], tuple[Permutation, ...]]:
     """Every achievable (components, boundary circles, genus) triple of an
     unbranched cover, with the lexicographically first witness tuple."""
-    r = _scan(base_genus, degree, _check_budget(base_genus, degree, budget))
-    return {key: _witness_perms(degree, wit) for key, wit in sorted(r.rows.items())}
+    rows, _ = _scan(base_genus, degree, _check_budget(base_genus, degree, budget))
+    return {key: _witness_perms(degree, wit) for key, wit in sorted(rows.items())}

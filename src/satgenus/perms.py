@@ -9,13 +9,18 @@ braid-strand and sheet labels.  Composition is left-to-right throughout:
 tuples) with inverses and composition maps, built once per degree.  The
 exhaustive commutator search (``ore_commutator_search``) and the pair-class
 pass of :mod:`satgenus.oracle` share it.
+
+``_Record``, the frozen-value base of :class:`Permutation` and of every
+record class in the other layers, lives here because every layer imports
+this module.  It replaces ``dataclasses``, whose import (``inspect``,
+``ast``, ``dis``, ``tokenize``...) and per-class code generation cost more
+than the computation of a short command-line request.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
@@ -30,8 +35,72 @@ MAX_DEGREE = 10**6
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Frozen value with named fields, in the manner of a frozen dataclass.
+
+    A subclass declares its fields as class annotations, in order; a value
+    assigned in the class body is that field's default.  Fields are taken
+    positionally or by keyword, a missing or unknown one raises TypeError,
+    and ``__post_init__`` runs once they are set.  Instances compare equal
+    only to instances of the same class with equal fields, hash their field
+    tuple, refuse assignment and deletion with AttributeError, and repr as
+    ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a record's subclass keeps its parent's fields first
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(dict.fromkeys(cls._fields + own))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        for name in fields:
+            if name not in values:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
+                values[name] = getattr(cls, name)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Permutation(_Record):
     """An element of the symmetric group on ``{1, ..., degree}``."""
 
     images: tuple[int, ...]
@@ -275,21 +344,25 @@ def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[P
     """Exhaustive search for (a, b) with ``commutator(a, b) == target``.
 
     Returns the lexicographically first witness pair, or None when the target
-    is not a commutator (odd permutations are rejected up front).  Rows
-    (a, all b) are swept in rank order of a and the search stops at the
-    first row holding the target; by Ore's theorem every even permutation is
-    a commutator, so it always stops.  A row costs n! compositions, and the
-    search sweeps at most 97 of the 720 rows of S_6 and 601 of the 5040 of
-    S_7, so degrees above ``degree_limit`` (default 6) are refused; raise the
-    limit explicitly if you accept the cost.
+    is not a commutator (odd permutations are rejected up front).  The first
+    a, in rank order, whose row (a, all b) holds the target t is found
+    without building rows: with products left to right, a b a^-1 b^-1 = t
+    exactly when b a^-1 b^-1 = a^-1 t, so row a holds t exactly when a^-1 t
+    is a conjugate of a^-1, that is, has the cycle type of a.  Only that row
+    is built (n! compositions), and its first b completes the pair.  By
+    Ore's theorem every even permutation is a commutator, so some row holds
+    it.  The ``S_n`` tables hold n! permutations, so degrees above
+    ``degree_limit`` (default 6) are refused; raise the limit explicitly if
+    you accept the cost.
     """
     check_search_degree(target.degree, degree_limit)
     if not is_even(target):
         return None
     tables = sn_tables(target.degree)
     goal = target.images
-    for s, a in enumerate(tables.perms):
-        row = tables.commutator_row(s)
-        if goal in row:
+    for s, (a, a_inv) in enumerate(zip(tables.perms, tables.inverses)):
+        # a^-1 t applies a^-1, then t
+        if cycle_type(Permutation(tuple(goal[x] for x in a_inv))) == cycle_type(Permutation(a)):
+            row = tables.commutator_row(s)
             return Permutation(a), Permutation(tables.perms[row.index(goal)])
     return None

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -354,20 +353,27 @@ SUBCOMMAND_MODULES = {
     ("perm", "ore"): {"perms"},
 }
 
-# prints the exit code and the satgenus modules loaded by one cli.main call,
-# or by build_parser alone when the argument is null
+# prints the exit code, the satgenus modules loaded by one cli.main call, or
+# by build_parser alone when the argument is null, and every module that call
+# itself loaded
 LOADED_MODULES = """
 import contextlib, io, json, sys
 import satgenus.cli as cli
 argv = json.loads(sys.argv[1])
 code = None
+before = set(sys.modules)
 if argv is None:
     cli.build_parser()
 else:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "satgenus")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "satgenus"),
+                  sorted(set(sys.modules) - before)]))
 """
+
+# heavy standard modules no request loads: dataclasses imports inspect, ast,
+# dis and tokenize, and csv is imported only under --csv
+UNLOADED_STDLIB = {"dataclasses", "inspect", "csv"}
 
 
 def _loaded_modules(argv):
@@ -393,14 +399,18 @@ def test_module_table_covers_every_subcommand():
 
 
 def test_building_the_parser_loads_no_layer():
-    assert _loaded_modules(None) == [None, ["satgenus", "satgenus.cli"]]
+    code, layers, _ = _loaded_modules(None)
+    assert [code, layers] == [None, ["satgenus", "satgenus.cli"]]
 
 
 @pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
 def test_subcommand_loads_only_its_layers(argv):
     expected = {"satgenus", "satgenus.cli"}
     expected |= {f"satgenus.{name}" for name in SUBCOMMAND_MODULES[_subcommand(argv)]}
-    assert _loaded_modules(argv) == [EXIT_OK, sorted(expected)]
+    code, layers, loaded_by_main = _loaded_modules(argv)
+    assert [code, layers] == [EXIT_OK, sorted(expected)]
+    assert "--csv" not in argv
+    assert UNLOADED_STDLIB.isdisjoint(loaded_by_main)
 
 
 def test_braid_halftwist_needs_a_strand(capsys):
@@ -492,7 +502,18 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
         "genus": 0,
         "witness": (0, 0),
     }
-    rigged = dataclasses.replace(real, violations=(fake_finding,))
+    rigged = oracle.EnumerationReport(
+        base_genus=real.base_genus,
+        degree=real.degree,
+        total_tuples=real.total_tuples,
+        budget=real.budget,
+        violations=(fake_finding,),
+        min_genus_overall=real.min_genus_overall,
+        min_overall_witness=real.min_overall_witness,
+        min_genus_connected_boundary=real.min_genus_connected_boundary,
+        connected_boundary_witness=real.connected_boundary_witness,
+        boundary_k_histogram=real.boundary_k_histogram,
+    )
     # the handler reads the oracle's functions at call time
     monkeypatch.setattr(oracle, "enumerate_covers", lambda *a, **k: rigged)
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "2", "--json"])
@@ -503,7 +524,14 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
 
 def test_cover_enumerate_sharpness_failure_exit_code(capsys, monkeypatch):
     real = oracle.verify_sharpness(1, 2)
-    rigged = dataclasses.replace(real, ok=False)
+    rigged = oracle.SharpnessReport(
+        base_genus=real.base_genus,
+        degree=real.degree,
+        ok=False,
+        checks=real.checks,
+        counterexamples=real.counterexamples,
+        notes=real.notes,
+    )
     monkeypatch.setattr(oracle, "verify_sharpness", lambda *a, **k: rigged)
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "2", "--sharpness"])
     assert code == EXIT_INVARIANT

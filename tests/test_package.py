@@ -1,12 +1,18 @@
-"""The package's lazy exports: every name resolves to its submodule's object."""
+"""The package's lazy exports, and the value semantics of its record classes."""
 
 import importlib
+import itertools
 import subprocess
 import sys
 
 import pytest
 
 import satgenus
+from satgenus.bounds import BoundReport, OrevkovGapReport
+from satgenus.braids import BandFactorization, BraidWord
+from satgenus.covering import CoverData, HomomorphismCover, SurfaceShape
+from satgenus.oracle import EnumerationReport, SharpnessReport
+from satgenus.perms import Permutation, identity
 
 # every name the package exports, with the submodule attribute it stands for
 EXPORTS = {
@@ -82,3 +88,150 @@ def test_import_loads_no_layer_until_a_name_is_used():
     assert proc.returncode == 0, proc.stderr
     # a submodule is still an attribute of the package, loaded on first use
     assert proc.stdout == "['satgenus'] ['satgenus', 'satgenus.perms'] satgenus.oracle\n"
+
+
+# one instance of every record class, by its fields in declaration order
+RECORD_FIELDS = {
+    Permutation: {"images": (1, 0, 2)},
+    BraidWord: {"strands": 3, "letters": (1, -2)},
+    BandFactorization: {"strands": 3, "bands": ((BraidWord(3, (1,)), 2),)},
+    BoundReport: {"quantity": "genus4_lower", "formula_id": "thm1_knot", "value": 2,
+                  "clamped": 2, "inputs": {"g4_companion": 1, "winding": 2}},
+    OrevkovGapReport: {"n": 2, "twists": 1, "bands_k1": 3, "g4_k1": 1, "bands_k2": 15,
+                       "g4_k2": 6, "satellite_bound": 2, "gap": False},
+    SurfaceShape: {"components": 1, "genus_total": 1, "boundary_components": 1},
+    CoverData: {"degree": 1, "base": SurfaceShape(1, 1, 1), "branch_total": 0,
+                "cover": SurfaceShape(1, 1, 1)},
+    HomomorphismCover: {"base_genus": 1, "degree": 2,
+                        "generator_images": (Permutation((1, 0)), identity(2))},
+    EnumerationReport: {"base_genus": 1, "degree": 2, "total_tuples": 4, "budget": 100,
+                        "violations": (), "min_genus_overall": 1,
+                        "min_overall_witness": (identity(2), identity(2)),
+                        "min_genus_connected_boundary": None,
+                        "connected_boundary_witness": None,
+                        "boundary_k_histogram": {1: 2, 2: 2}},
+    SharpnessReport: {"base_genus": 1, "degree": 2, "ok": True,
+                      "checks": {"unbranched_floor_holds": True}, "counterexamples": (),
+                      "notes": {"unbranched_floor": 1}},
+}
+RECORDS = sorted(RECORD_FIELDS, key=lambda cls: cls.__name__)
+# records holding a dict hash like a tuple holding one: not at all
+UNHASHABLE = {BoundReport, EnumerationReport, SharpnessReport}
+
+
+def _record(cls):
+    return cls(**RECORD_FIELDS[cls])
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_equal_fields_give_equal_records(cls):
+    a, b = _record(cls), cls(*RECORD_FIELDS[cls].values())
+    assert a == b and not a != b and a is not b
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(tuple(RECORD_FIELDS[cls].values()))
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_equals_no_other_class(cls):
+    record = _record(cls)
+    subclass = type("Sub" + cls.__name__, (cls,), {})
+    assert subclass(**RECORD_FIELDS[cls]) != record
+    assert record != tuple(RECORD_FIELDS[cls].values())
+    for other in RECORDS:
+        if other is not cls:
+            assert record != _record(other)
+
+
+def test_records_with_different_fields_differ():
+    assert BraidWord(3, (1, -2)) != BraidWord(3, (1, 2))
+    assert BraidWord(3, (1,)) != BraidWord(4, (1,))
+    assert SurfaceShape(1, 0, 1) != SurfaceShape(1, 1, 1)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_frozen(cls):
+    record = _record(cls)
+    for name, value in RECORD_FIELDS[cls].items():
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match="frozen"):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError, match="frozen"):
+        record.not_a_field = 1
+    assert record == _record(cls)
+
+
+def test_keyword_construction_and_defaults():
+    assert BraidWord(strands=3, letters=(1, -2)) == BraidWord(3, (1, -2))
+    assert BraidWord(3, letters=(1, -2)) == BraidWord(3, (1, -2))
+    assert BraidWord(3).letters == () and BraidWord(strands=3) == BraidWord(3, ())
+    assert BandFactorization(3).bands == () and BandFactorization(strands=3) == BandFactorization(3, ())
+    assert SurfaceShape(genus_total=2, boundary_components=1, components=1) == SurfaceShape(1, 2, 1)
+    # a default is shared, as the immutable class value it is
+    assert BraidWord(2).letters is BraidWord(5).letters
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_missing_or_unknown_fields_are_type_errors(cls):
+    fields = RECORD_FIELDS[cls]
+    for name in [name for name in fields if name not in ("letters", "bands")]:
+        with pytest.raises(TypeError, match=f"missing field '{name}'"):
+            cls(**{k: v for k, v in fields.items() if k != name})
+    with pytest.raises(TypeError, match="no field 'bogus'"):
+        cls(**fields, bogus=1)
+    with pytest.raises(TypeError, match="twice"):
+        cls(*fields.values(), **dict(itertools.islice(fields.items(), 1)))
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields"):
+        cls(*fields.values(), None)
+
+
+def test_repr_names_every_field():
+    assert repr(BraidWord(strands=3, letters=(1, -2))) == "BraidWord(strands=3, letters=(1, -2))"
+    assert repr(SurfaceShape(1, 2, 3)) == (
+        "SurfaceShape(components=1, genus_total=2, boundary_components=3)"
+    )
+    for cls in RECORDS:
+        if cls is not Permutation:
+            body = ", ".join(f"{k}={v!r}" for k, v in RECORD_FIELDS[cls].items())
+            assert repr(_record(cls)) == f"{cls.__name__}({body})"
+    # Permutation keeps its own cycle-notation repr
+    assert repr(Permutation((1, 0, 2))) == "Permutation('(1 2)', degree=3)"
+
+
+S = SurfaceShape
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Permutation((0, 0)), "bijection"),
+    (lambda: BraidWord(0), "at least one strand"),
+    (lambda: BraidWord(10**6 + 1), "over the limit"),
+    (lambda: BraidWord(3, (1, 0)), "letter 0 at position 1"),
+    (lambda: BraidWord(3, (3,)), "not a generator index"),
+    (lambda: BandFactorization(0), "at least one strand"),
+    (lambda: BandFactorization(10**6 + 1), "over the limit"),
+    (lambda: BandFactorization(3, ((BraidWord(4), 1),)), "conjugator lives on 4"),
+    (lambda: BandFactorization(3, ((BraidWord(3), 3),)), "generator index 3 out of range"),
+    (lambda: BoundReport("genus5_lower", "thm1_knot", 0, 0, {}), "unknown quantity"),
+    (lambda: BoundReport("genus4_lower", "thm9", 0, 0, {}), "unknown formula id"),
+    (lambda: S(0, 0, 0), "at least one component"),
+    (lambda: S(1, -1, 0), "genus cannot be negative"),
+    (lambda: S(1, 0, -1), "boundary count cannot be negative"),
+    (lambda: CoverData(0, S(1, 1, 1), 0, S(1, 1, 1)), "degree must be at least 1"),
+    (lambda: CoverData(1, S(1, 1, 1), -1, S(1, 1, 1)), "branch count cannot be negative"),
+    (lambda: CoverData(1, S(2, 1, 1), 0, S(1, 1, 1)), "must be connected"),
+    (lambda: CoverData(1, S(1, 1, 1), 0, S(1, 0, 1)), "Euler characteristic 1"),
+    (lambda: CoverData(1, S(1, 1, 1), 0, S(2, 2, 1)), "component count"),
+    (lambda: CoverData(1, S(1, 1, 1), 0, S(1, 0, 3)), "cannot outnumber"),
+    (lambda: CoverData(1, S(1, 0, 2), 0, S(1, 0, 2)), "parity"),
+    (lambda: HomomorphismCover(0, 2, ()), "genus at least 1"),
+    (lambda: HomomorphismCover(1, 2, (identity(2),)), "expected 2 generator images"),
+    (lambda: HomomorphismCover(1, 2, (identity(2), identity(3))), "degree 3 does not match"),
+])
+def test_record_validation_still_fires(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

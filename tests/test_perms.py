@@ -298,6 +298,20 @@ def test_ore_search_builds_no_pair_classes_and_shares_the_tables(monkeypatch):
     assert perms_module.sn_tables.cache_info().misses == 1
 
 
+def test_ore_search_builds_one_commutator_row_per_target(monkeypatch):
+    rows = []
+    real = perms_module.SnTables.commutator_row
+    monkeypatch.setattr(perms_module.SnTables, "commutator_row",
+                        lambda self, s: rows.append(s) or real(self, s))
+    for n in range(2, 7):
+        for images in itertools.permutations(range(n)):
+            target = Permutation(images)
+            if is_even(target):
+                rows.clear()
+                ore_commutator_search(target)
+                assert len(rows) == 1, target
+
+
 def test_ore_search_degree_limit():
     with pytest.raises(ValueError, match="degree_limit"):
         ore_commutator_search(identity(7))
