@@ -37,8 +37,7 @@ _EXPORTS = {
     )},
     **{name: ("oracle", name) for name in (
         "BudgetExceededError", "EnumerationReport", "SharpnessReport",
-        "default_budget", "enumerate_covers", "realizability_table",
-        "verify_sharpness",
+        "enumerate_covers", "realizability_table", "verify_sharpness",
     )},
     **{name: ("perms", name) for name in (
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",

@@ -7,7 +7,8 @@ Every subcommand assembles an output envelope
 printed as human-readable lines by default, as canonical JSON (two-space
 indent, sorted keys) under ``--json``, and written atomically to a file with
 ``--out``.  Exit codes: 0 success, 2 bad usage or validation error, 3 budget
-exceeded, 4 internal invariant violation found by the enumeration oracle.
+or degree ceiling exceeded, 4 internal invariant violation found by the
+enumeration oracle.
 
 Each handler imports the library layers it calls when it runs, so a process
 loads only what its subcommand needs: building the parser loads no layer,
@@ -345,9 +346,9 @@ def _cmd_perm_ore(args) -> int:
     )
 
     # refuse before parse_cycles builds a list of args.degree images
-    check_search_degree(args.degree, args.degree_limit)
+    check_search_degree(args.degree)
     target = parse_cycles(args.target, args.degree)
-    witness = ore_commutator_search(target, degree_limit=args.degree_limit)
+    witness = ore_commutator_search(target)
     results = {
         "target": cycles_str(target),
         "degree": args.degree,
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--budget", type=int,
                    help="work budget: the pair pass, charged at (n!)^2, plus states x pair "
-                        "classes per genus level (default 10^9 or SATGENUS_BUDGET)")
+                        "classes per genus level (default 10^9)")
     p.add_argument("--sharpness", action="store_true", help="also run the equality analysis")
     _add_output_flags(p)
     p.set_defaults(run=_cmd_cover_enumerate)
@@ -467,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = perm_sub.add_parser("ore", help="write an even permutation as a commutator")
     p.add_argument("--target", required=True, help="cycle notation")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--degree-limit", type=int, default=6,
-                   help="refuse exhaustive searches above this degree (default 6)")
     _add_output_flags(p)
     p.set_defaults(run=_cmd_perm_ore)
 

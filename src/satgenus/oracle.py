@@ -36,23 +36,24 @@ tests cross-check the scan against brute force on small groups and against
 the Frobenius-Mednykh character count on larger ones.  Violations and
 counterexamples (none are expected) are reported once per shape class, with
 the lexicographically first witness tuple.
+
+Degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
+budget: their tables do not fit in memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from collections import Counter
 from functools import lru_cache
 from operator import add, mul
 
-from .perms import Permutation, _Record, cycles_str, sn_tables
+from .perms import MAX_TABLE_DEGREE, Permutation, _Record, cycles_str, sn_tables
 
 __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceededError",
-    "default_budget",
     "EnumerationReport",
     "SharpnessReport",
     "enumerate_covers",
@@ -61,25 +62,11 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**9
-_BUDGET_ENV = "SATGENUS_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
-
-
-def default_budget() -> int:
-    """Budget from the SATGENUS_BUDGET environment variable, if set."""
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_BUDGET_ENV}={raw!r} is not an integer") from None
-    if value < 1:
-        raise ValueError(f"{_BUDGET_ENV} must be positive")
-    return value
+    """The requested enumeration is larger than the budget or the degree
+    ceiling allows."""
 
 
 def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
@@ -88,23 +75,16 @@ def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
         raise ValueError("the base surface needs genus at least 1")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    limit = default_budget() if budget is None else budget
+    limit = DEFAULT_BUDGET if budget is None else budget
     if limit < 1:
         raise ValueError("budget must be positive")
+    if degree > MAX_TABLE_DEGREE:
+        raise BudgetExceededError(
+            f"degree {degree} exceeds the enumeration limit {MAX_TABLE_DEGREE}, "
+            "the largest degree whose S_n tables fit in memory"
+        )
     _check_printable(base_genus, degree)
     return limit
-
-
-def _log10_factorial(n: int) -> float:
-    """log10 n!, exact up to n = 1000 and from lgamma above, where forming n!
-    takes seconds at n = 10^6 and does not finish at 10^12; inf past the
-    float range (n > 1.8 * 10^308)."""
-    if n <= 1000:
-        return math.log10(math.factorial(n))
-    try:
-        return math.lgamma(n + 1) / math.log(10)
-    except OverflowError:
-        return math.inf
 
 
 def _check_printable(base_genus: int, degree: int) -> None:
@@ -119,23 +99,19 @@ def _check_printable(base_genus: int, degree: int) -> None:
     if not limit or degree == 1:
         return
     exponent = 2 * base_genus
-    log_size = _log10_factorial(degree)
-    if log_size == math.inf:
-        digits = "over 10^308"
-    else:
-        # exact rational arithmetic on the float log, so no genus overflows it
-        num, den = log_size.as_integer_ratio()
-        digits = exponent * num // den + 1
-        if digits < limit - 1:
-            return
-        if digits <= limit + 2:
-            total = math.factorial(degree) ** exponent
-            while total >= 10**digits:
-                digits += 1
-            while total < 10 ** (digits - 1):
-                digits -= 1
-        if digits <= limit:
-            return
+    # exact rational arithmetic on the float log, so no genus overflows it
+    num, den = math.log10(math.factorial(degree)).as_integer_ratio()
+    digits = exponent * num // den + 1
+    if digits < limit - 1:
+        return
+    if digits <= limit + 2:
+        total = math.factorial(degree) ** exponent
+        while total >= 10**digits:
+            digits += 1
+        while total < 10 ** (digits - 1):
+            digits -= 1
+    if digits <= limit:
+        return
     raise BudgetExceededError(
         f"the tuple count of S_{degree}^{exponent} has {digits} decimal digits, "
         f"over this interpreter's limit of {limit} for printing an integer"
@@ -148,23 +124,6 @@ def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetE
         f"enumerating S_{degree}^{2 * base_genus} needs an estimated {work} work units "
         f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
         f"over the budget of {limit}"
-    )
-
-
-def _check_pair_pass(base_genus: int, degree: int, limit: int) -> None:
-    """Above degree 1000, refuse a (n!)^2 pair pass over ``limit`` from its
-    log size, without forming n!.  The margin of one decimal digit is far
-    above the float error of the log for any limit that fits in memory;
-    a limit too large for the estimate to refuse is checked exactly."""
-    if degree <= 1000:
-        return
-    log_work = 2 * _log10_factorial(degree)
-    if log_work <= (limit.bit_length() + 1) * math.log10(2) + 1:
-        return
-    floor = int(log_work) - 1 if log_work < math.inf else 308
-    raise BudgetExceededError(
-        f"enumerating S_{degree}^{2 * base_genus} needs over 10^{floor} work units "
-        f"(the ({degree}!)^2-pair class pass alone), over the budget of {limit}"
     )
 
 
@@ -394,7 +353,6 @@ def _scan(
     against ``limit`` before any table is built, the total before the rows.
     """
     g, n = base_genus, degree
-    _check_pair_pass(g, n, limit)
     work = math.factorial(n) ** 2
     if work > limit:
         raise _over_budget(g, n, work, limit)
@@ -523,9 +481,10 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     """Account for every monodromy tuple and report minima, histogram and any
     violations of the two genus floors (there should never be any).
 
-    ``budget`` caps the work units (default 10^9, or SATGENUS_BUDGET): the
-    pair pass, charged at (n!)^2, plus states x pair classes per genus level.
-    At genus 1 that is the tuple count.
+    ``budget`` caps the work units (default 10^9): the pair pass, charged at
+    (n!)^2, plus states x pair classes per genus level.  At genus 1 that is
+    the tuple count.  Degrees above ``MAX_TABLE_DEGREE`` are refused with
+    BudgetExceededError whatever the budget.
     """
     limit = _check_budget(base_genus, degree, budget)
     rows, khist = _scan(base_genus, degree, limit)

@@ -8,7 +8,8 @@ braid-strand and sheet labels.  Composition is left-to-right throughout:
 ``sn_tables`` holds S_n in rank order (lexicographic order of image
 tuples) with inverses and composition maps, built once per degree.  The
 exhaustive commutator search (``ore_commutator_search``) and the pair-class
-pass of :mod:`satgenus.oracle` share it.
+pass of :mod:`satgenus.oracle` share it, and both refuse degrees above
+``MAX_TABLE_DEGREE``.
 
 ``_Record``, the frozen-value base of :class:`Permutation` and of every
 record class in the other layers, lives here because every layer imports
@@ -31,6 +32,11 @@ CycleType = tuple[int, ...]
 # Degrees, strand counts and image-entry totals above this are refused with
 # ValueError before any list of that size is built.
 MAX_DEGREE = 10**6
+
+# The largest degree whose S_n tables, and the oracle's join table of set
+# partitions, fit in memory: at degree 9 the join table of the 21147 set
+# partitions alone has 4.5 * 10^8 entries.
+MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -331,16 +337,16 @@ def sn_tables(n: int) -> SnTables:
     return SnTables(n)
 
 
-def check_search_degree(degree: int, degree_limit: int) -> None:
-    """Refuse an exhaustive commutator search above ``degree_limit``."""
-    if degree > degree_limit:
+def check_search_degree(degree: int) -> None:
+    """Refuse an exhaustive search above MAX_TABLE_DEGREE."""
+    if degree > MAX_TABLE_DEGREE:
         raise ValueError(
-            f"degree {degree} exceeds the search limit {degree_limit}; "
-            "pass a larger degree_limit to search anyway"
+            f"degree {degree} exceeds the search limit {MAX_TABLE_DEGREE}, "
+            "the largest degree whose S_n tables fit in memory"
         )
 
 
-def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[Permutation, Permutation] | None:
+def ore_commutator_search(target: Permutation) -> tuple[Permutation, Permutation] | None:
     """Exhaustive search for (a, b) with ``commutator(a, b) == target``.
 
     Returns the lexicographically first witness pair, or None when the target
@@ -352,10 +358,9 @@ def ore_commutator_search(target: Permutation, degree_limit: int = 6) -> tuple[P
     is built (n! compositions), and its first b completes the pair.  By
     Ore's theorem every even permutation is a commutator, so some row holds
     it.  The ``S_n`` tables hold n! permutations, so degrees above
-    ``degree_limit`` (default 6) are refused; raise the limit explicitly if
-    you accept the cost.
+    ``MAX_TABLE_DEGREE`` are refused with ValueError.
     """
-    check_search_degree(target.degree, degree_limit)
+    check_search_degree(target.degree)
     if not is_even(target):
         return None
     tables = sn_tables(target.degree)

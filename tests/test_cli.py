@@ -211,7 +211,7 @@ def _run_capped(argv, env=None):
 @pytest.mark.parametrize("argv", [
     ["perm", "commutator", "--a", "(1 2)", "--b", "()", "--degree", "100000000"],
     ["perm", "ore", "--target", "(1 2 3)", "--degree", "100000000"],
-    ["perm", "ore", "--target", "(1 2 3)", "--degree", "100000000", "--degree-limit", "100000000"],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", "9"],
     ["cover", "cyclic", "--genus", "1", "--degree", "100000000"],
     ["cover", "cyclic", "--genus", "100000000000", "--degree", "100000000000"],
     ["cover", "cyclic", "--genus", "100000000000", "--degree", "1"],
@@ -243,7 +243,7 @@ VALID_COMMANDS = [
     ["cover", "enumerate", "--genus", "1", "--degree", "3", "--budget", "100"],
     ["perm", "commutator", "--a", "(1 2)", "--b", "()", "--degree", "3"],
     ["perm", "examples", "--type", "odd", "--m", "1"],
-    ["perm", "ore", "--target", "(1 2 3)", "--degree", "3", "--degree-limit", "3"],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", "3"],
 ]
 
 
@@ -309,16 +309,31 @@ def test_oversized_integers_keep_the_exit_code_contract(argv):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def _ceiling_error(degree):
+    return (f"error: degree {degree} exceeds the enumeration limit 8, "
+            "the largest degree whose S_n tables fit in memory\n")
+
+
+@pytest.mark.parametrize("degree", ["9", "10"])
+def test_cover_enumerate_refuses_degrees_over_the_ceiling_whatever_the_budget(degree):
+    # a budget this large admits the (n!)^2 pair pass, whose tables do not
+    # fit in memory
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree,
+                        "--budget", str(10**20)])
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == _ceiling_error(degree)
+
+
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
 def test_huge_degrees_are_refused_without_a_print_limit(degree):
-    # with the print limit off only the budget guards the pair pass, and it
-    # must be decided without forming n!, which does not finish at 10^12
+    # with the print limit off only the degree ceiling guards the pair pass,
+    # and it must be decided without forming n!, which does not finish at 10^12
     proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree],
                        env={"PYTHONINTMAXSTRDIGITS": "0"})
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "work units" in proc.stderr
+    assert proc.stderr == _ceiling_error(degree)
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
@@ -487,12 +502,6 @@ def test_cover_enumerate_budget(capsys):
     assert "14400" in err
 
 
-def test_cover_enumerate_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SATGENUS_BUDGET", "10")
-    code = main(["cover", "enumerate", "--genus", "1", "--degree", "3"])
-    assert code == EXIT_BUDGET
-
-
 def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
     real = oracle.enumerate_covers(1, 2)
     fake_finding = {
@@ -569,12 +578,12 @@ def test_cover_enumerate_refuses_unprintable_tuple_counts(capsys, default_int_di
 
 
 def test_cover_enumerate_refuses_degrees_past_the_float_range(capsys, default_int_digits):
-    code = main(["cover", "enumerate", "--genus", "1", "--degree", "1" + "0" * 400])
+    degree = "1" + "0" * 400
+    code = main(["cover", "enumerate", "--genus", "1", "--degree", degree])
     captured = capsys.readouterr()
     assert code == EXIT_BUDGET
     assert captured.out == ""
-    assert captured.err.startswith("error: the tuple count of S_1")
-    assert "has over 10^308 decimal digits" in captured.err
+    assert captured.err == _ceiling_error(degree)
 
 
 @pytest.fixture
@@ -585,21 +594,18 @@ def no_int_digit_limit():
     sys.set_int_max_str_digits(saved)
 
 
-def test_budget_refusal_forms_no_factorial_above_degree_1000(capsys, no_int_digit_limit):
-    # up to degree 1000 the message states the exact estimate, as it always has
-    assert main(["cover", "enumerate", "--genus", "1", "--degree", "1000"]) == EXIT_BUDGET
-    size = math.factorial(1000)
+def test_budget_refusal_forms_no_factorial_above_the_degree_ceiling(capsys, no_int_digit_limit):
+    # up to the ceiling the message states the exact estimate, as it always has
+    assert main(["cover", "enumerate", "--genus", "1", "--degree", "8"]) == EXIT_BUDGET
+    size = math.factorial(8)
     assert capsys.readouterr().err == (
-        f"error: enumerating S_1000^2 needs an estimated {size ** 2} work units "
+        f"error: enumerating S_8^2 needs an estimated {size ** 2} work units "
         f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
         f"over the budget of {10**9}\n"
     )
-    # above it the refusal comes from log10 (1001!)^2 = 5141.2
-    assert main(["cover", "enumerate", "--genus", "1", "--degree", "1001"]) == EXIT_BUDGET
-    assert capsys.readouterr().err == (
-        "error: enumerating S_1001^2 needs over 10^5140 work units "
-        "(the (1001!)^2-pair class pass alone), over the budget of 1000000000\n"
-    )
+    # above it the degree alone decides
+    assert main(["cover", "enumerate", "--genus", "1", "--degree", "9"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == _ceiling_error(9)
 
 
 def test_perm_commutator(capsys):
@@ -644,9 +650,17 @@ def test_perm_ore_not_found(capsys):
 
 
 def test_perm_ore_degree_limit(capsys):
-    code = main(["perm", "ore", "--target", "(1 2 3)", "--degree", "3", "--degree-limit", "2"])
+    code, env = run_json(capsys, ["perm", "ore", "--target", "(1 2 3)(4 5 6 7 8)", "--degree", "8"])
+    assert code == EXIT_OK
+    assert env["results"]["witness"] == {"a": "(4 5)(6 7 8)", "b": "(1 6 5)(2 8 3 7)"}
+    code = main(["perm", "ore", "--target", "(1 2 3)", "--degree", "9"])
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert "degree_limit" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == (
+        "error: degree 9 exceeds the search limit 8, "
+        "the largest degree whose S_n tables fit in memory\n"
+    )
 
 
 def test_out_writes_file(tmp_path, capsys):

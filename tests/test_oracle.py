@@ -9,11 +9,11 @@ from satgenus.covering import HomomorphismCover, cover_from_homomorphism
 from satgenus.oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    default_budget,
     enumerate_covers,
     realizability_table,
     verify_sharpness,
 )
+from satgenus import perms as perms_module
 from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram, connected_boundary_histogram
@@ -23,27 +23,6 @@ from _naive import naive_cover_shape, naive_first_shape_pairs, naive_pair_classe
 def all_tuples(base_genus, degree):
     perms = [tuple(p) for p in itertools.permutations(range(degree))]
     return itertools.product(perms, repeat=2 * base_genus)
-
-
-def test_budget_default():
-    assert default_budget() == DEFAULT_BUDGET
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("SATGENUS_BUDGET", "10")
-    assert default_budget() == 10
-    enumerate_covers(1, 2)  # 4 tuples, fits
-    with pytest.raises(BudgetExceededError):
-        enumerate_covers(1, 3)  # 36 tuples, does not
-
-
-def test_budget_env_invalid(monkeypatch):
-    monkeypatch.setenv("SATGENUS_BUDGET", "ten")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.setenv("SATGENUS_BUDGET", "0")
-    with pytest.raises(ValueError):
-        default_budget()
 
 
 def test_budget_argument():
@@ -338,6 +317,37 @@ def test_every_witness_reproduces_its_class(g, n):
 def test_connected_rows_match_frobenius_count(g, n):
     connected = {k for (m, k, _) in realizability_table(g, n) if m == 1}
     assert connected == set(connected_boundary_histogram(g, n))
+
+
+@pytest.fixture
+def cold_tables():
+    """Drop the cached tables afterwards: those of degree 8 hold about 230 MB."""
+    yield
+    oracle._scan.cache_clear()
+    oracle._classes.cache_clear()
+    perms_module.sn_tables.cache_clear()
+
+
+def test_enumeration_at_the_degree_ceiling(cold_tables):
+    r = enumerate_covers(1, 8, budget=2 * 10**9)
+    assert r.boundary_k_histogram == boundary_histogram(1, 8)
+    assert r.total_tuples == math.factorial(8) ** 2
+    cover = cover_from_homomorphism(HomomorphismCover(1, 8, r.min_overall_witness)).cover
+    assert cover.genus_total == r.min_genus_overall == 1
+    # even degree: no unbranched cover has connected boundary
+    assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
+
+
+@pytest.mark.parametrize("degree", [9, 10])
+def test_degrees_over_the_ceiling_are_refused_before_any_table(monkeypatch, degree):
+    def refuse(*args):
+        raise AssertionError("tables built over the degree ceiling")
+
+    monkeypatch.setattr(oracle, "_scan", refuse)
+    monkeypatch.setattr(oracle, "sn_tables", refuse)
+    for run in (enumerate_covers, verify_sharpness, realizability_table):
+        with pytest.raises(BudgetExceededError, match=f"degree {degree} exceeds the enumeration limit 8"):
+            run(1, degree, budget=10**20)
 
 
 def test_sharpness_at_degree_seven():

@@ -25,6 +25,7 @@ from satgenus.perms import (
 
 from satgenus import oracle, perms as perms_module
 
+from _frobenius import partitions
 from _naive import (
     naive_commutator,
     naive_compose,
@@ -279,7 +280,28 @@ def test_s7_targets_cover_every_even_cycle_type():
 @pytest.mark.parametrize("text", S7_EVEN_TARGETS)
 def test_ore_search_at_degree_seven_matches_naive_first_pair(text):
     target = parse_cycles(text, 7)
-    a, b = ore_commutator_search(target, degree_limit=7)
+    a, b = ore_commutator_search(target)
+    assert (a.images, b.images) == naive_first_commutator_pair(target.images)
+
+
+def _even_targets(n):
+    """One even permutation of each cycle type of S_n, its cycles laid out
+    on consecutive points."""
+    for shape in partitions(n):
+        if (n - len(shape)) % 2 == 0:
+            ends = itertools.accumulate(shape)
+            yield from_cycles([range(end - size + 1, end + 1) for size, end in zip(shape, ends)], n)
+
+
+def test_ore_search_at_the_degree_ceiling():
+    targets = list(_even_targets(8))
+    assert len(targets) == 12
+    for target in targets:
+        a, b = ore_commutator_search(target)
+        assert commutator(a, b) == target
+    # its first pair lies in row 7 of 40320, so the naive double loop stays quick
+    target = parse_cycles("(1 2)(3 4)(5 6)(7 8)", 8)
+    a, b = ore_commutator_search(target)
     assert (a.images, b.images) == naive_first_commutator_pair(target.images)
 
 
@@ -313,11 +335,10 @@ def test_ore_search_builds_one_commutator_row_per_target(monkeypatch):
 
 
 def test_ore_search_degree_limit():
-    with pytest.raises(ValueError, match="degree_limit"):
-        ore_commutator_search(identity(7))
-    with pytest.raises(ValueError, match="degree_limit"):
-        ore_commutator_search(identity(4), degree_limit=3)
-    assert ore_commutator_search(identity(4), degree_limit=4) is not None
+    assert perms_module.MAX_TABLE_DEGREE == 8
+    assert ore_commutator_search(identity(8)) == (identity(8), identity(8))
+    with pytest.raises(ValueError, match="exceeds the search limit 8"):
+        ore_commutator_search(identity(9))
 
 
 def test_from_cycles():
