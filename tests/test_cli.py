@@ -502,6 +502,15 @@ def test_cover_enumerate_budget(capsys):
     assert "14400" in err
 
 
+def test_cover_enumerate_ignores_the_env_budget(capsys, monkeypatch):
+    # --budget is the one way to set the budget; SATGENUS_BUDGET is not read
+    monkeypatch.setenv("SATGENUS_BUDGET", "10")
+    code, env = run_json(capsys, ["cover", "enumerate", "--genus", "1", "--degree", "3"])
+    assert code == EXIT_OK
+    assert env["inputs"]["budget"] == env["results"]["budget"] == 10**9
+    assert env["results"]["total_tuples"] == 36
+
+
 def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
     real = oracle.enumerate_covers(1, 2)
     fake_finding = {

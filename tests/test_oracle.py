@@ -25,6 +25,31 @@ def all_tuples(base_genus, degree):
     return itertools.product(perms, repeat=2 * base_genus)
 
 
+def test_budget_default(monkeypatch):
+    assert enumerate_covers(1, 3).budget == DEFAULT_BUDGET
+
+    def refuse(n):
+        raise AssertionError("pair classes built over the default budget")
+
+    # no budget means DEFAULT_BUDGET in every entry point: (8!)^2 pairs are over it
+    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    for run in (enumerate_covers, verify_sharpness, realizability_table):
+        with pytest.raises(BudgetExceededError) as default:
+            run(1, 8)
+        with pytest.raises(BudgetExceededError) as explicit:
+            run(1, 8, budget=DEFAULT_BUDGET)
+        assert str(default.value) == str(explicit.value)
+        assert str(default.value).endswith(f"over the budget of {DEFAULT_BUDGET}")
+
+
+def test_budget_ignores_the_environment(monkeypatch):
+    # the budget comes from the argument alone; SATGENUS_BUDGET is not read
+    for value in ("10", "ten", "0"):
+        monkeypatch.setenv("SATGENUS_BUDGET", value)
+        assert enumerate_covers(1, 3).budget == DEFAULT_BUDGET
+        assert enumerate_covers(1, 3, budget=36).total_tuples == 36
+
+
 def test_budget_argument():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(1, 5, budget=100)
