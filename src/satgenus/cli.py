@@ -6,20 +6,27 @@ Every subcommand assembles an output envelope
 
 printed as human-readable lines by default, as canonical JSON (two-space
 indent, sorted keys) under ``--json``, and written atomically to a file with
-``--out``.  Exit codes: 0 success, 2 bad usage or validation error, 3 budget
-or degree ceiling exceeded, 4 internal invariant violation found by the
-enumeration oracle.
+``--out``.  Exit codes: 0 success, 2 bad usage or validation error (a closed
+stdout included), 3 budget or degree ceiling exceeded, 4 internal invariant
+violation found by the enumeration oracle.
 
 Each handler imports the library layers it calls when it runs, so a process
 loads only what its subcommand needs: building the parser loads no layer,
-and only ``cover enumerate`` loads the oracle.
+only ``cover enumerate`` loads the oracle, and only ``--json`` and ``--out``
+load ``json``.
+
+``main`` returns the exit code and is what in-process callers use.  The
+process entry point ``run`` calls it, flushes stdout and stderr and ends the
+process with ``os._exit``: once the last byte is written nothing is left to
+do, and tearing the interpreter down (module teardown, the final collection,
+freeing every object) would add 7-15 ms to each request on a 2-CPU machine.
+``--out`` closes its file before the rename, so nothing is lost.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import stat
 import sys
@@ -68,13 +75,16 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> None:
-    envelope = {
-        "command": command,
-        "format_version": FORMAT_VERSION,
-        "inputs": inputs,
-        "results": results,
-    }
-    text = json.dumps(envelope, indent=2, sort_keys=True)
+    if args.json or args.out is not None:
+        import json  # human output without --out needs no serializing
+
+        envelope = {
+            "command": command,
+            "format_version": FORMAT_VERSION,
+            "inputs": inputs,
+            "results": results,
+        }
+        text = json.dumps(envelope, indent=2, sort_keys=True)
     if args.out is not None:
         try:
             _write_atomic(args.out, text + "\n")
@@ -484,5 +494,27 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Run ``main`` on the command line and end the process with its exit
+    code, skipping interpreter finalization; it does not return.
+
+    A stdout whose reader has gone (a closed pipe) is reported as one
+    ``error: cannot write stdout`` line on stderr and exit 2.  argparse's
+    ``SystemExit`` and uncaught exceptions leave as they would from ``main``.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the unwritten bytes stay buffered: point fd 1 at devnull so that
+        # no later flush retries them
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

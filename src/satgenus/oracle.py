@@ -112,10 +112,25 @@ def _check_printable(base_genus: int, degree: int) -> None:
             digits -= 1
     if digits <= limit:
         return
+    exponent_text = _rough(exponent)
+    if not exponent_text.isdigit():
+        exponent_text = f"({exponent_text})"
     raise BudgetExceededError(
-        f"the tuple count of S_{degree}^{exponent} has {digits} decimal digits, "
+        f"the tuple count of S_{degree}^{exponent_text} has {_rough(digits)} decimal digits, "
         f"over this interpreter's limit of {limit} for printing an integer"
     )
+
+
+def _rough(x: int) -> str:
+    """x in decimal up to 15 digits, its power of ten above.
+
+    Past 15 digits the digit estimate is no longer exact, and a genus of
+    thousands of digits would give an exponent and a digit count too long to
+    print at all.
+    """
+    if x < 10**15:
+        return str(x)
+    return f"about 10^{math.floor(math.log10(x))}"
 
 
 def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetExceededError:

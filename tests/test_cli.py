@@ -573,7 +573,11 @@ def test_cover_enumerate_prints_the_largest_printable_tuple_count(capsys, defaul
     assert "tuples scanned:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("genus", ["2763", "3000", "1" + "0" * 400])
+# the last two have 4300 digits, as many as the interpreter reads, and 2g
+# has 4301, too many to print
+@pytest.mark.parametrize("genus", ["2763", "3000", "1" + "0" * 400,
+                                   pytest.param("9" * 4300, id="nines4300"),
+                                   pytest.param("5" + "0" * 4299, id="five4300")])
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_cover_enumerate_refuses_unprintable_tuple_counts(capsys, default_int_digits, genus, mode):
     code = main(["cover", "enumerate", "--genus", genus, "--degree", "3"] + mode)
@@ -802,3 +806,78 @@ def test_module_entry_point():
     assert proc.returncode == EXIT_OK
     env = json.loads(proc.stdout)
     assert env["results"]["commutator"] == "(1 3 2)"
+
+
+def _block_buffered_env():
+    """This environment without PYTHONUNBUFFERED: a child's stdout on a pipe
+    is then block-buffered and written at the final flush."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+# every documented output mode, block-buffered: the process entry point must
+# write what the in-process main writes
+ENTRY_CASES = [argv + mode for argv in VALID_COMMANDS for mode in ([], ["--json"], ["--out"])]
+ENTRY_CASES.append(["cover", "enumerate", "--genus", "1", "--degree", "6", "--sharpness", "--json"])
+
+
+@pytest.mark.parametrize("argv", ENTRY_CASES, ids=" ".join)
+def test_entry_point_writes_what_main_writes(tmp_path, capsysbinary, argv):
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "report.json")]
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    written = (tmp_path / "report.json").read_bytes() if "--out" in argv else None
+    proc = subprocess.run([sys.executable, "-m", "satgenus.cli", *argv],
+                          capture_output=True, env=_block_buffered_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    if written is not None:
+        assert (tmp_path / "report.json").read_bytes() == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_one_error_line_and_exit_2(unbuffered):
+    # block-buffered, the write fails at the final flush; unbuffered, in print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _block_buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "satgenus.cli", "bounds", "--g4k", "3", "--winding", "2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == b"error: cannot write stdout: Broken pipe\n"
+
+
+# prints whether json is loaded after build_parser alone (no argument) or
+# after one cli.main call; the probe itself imports nothing that loads json
+JSON_PROBE = """
+import sys
+import satgenus.cli as cli
+if len(sys.argv) == 1:
+    cli.build_parser()
+else:
+    cli.main(sys.argv[1:])
+print("json" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [[]] + VALID_COMMANDS, ids=lambda argv: " ".join(argv) or "parser")
+def test_human_output_loads_no_json(argv):
+    proc = subprocess.run([sys.executable, "-c", JSON_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == "False\n"
+
+
+def test_entry_points_end_through_run():
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    assert '[project.scripts]\nsatgenus = "satgenus.cli:run"\n' in pyproject
+    source = (root / "src" / "satgenus" / "cli.py").read_text()
+    assert source.endswith('\nif __name__ == "__main__":\n    run()\n')
