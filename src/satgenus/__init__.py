@@ -12,9 +12,24 @@ line tool.
 The names below are exported lazily (PEP 562): ``import satgenus`` loads no
 layer, and the first access to a name imports its submodule.  So a process
 pays only for the layers it uses; ``satgenus.cli`` imports the package first.
+
+Two things every process needs live here, where no layer has to be loaded
+for them: ``_Record``, the frozen-value base of every record class, and the
+command line's exit codes, which ``satgenus.cli`` and its handler modules
+share.  Without a bytecode cache each module a process imports is compiled
+from source, so a layer loaded only for a base class would cost its whole
+compile.
 """
 
+from __future__ import annotations
+
 __version__ = "0.1.0"
+
+# exit codes of the command line
+EXIT_OK = 0
+EXIT_USAGE = 2
+EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 # exported name: (submodule, attribute)
 _EXPORTS = {
@@ -70,3 +85,70 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Record:
+    """Frozen value with named fields, in the manner of a frozen dataclass.
+
+    A subclass declares its fields as class annotations, in order; a value
+    assigned in the class body is that field's default.  Fields are taken
+    positionally or by keyword, a missing or unknown one raises TypeError,
+    and ``__post_init__`` runs once they are set.  Instances compare equal
+    only to instances of the same class with equal fields, hash their field
+    tuple, refuse assignment and deletion with AttributeError, and repr as
+    ``Name(field=value, ...)``.  It stands in for ``dataclasses``, whose
+    import (``inspect``, ``ast``, ``dis``, ``tokenize``...) and per-class code
+    generation cost more than a short command-line request computes.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a record's subclass keeps its parent's fields first
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(dict.fromkeys(cls._fields + own))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        for name in fields:
+            if name not in values:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
+                values[name] = getattr(cls, name)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"

@@ -8,8 +8,7 @@ inputs.  Parity preconditions are enforced, never rounded away.
 
 from __future__ import annotations
 
-from .braids import closure_component_count, exponent_sum, orevkov_k1, orevkov_k2
-from .perms import _Record
+from . import _Record
 
 __all__ = [
     "FORMULA_IDS",
@@ -221,6 +220,9 @@ def orevkov_gap_report(n: int, twists: int | None = None) -> OrevkovGapReport:
     parity check inside the genus formula rejects even values, for which the
     closure is a two-component link).
     """
+    # only this report builds braid words, so only it loads the braids layer
+    from .braids import closure_component_count, exponent_sum, orevkov_k1, orevkov_k2
+
     if n < 2:
         raise ValueError("the family starts at n = 2")
     if twists is None:

@@ -14,7 +14,8 @@ strand permutation of that size is built.
 
 from __future__ import annotations
 
-from .perms import Permutation, _Record, check_size, cycle_count
+from . import _Record
+from .perms import Permutation, check_size, cycle_count
 
 __all__ = [
     "MAX_WORD_LENGTH",

@@ -10,17 +10,26 @@ indent, sorted keys) under ``--json``, and written atomically to a file with
 stdout included), 3 budget or degree ceiling exceeded, 4 internal invariant
 violation found by the enumeration oracle.
 
-Each handler imports the library layers it calls when it runs, so a process
-loads only what its subcommand needs: building the parser loads no layer,
-only ``cover enumerate`` loads the oracle, and only ``--json`` and ``--out``
-load ``json``.
+A process compiles and builds only what its request runs.  ``main`` builds
+the argparse arguments of the one subcommand its command line names (see
+``build_parser``) and then imports that command group's handler module:
+:mod:`satgenus.cmd_braid`, :mod:`satgenus.cmd_bounds` (``bounds`` and
+``examples``), :mod:`satgenus.cmd_cover` or :mod:`satgenus.cmd_perm`.  A
+handler imports the library layers it calls when it runs and returns its exit
+code and envelope parts, which ``main`` prints.  So building the parser loads
+no layer, only ``cover enumerate`` loads the oracle, and only ``--json`` and
+``--out`` load ``json``.  The handler modules never import this module: run
+as ``python -m satgenus.cli`` it is ``__main__``, and importing it again
+would compile it a second time.
 
-``main`` returns the exit code and is what in-process callers use.  The
-process entry point ``run`` calls it, flushes stdout and stderr and ends the
-process with ``os._exit``: once the last byte is written nothing is left to
-do, and tearing the interpreter down (module teardown, the final collection,
-freeing every object) would add 7-15 ms to each request on a 2-CPU machine.
-``--out`` closes its file before the rename, so nothing is lost.
+``main`` returns the exit code and is what in-process callers use; argparse's
+help and usage errors still leave it through ``SystemExit``.  The process
+entry point ``run`` calls it, flushes stdout and stderr and ends the process
+with ``os._exit``, after argparse's exits too: once the last byte is written
+nothing is left to do, and tearing the interpreter down (module teardown, the
+final collection, freeing every object) would add 7-15 ms to each request on
+a 2-CPU machine.  ``--out`` closes its file before the rename, so nothing is
+lost.
 """
 
 from __future__ import annotations
@@ -31,12 +40,10 @@ import os
 import stat
 import sys
 
-FORMAT_VERSION = "0.1.0"
+# the exit codes live in the package, where the handler modules read them
+from . import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
-EXIT_INVARIANT = 4
+FORMAT_VERSION = "0.1.0"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -97,422 +104,213 @@ def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> 
             print(line)
 
 
-def _word_results(w) -> dict:
-    from .braids import braid_text, closure_component_count, exponent_sum, permutation_of
-    from .perms import cycles_str
-
-    perm = permutation_of(w)
-    return {
-        "word": braid_text(w),
-        "strands": w.strands,
-        "length": len(w),
-        "exponent_sum": exponent_sum(w),
-        "permutation": cycles_str(perm),
-        "closure_components": closure_component_count(w),
-    }
-
-
-def _word_human(results: dict) -> list[str]:
-    return [
-        f"strands:            {results['strands']}",
-        f"word:               {results['word'] or '(empty)'}",
-        f"length:             {results['length']}",
-        f"exponent sum:       {results['exponent_sum']}",
-        f"strand permutation: {results['permutation']}",
-        f"closure components: {results['closure_components']}",
-    ]
-
-
-def _cmd_braid_analyze(args) -> int:
-    from .braids import parse_braid
-
-    w = parse_braid(args.word, args.strands)
-    results = _word_results(w)
-    _emit(args, "braid analyze", {"word": args.word, "strands": args.strands},
-          results, _word_human(results))
-    return EXIT_OK
-
-
-def _cmd_braid_halftwist(args) -> int:
-    from .braids import half_twist
-
-    w = half_twist(args.strands)
-    results = _word_results(w)
-    _emit(args, "braid halftwist", {"strands": args.strands}, results, _word_human(results))
-    return EXIT_OK
-
-
-def _cmd_braid_orevkov(args) -> int:
-    from .braids import orevkov_k1, orevkov_k2
-
-    inputs = {"family": args.family, "n": args.n}
-    if args.family == "k1":
-        if args.twists is not None:
-            raise ValueError("--twists only applies to family k2")
-        w = orevkov_k1(args.n)
-    else:
-        twists = args.twists
-        if twists is None:
-            from .bounds import suggested_twist_count
-
-            twists = suggested_twist_count(args.n)
-        inputs["twists"] = twists
-        w = orevkov_k2(args.n, twists)
-    results = _word_results(w)
-    _emit(args, "braid orevkov", inputs, results, _word_human(results))
-    return EXIT_OK
-
-
-def _cmd_bounds(args) -> int:
-    from .bounds import bound_reports_to_csv, schubert_bound, thm1_knot_bound, thm1_link_bound
-
-    reports = [
-        schubert_bound(args.g4k, args.winding),
-        thm1_knot_bound(args.g4k, args.winding),
-        thm1_link_bound(args.g4k, args.winding),
-    ]
-    if args.pattern_genus is not None:
-        reports.insert(1, schubert_bound(args.g4k, args.winding, args.pattern_genus))
-    inputs = {"g4k": args.g4k, "winding": args.winding}
-    if args.pattern_genus is not None:
-        inputs["pattern_genus"] = args.pattern_genus
-    results = {"bounds": [r.to_json() for r in reports]}
-    if args.csv:
-        human = bound_reports_to_csv(reports).splitlines()
-    else:
-        width = max(len(r.formula_id) for r in reports)
-        human = [
-            f"{r.formula_id:<{width}}  {r.quantity:<13} value {r.value:>4}  clamped {r.clamped:>4}"
-            for r in reports
-        ]
-    _emit(args, "bounds", inputs, results, human)
-    return EXIT_OK
-
-
-def _cmd_examples_orevkov(args) -> int:
-    from .bounds import orevkov_gap_report
-
-    report = orevkov_gap_report(args.n, args.twists)
-    results = report.to_json()
-    human = [
-        f"n:                          {report.n}",
-        f"negative kinks:             {report.twists}",
-        f"companion bands (strands {report.n}):  {report.bands_k1}",
-        f"companion g4:               {report.g4_k1}",
-        f"cable bands (strands {2 * report.n}):     {report.bands_k2}",
-        f"cable g4:                   {report.g4_k2}",
-        f"analytic satellite bound:   {report.satellite_bound}",
-        f"gap (cable beats bound):    {'yes' if report.gap else 'no'}",
-    ]
-    _emit(args, "examples orevkov", {"n": args.n, "twists": report.twists}, results, human)
-    return EXIT_OK
-
-
-def _cover_human(data: dict) -> list[str]:
-    return [
-        f"degree:           {data['degree']}",
-        f"base:             genus {data['base']['genus']}, boundary {data['base']['boundary']}",
-        f"branch points:    {data['branch']}",
-        f"cover components: {data['cover']['components']}",
-        f"cover genus:      {data['cover']['genus']}",
-        f"cover boundary:   {data['cover']['boundary']}",
-    ]
-
-
-def _cmd_cover_cyclic(args) -> int:
-    from .covering import cover_data_to_json, cyclic_cover
-
-    data = cover_data_to_json(cyclic_cover(args.genus, args.degree))
-    _emit(args, "cover cyclic", {"genus": args.genus, "degree": args.degree},
-          data, _cover_human(data))
-    return EXIT_OK
-
-
-def _cmd_cover_from_hom(args) -> int:
-    from .covering import (
-        HomomorphismCover,
-        boundary_permutation,
-        cover_data_to_json,
-        cover_from_homomorphism,
-    )
-    from .perms import cycles_str, orbits, parse_cycles
-
-    texts = [part.strip() for part in args.images.split(";")]
-    images = tuple(parse_cycles(text, args.degree) for text in texts)
-    hom = HomomorphismCover(args.genus, args.degree, images)
-    data = cover_data_to_json(cover_from_homomorphism(hom))
-    results = {
-        "cover": data,
-        "boundary_permutation": cycles_str(boundary_permutation(hom)),
-        "orbits": [list(o) for o in orbits(list(images), degree=args.degree)],
-    }
-    human = _cover_human(data) + [
-        f"boundary circle:  {results['boundary_permutation']}",
-        f"orbits:           {results['orbits']}",
-    ]
-    _emit(args, "cover from-hom",
-          {"genus": args.genus, "degree": args.degree, "images": args.images},
-          results, human)
-    return EXIT_OK
-
-
-def _cmd_cover_enumerate(args) -> int:
-    from . import oracle
-
-    try:
-        report = oracle.enumerate_covers(args.genus, args.degree, budget=args.budget)
-        results = report.to_json()
-        failed = bool(report.violations)
-        if args.sharpness:
-            sharp = oracle.verify_sharpness(args.genus, args.degree, budget=args.budget)
-            results["sharpness"] = sharp.to_json()
-            failed = failed or not sharp.ok
-    except oracle.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    human = [
-        f"base genus:        {report.base_genus}",
-        f"degree:            {report.degree}",
-        f"tuples scanned:    {report.total_tuples}",
-        f"violations:        {len(report.violations)}",
-        f"min genus overall: {report.min_genus_overall}",
-        f"min genus (one boundary circle): {report.min_genus_connected_boundary}",
-        f"boundary histogram: {results['boundary_k_histogram']}",
-    ]
-    if args.sharpness:
-        human.append(f"sharpness ok:      {results['sharpness']['ok']}")
-    inputs = {"genus": args.genus, "degree": args.degree, "budget": report.budget}
-    _emit(args, "cover enumerate", inputs, results, human)
-    return EXIT_INVARIANT if failed else EXIT_OK
-
-
-def _cmd_perm_commutator(args) -> int:
-    from .perms import commutator, cycle_type, cycles_str, is_even, parse_cycles
-
-    a = parse_cycles(args.a, args.degree)
-    b = parse_cycles(args.b, args.degree)
-    c = commutator(a, b)
-    results = {
-        "a": cycles_str(a),
-        "b": cycles_str(b),
-        "commutator": cycles_str(c),
-        "cycle_type": list(cycle_type(c)),
-        "even": is_even(c),
-    }
-    human = [
-        f"a:          {results['a']}",
-        f"b:          {results['b']}",
-        f"[a, b]:     {results['commutator']}",
-        f"cycle type: {results['cycle_type']}",
-        f"even:       {results['even']}",
-    ]
-    _emit(args, "perm commutator", {"a": args.a, "b": args.b, "degree": args.degree},
-          results, human)
-    return EXIT_OK
-
-
-def _cmd_perm_examples(args) -> int:
-    from .perms import (
-        commutator,
-        cycle_type,
-        cycles_str,
-        example1_pair,
-        example2_pair,
-        is_transitive,
-    )
-
-    if args.type == "odd":
-        s1, s2 = example1_pair(args.m)
-    else:
-        s1, s2 = example2_pair(args.m)
-    c = commutator(s1, s2)
-    results = {
-        "degree": s1.degree,
-        "s1": cycles_str(s1),
-        "s2": cycles_str(s2),
-        "commutator": cycles_str(c),
-        "cycle_type": list(cycle_type(c)),
-        "transitive": is_transitive([s1, s2]),
-    }
-    human = [
-        f"degree:     {results['degree']}",
-        f"s1:         {results['s1']}",
-        f"s2:         {results['s2']}",
-        f"[s1, s2]:   {results['commutator']}",
-        f"cycle type: {results['cycle_type']}",
-        f"transitive: {results['transitive']}",
-    ]
-    _emit(args, "perm examples", {"type": args.type, "m": args.m}, results, human)
-    return EXIT_OK
-
-
-def _cmd_perm_ore(args) -> int:
-    from .perms import (
-        check_search_degree,
-        commutator,
-        cycles_str,
-        ore_commutator_search,
-        parse_cycles,
-    )
-
-    # refuse before parse_cycles builds a list of args.degree images
-    check_search_degree(args.degree)
-    target = parse_cycles(args.target, args.degree)
-    witness = ore_commutator_search(target)
-    results = {
-        "target": cycles_str(target),
-        "degree": args.degree,
-        "found": witness is not None,
-        "witness": None,
-    }
-    if witness is None:
-        human = [f"target: {results['target']}", "witness: none (target is not a commutator)"]
-    else:
-        a, b = witness
-        results["witness"] = {"a": cycles_str(a), "b": cycles_str(b)}
-        human = [
-            f"target:  {results['target']}",
-            f"a:       {results['witness']['a']}",
-            f"b:       {results['witness']['b']}",
-            f"[a, b]:  {cycles_str(commutator(a, b))}",
-        ]
-    _emit(args, "perm ore", {"target": args.target, "degree": args.degree}, results, human)
-    return EXIT_OK
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="print the JSON envelope")
-    parser.add_argument("--out", metavar="FILE", help="also write the JSON envelope to FILE")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="satgenus",
-        description="Genus bounds for braided satellite links and their covering-surface arithmetic.",
-    )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    braid = top.add_parser("braid", help="braid word constructions and invariants")
-    braid_sub = braid.add_subparsers(dest="subcommand", required=True)
-
-    p = braid_sub.add_parser("analyze", help="invariants of a given word")
+def _braid_analyze(p: argparse.ArgumentParser) -> None:
     p.add_argument("--word", required=True, help="letters like '1 -2 1' or '1^3 2^-2'")
     p.add_argument("--strands", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_braid_analyze)
 
-    p = braid_sub.add_parser("halftwist", help="the positive half twist")
+
+def _braid_halftwist(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strands", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_braid_halftwist)
 
-    p = braid_sub.add_parser("orevkov", help="the quasipositive gap families")
+
+def _braid_orevkov(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["k1", "k2"], required=True)
     p.add_argument("--n", type=int, required=True, help="family parameter (k1 has n strands, k2 has 2n)")
     p.add_argument("--twists", type=int, help="negative kink count for k2 (default: suggested odd value)")
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_braid_orevkov)
 
-    p = top.add_parser("bounds", help="evaluate the satellite genus bounds")
+
+def _bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g4k", type=int, required=True, help="4-genus of the companion")
     p.add_argument("--winding", type=int, required=True)
     p.add_argument("--pattern-genus", type=int, help="pattern genus for the refined Seifert bound")
     p.add_argument("--csv", action="store_true", help="print the table as CSV")
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_bounds)
 
-    examples = top.add_parser("examples", help="worked end-to-end examples")
-    examples_sub = examples.add_subparsers(dest="subcommand", required=True)
-    p = examples_sub.add_parser("orevkov", help="the cabled family versus the satellite bound")
+
+def _examples_orevkov(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--twists", type=int, help="odd kink count (default: suggested value near 8n^2/3)")
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_examples_orevkov)
 
-    cover = top.add_parser("cover", help="covering-surface bookkeeping")
-    cover_sub = cover.add_subparsers(dest="subcommand", required=True)
 
-    p = cover_sub.add_parser("cyclic", help="the connected cyclic unramified cover")
+def _cover_cyclic(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, required=True, help="genus of the one-holed base")
     p.add_argument("--degree", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_cover_cyclic)
 
-    p = cover_sub.add_parser("from-hom", help="cover shape from monodromy images")
+
+def _cover_from_hom(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument(
         "--images", required=True,
         help="semicolon-separated cycle notations, 2*genus of them, e.g. '(1 2 3);()'",
     )
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_cover_from_hom)
 
-    p = cover_sub.add_parser("enumerate", help="exhaustive scan of all monodromy tuples")
+
+def _cover_enumerate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--budget", type=int,
                    help="work budget: the pair pass, charged at (n!)^2, plus states x pair "
                         "classes per genus level (default 10^9)")
     p.add_argument("--sharpness", action="store_true", help="also run the equality analysis")
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_cover_enumerate)
 
-    perm = top.add_parser("perm", help="permutation commutator tools")
-    perm_sub = perm.add_subparsers(dest="subcommand", required=True)
 
-    p = perm_sub.add_parser("commutator", help="commutator of two permutations")
+def _perm_commutator(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", required=True, help="cycle notation, e.g. '(2 3)(4 5)'")
     p.add_argument("--b", required=True)
     p.add_argument("--degree", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_perm_commutator)
 
-    p = perm_sub.add_parser("examples", help="the transitive involution pairs")
+
+def _perm_examples(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", choices=["odd", "even"], required=True,
                    help="odd: full cycle on 2m+1 points; even: two m-cycles on 2m points")
     p.add_argument("--m", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_perm_examples)
 
-    p = perm_sub.add_parser("ore", help="write an even permutation as a commutator")
+
+def _perm_ore(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, help="cycle notation")
     p.add_argument("--degree", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(run=_cmd_perm_ore)
 
+
+# command: (help, handler module, leaves); a leaf is (subcommand or None for
+# a command without subcommands, help, the function adding its arguments).
+# Each leaf also gets --json and --out, and its handler is the function of
+# the handler module named after its path, such as cmd_cover.cover_from_hom.
+_COMMANDS = {
+    "braid": ("braid word constructions and invariants", "cmd_braid", [
+        ("analyze", "invariants of a given word", _braid_analyze),
+        ("halftwist", "the positive half twist", _braid_halftwist),
+        ("orevkov", "the quasipositive gap families", _braid_orevkov),
+    ]),
+    "bounds": ("evaluate the satellite genus bounds", "cmd_bounds", [
+        (None, None, _bounds),
+    ]),
+    "examples": ("worked end-to-end examples", "cmd_bounds", [
+        ("orevkov", "the cabled family versus the satellite bound", _examples_orevkov),
+    ]),
+    "cover": ("covering-surface bookkeeping", "cmd_cover", [
+        ("cyclic", "the connected cyclic unramified cover", _cover_cyclic),
+        ("from-hom", "cover shape from monodromy images", _cover_from_hom),
+        ("enumerate", "exhaustive scan of all monodromy tuples", _cover_enumerate),
+    ]),
+    "perm": ("permutation commutator tools", "cmd_perm", [
+        ("commutator", "commutator of two permutations", _perm_commutator),
+        ("examples", "the transitive involution pairs", _perm_examples),
+        ("ore", "write an even permutation as a commutator", _perm_ore),
+    ]),
+}
+
+
+def _leaf_of(argv: list[str]) -> tuple[str, str | None] | None:
+    """The (command, subcommand) that argv names in its first words, the
+    subcommand None for a command without them; None for anything else."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    names = [name for name, _, _ in _COMMANDS[argv[0]][2]]
+    if names == [None]:
+        return argv[0], None
+    if len(argv) > 1 and argv[1] in names:
+        return argv[0], argv[1]
+    return None
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse ignores a failed write; help written to a closed stdout
+        # must fail like every other write there
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The satgenus parser: the full tree, or, when ``argv`` names a command
+    and its subcommand, one that builds arguments for that leaf only.
+
+    argparse parses a command line the same way with either; the pruned one
+    still registers every command, whose names its "unrecognized arguments"
+    usage line lists.  Anything else, such as no command, ``-h`` first, an
+    unknown command or a missing or unknown subcommand, gets the full tree,
+    whose help and errors list every choice.
+    """
+    leaf = None if argv is None else _leaf_of(argv)
+    parser = _Parser(
+        prog="satgenus",
+        description="Genus bounds for braided satellite links and their covering-surface arithmetic.",
+    )
+    top = parser.add_subparsers(dest="command", required=True)
+    for command, (command_help, module, leaves) in _COMMANDS.items():
+        command_parser = top.add_parser(command, help=command_help)
+        if leaf is not None and leaf[0] != command:
+            continue
+        if leaves[0][0] is not None:
+            sub = command_parser.add_subparsers(dest="subcommand", required=True)
+        for name, leaf_help, add_arguments in leaves:
+            if leaf is not None and leaf[1] != name:
+                continue
+            p = command_parser if name is None else sub.add_parser(name, help=leaf_help)
+            add_arguments(p)
+            p.add_argument("--json", action="store_true", help="print the JSON envelope")
+            p.add_argument("--out", metavar="FILE", help="also write the JSON envelope to FILE")
+            handler = command if name is None else f"{command}_{name}"
+            p.set_defaults(run=(module, handler.replace("-", "_")))
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _print_error(message: str) -> None:
     try:
-        return args.run(args)
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass  # a closed stderr leaves the exit code as it is
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
+    module, name = args.run
+    # the import statement's machinery, unlike importlib.import_module, is
+    # what -X importtime reports
+    handler = getattr(__import__(f"satgenus.{module}", fromlist=[name]), name)
+    try:
+        code, report = handler(args)
+        if isinstance(report, str):
+            _print_error(report)
+        else:
+            _emit(args, *report)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return EXIT_USAGE
+    return code
 
 
 def run() -> None:
     """Run ``main`` on the command line and end the process with its exit
     code, skipping interpreter finalization; it does not return.
 
-    A stdout whose reader has gone (a closed pipe) is reported as one
-    ``error: cannot write stdout`` line on stderr and exit 2.  argparse's
-    ``SystemExit`` and uncaught exceptions leave as they would from ``main``.
+    argparse's exits (help, usage errors) end the same way.  A stdout whose
+    reader has gone (a closed pipe) is reported as one ``error: cannot write
+    stdout`` line on stderr and exit 2; a closed stderr leaves the exit code
+    as it is.  Uncaught exceptions leave as they would from ``main``.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            # argparse exits 0 after help and 2 after a usage error
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the unwritten bytes stay buffered: point fd 1 at devnull so that
         # no later flush retries them
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        _print_error(f"cannot write stdout: {exc.strerror}")
         code = EXIT_USAGE
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

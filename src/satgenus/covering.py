@@ -10,7 +10,8 @@ of commutators.
 
 from __future__ import annotations
 
-from .perms import Permutation, _Record, check_size, commutator, compose, cycle_count, identity, orbits
+from . import _Record
+from .perms import Permutation, check_size, commutator, compose, cycle_count, identity, orbits
 
 __all__ = [
     "SurfaceShape",

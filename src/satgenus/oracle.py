@@ -49,7 +49,8 @@ from collections import Counter
 from functools import lru_cache
 from operator import add, mul
 
-from .perms import MAX_TABLE_DEGREE, Permutation, _Record, cycles_str, sn_tables
+from . import _Record
+from .perms import MAX_TABLE_DEGREE, Permutation, cycles_str, sn_tables
 
 __all__ = [
     "DEFAULT_BUDGET",

@@ -11,11 +11,8 @@ exhaustive commutator search (``ore_commutator_search``) and the pair-class
 pass of :mod:`satgenus.oracle` share it, and both refuse degrees above
 ``MAX_TABLE_DEGREE``.
 
-``_Record``, the frozen-value base of :class:`Permutation` and of every
-record class in the other layers, lives here because every layer imports
-this module.  It replaces ``dataclasses``, whose import (``inspect``,
-``ast``, ``dis``, ``tokenize``...) and per-class code generation cost more
-than the computation of a short command-line request.
+:class:`Permutation`, like the record classes of the other layers, derives
+from the frozen-value base ``satgenus._Record``.
 """
 
 from __future__ import annotations
@@ -25,6 +22,8 @@ import re
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
+
+from . import _Record
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
 CycleType = tuple[int, ...]
@@ -39,71 +38,6 @@ MAX_DEGREE = 10**6
 MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-class _Record:
-    """Frozen value with named fields, in the manner of a frozen dataclass.
-
-    A subclass declares its fields as class annotations, in order; a value
-    assigned in the class body is that field's default.  Fields are taken
-    positionally or by keyword, a missing or unknown one raises TypeError,
-    and ``__post_init__`` runs once they are set.  Instances compare equal
-    only to instances of the same class with equal fields, hash their field
-    tuple, refuse assignment and deletion with AttributeError, and repr as
-    ``Name(field=value, ...)``.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # a record's subclass keeps its parent's fields first
-        own = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._fields = tuple(dict.fromkeys(cls._fields + own))
-
-    def __init__(self, *args, **kwargs) -> None:
-        cls = type(self)
-        fields = cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields:
-                raise TypeError(f"{cls.__name__} has no field {name!r}")
-            if name in values:
-                raise TypeError(f"{cls.__name__} got field {name!r} twice")
-            values[name] = value
-        for name in fields:
-            if name not in values:
-                if not hasattr(cls, name):
-                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
-                values[name] = getattr(cls, name)
-        self.__dict__.update(values)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Permutation(_Record):

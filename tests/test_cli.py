@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -353,19 +355,20 @@ def test_boundary_integers_keep_the_exit_code_contract(capsys, argv):
 
 
 # the satgenus submodules each subcommand loads, besides the package and cli:
-# only the layers its handler calls, and the oracle only for cover enumerate
+# its command group's handler module and only the layers its handler calls,
+# the oracle only for cover enumerate
 SUBCOMMAND_MODULES = {
-    ("braid", "analyze"): {"braids", "perms"},
-    ("braid", "halftwist"): {"braids", "perms"},
-    ("braid", "orevkov"): {"braids", "perms"},
-    ("bounds",): {"bounds", "braids", "perms"},
-    ("examples", "orevkov"): {"bounds", "braids", "perms"},
-    ("cover", "cyclic"): {"covering", "perms"},
-    ("cover", "from-hom"): {"covering", "perms"},
-    ("cover", "enumerate"): {"oracle", "perms"},
-    ("perm", "commutator"): {"perms"},
-    ("perm", "examples"): {"perms"},
-    ("perm", "ore"): {"perms"},
+    ("braid", "analyze"): {"cmd_braid", "braids", "perms"},
+    ("braid", "halftwist"): {"cmd_braid", "braids", "perms"},
+    ("braid", "orevkov"): {"cmd_braid", "braids", "perms"},
+    ("bounds",): {"cmd_bounds", "bounds"},
+    ("examples", "orevkov"): {"cmd_bounds", "bounds", "braids", "perms"},
+    ("cover", "cyclic"): {"cmd_cover", "covering", "perms"},
+    ("cover", "from-hom"): {"cmd_cover", "covering", "perms"},
+    ("cover", "enumerate"): {"cmd_cover", "oracle", "perms"},
+    ("perm", "commutator"): {"cmd_perm", "perms"},
+    ("perm", "examples"): {"cmd_perm", "perms"},
+    ("perm", "ore"): {"cmd_perm", "perms"},
 }
 
 # prints the exit code, the satgenus modules loaded by one cli.main call, or
@@ -777,6 +780,85 @@ def test_out_empty_path_is_usage_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+# command lines that argparse refuses or answers with help, for the parity of
+# the pruned parser with the full tree
+MALFORMED_COMMANDS = [
+    [],
+    ["bogus"],
+    ["cover", "bogus"],
+    ["cover"],
+    ["braid"],
+    ["examples"],
+    ["bounds", "--g4k", "x", "--winding", "2"],
+    ["cover", "enumerate", "--genus", "1", "--degree", "three"],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", "3", "--bogus"],
+    ["braid", "halftwist", "--strands", "3", "extra"],
+    ["bounds", "--g4k", "1", "--winding", "2", "extra"],
+    ["perm", "examples", "--type", "neither", "--m", "1"],
+    ["cover", "cyclic", "--genus", "1"],
+    ["-h"],
+    ["braid", "-h"],
+    ["braid", "analyze", "-h"],
+    ["bounds", "-h"],
+    ["examples", "orevkov", "-h"],
+    ["cover", "-h"],
+    ["cover", "from-hom", "-h"],
+    ["perm", "ore", "-h"],
+]
+
+
+def _parse(parser, argv):
+    """(namespace, exit code, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def _leaves_with_arguments(parser, path=()):
+    """The subcommand paths whose parsers hold arguments besides -h."""
+    leaves, options = set(), False
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                leaves |= _leaves_with_arguments(sub, path + (name,))
+        elif not isinstance(action, argparse._HelpAction):
+            options = True
+    return leaves | ({path} if options else set())
+
+
+@pytest.mark.parametrize("argv", VALID_COMMANDS + MALFORMED_COMMANDS, ids=" ".join)
+def test_the_pruned_parser_parses_like_the_full_tree(argv):
+    pruned = cli.build_parser(argv)
+    assert _parse(pruned, argv) == _parse(cli.build_parser(), argv)
+    top = next(a for a in pruned._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(top.choices) == ["braid", "bounds", "examples", "cover", "perm"]
+    # a command line whose first words name a subcommand builds that leaf
+    # alone, valid or not; any other builds them all
+    named = [tuple(argv[:size]) for size in (1, 2) if tuple(argv[:size]) in SUBCOMMAND_MODULES]
+    assert _leaves_with_arguments(pruned) == set(named or SUBCOMMAND_MODULES)
+    if argv in VALID_COMMANDS:
+        assert named == [_subcommand(argv)]
+
+
+@pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
+def test_a_request_compiles_cli_once(argv):
+    # run as -m, cli is __main__; a handler module importing satgenus.cli
+    # would compile and run it a second time
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "satgenus.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    handler = next(name for name in SUBCOMMAND_MODULES[_subcommand(argv)] if name.startswith("cmd_"))
+    assert f"satgenus.{handler}" in imported
+    assert "satgenus.cli" not in imported
+
+
 def test_json_output_is_deterministic(capsys):
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     first = capsys.readouterr().out
@@ -835,23 +917,58 @@ def test_entry_point_writes_what_main_writes(tmp_path, capsysbinary, argv):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_stdout_is_one_error_line_and_exit_2(unbuffered):
-    # block-buffered, the write fails at the final flush; unbuffered, in print
+def _run_with_a_closed_pipe(argv, stream, unbuffered=""):
+    """Run the entry point with stdout or stderr (``stream``) on a pipe whose
+    reader has gone; the other stream is captured."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = _block_buffered_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "satgenus.cli", "bounds", "--g4k", "3", "--winding", "2", "--json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        return subprocess.run([sys.executable, "-m", "satgenus.cli", *argv],
+                              env=env, timeout=60, **streams)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--g4k", "3", "--winding", "2", "--json"],
+    # argparse's help, at each level of the tree
+    ["--help"],
+    ["bounds", "--help"],
+    ["braid", "--help"],
+    ["cover", "enumerate", "--help"],
+], ids=" ".join)
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_one_error_line_and_exit_2(unbuffered, argv):
+    # block-buffered, the write fails at the final flush; unbuffered, in print
+    proc = _run_with_a_closed_pipe(argv, "stdout", unbuffered)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == b"error: cannot write stdout: Broken pipe\n"
+
+
+# a command line, its exit code and how its stdout starts
+CLOSED_STDERR_CASES = [
+    (["bounds", "--g4k", "3", "--winding", "2"], EXIT_OK, b"schubert_1  genus3_lower"),
+    (["--help"], EXIT_OK, b"usage: satgenus [-h]"),
+    (["bounds", "--winding", "2"], EXIT_USAGE, b""),
+    (["bounds", "--g4k", "-1", "--winding", "2"], EXIT_USAGE, b""),
+    (["cover", "enumerate", "--genus", "1", "--degree", "9"], EXIT_BUDGET, b""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", CLOSED_STDERR_CASES,
+                         ids=[" ".join(case[0]) for case in CLOSED_STDERR_CASES])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stderr_keeps_the_exit_code(unbuffered, argv, code, stdout):
+    proc = _run_with_a_closed_pipe(argv, "stderr", unbuffered)
+    assert proc.returncode == code
+    if stdout:
+        assert proc.stdout.startswith(stdout)
+    else:
+        assert proc.stdout == b""
 
 
 # prints whether json is loaded after build_parser alone (no argument) or
