@@ -74,9 +74,9 @@ def __getattr__(name: str):
         module, attr = name, None
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = import_module(f".{module}", __name__)
+    # the import statement's machinery, unlike importlib.import_module, is
+    # what -X importtime reports; a fromlist makes it return the submodule
+    value = __import__(f"{__name__}.{module}", fromlist=["__name__"])
     if attr is not None:
         value = getattr(value, attr)
     globals()[name] = value

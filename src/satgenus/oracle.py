@@ -17,19 +17,18 @@ The shape of a tuple depends only on its state: the running boundary
 product b of the handle commutators and the orbit partition of the images.
 So the scan never visits tuples.  The generator pairs of S_n x S_n fall
 into classes (commutator, pair partition), each with its pair count, and
-two passes over rows (s, all q) serve the scan without visiting every pair.
-Conjugation permutes the classes and keeps their counts, so the counts come
-from one row per cycle type of s by orbit-stabilizer.  Witnesses are needed
-per cover shape (components, boundary circles), not per class: a sweep of
-rows in rank order records the first pair of every shape and stops once
-each shape of the classes has been hit (4 of the 720 rows of S_6, 10 of the
-5040 of S_7).  By Hurwitz existence for bases of positive genus (Husemoller
-1962; Edmonds-Kulkarni-Stong 1984) the reachable states are the pair
-classes at every genus; the identity pair keeps every state, so a shape's
-first tuple at genus g is 2g - 2 identities and its first pair.  Counts are
-constant on conjugation orbits (27 at S_6, 47 at S_7), so a genus level
-multiplies the orbit totals by one transfer row per orbit; (2, 7) takes
-about 0.9 s.
+one pass over rows (s, all q) serves the scan without visiting every pair.
+Conjugation permutes the classes, keeps their counts and carries the shapes
+of row s onto row s^h, so one row per cycle type of s (7 of the 120 rows of
+S_5, 22 of the 40320 of S_8) gives the counts by orbit-stabilizer and the
+first pair of every cover shape (components, boundary circles): the first
+row that holds a shape is the first permutation of its type.  By Hurwitz
+existence for bases of positive genus (Husemoller 1962; Edmonds-Kulkarni-
+Stong 1984) the reachable states are the pair classes at every genus; the
+identity pair keeps every state, so a shape's first tuple at genus g is
+2g - 2 identities and its first pair.  Counts are constant on conjugation
+orbits (27 at S_6, 47 at S_7), so a genus level multiplies the orbit totals
+by one transfer row per orbit; (2, 7) takes about 0.9 s.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -38,7 +37,7 @@ counterexamples (none are expected) are reported once per shape class, with
 the lexicographically first witness tuple.
 
 Degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
-budget: their tables do not fit in memory.
+budget: the class pass of degree 9 peaks at about 430 MB.
 """
 
 from __future__ import annotations
@@ -168,12 +167,12 @@ def _relabel(names: list[int]) -> tuple[int, ...]:
 
 
 class _Partitions:
-    """Every set partition of range(n), with a full join table.
+    """Every set partition of range(n), with joins built one row at a time.
 
     A partition is its label tuple, each point labelled by the least point of
     its block.  Ids run in breadth-first order from the discrete partition
     (id 0), each new partition reached from an earlier one by merging the
-    blocks of two points, so ``join[a][p]`` follows from ``join[a]`` at p's
+    blocks of two points, so ``join(a)[p]`` follows from ``join(a)`` at p's
     parent with one more merge.
     """
 
@@ -181,8 +180,8 @@ class _Partitions:
         pairs = [(i, j) for j in range(n) for i in range(j)]
         labels = [tuple(range(n))]
         self.index = {labels[0]: 0}
-        parent: list[tuple[int, int]] = [(0, 0)]
-        merge: list[list[int]] = []
+        self.parent: list[tuple[int, int]] = [(0, 0)]
+        self.merge: list[list[int]] = []
         for pid, labs in enumerate(labels):  # labels grows while we walk it
             row = []
             for step, (i, j) in enumerate(pairs):
@@ -192,16 +191,18 @@ class _Partitions:
                 if target is None:
                     target = self.index[merged] = len(labels)
                     labels.append(merged)
-                    parent.append((pid, step))
+                    self.parent.append((pid, step))
                 row.append(target)
-            merge.append(row)
+            self.merge.append(row)
         self.blocks = [len(set(labs)) for labs in labels]
-        self.join: list[list[int]] = []
-        for a in range(len(labels)):
-            row = [a]
-            for up, step in parent[1:]:
-                row.append(merge[row[up]][step])
-            self.join.append(row)
+
+    def join(self, a: int) -> list[int]:
+        """The join of partition a with every partition, by id."""
+        row = [a]
+        merge = self.merge
+        for up, step in self.parent[1:]:
+            row.append(merge[row[up]][step])
+        return row
 
 
 class _PairClasses:
@@ -216,19 +217,19 @@ class _PairClasses:
     the blocks of the pair partition and the cycles of the commutator, to
     its lexicographically first pair (s, q) as ranks.
 
-    Two passes, each over whole rows (s, all q), give those without visiting
-    every pair.  Conjugating by h maps the pair (s, q) to (s^h, q^h) and its
-    class (c, P) to (c^h, P^h), so a class count is constant on its
-    conjugation orbit.  The count pass sweeps one row per cycle type of s,
-    closes the classes found into orbits under a transposition and the
-    n-cycle (which generate S_n), and shares each orbit's pair total, the
-    rows scaled by the sizes of their types, evenly among its classes.  The
-    shape sweep walks rows s = 0, 1, ... in rank order, recording the first
-    pair of each shape as it goes, and stops once every shape of the classes
-    has one (``rows_swept``: 4 of 120 rows at n = 5, 4 of 720 at n = 6, 10
-    of 5040 at n = 7).  For the genus levels, ``orbit_of``, ``orbit_reps``
-    and ``orbit_pairs`` keep the orbits, one class of each and their pair
-    totals.
+    One pass over whole rows (s, all q), one row for the first permutation
+    of each cycle type of s in rank order, gives all of those without
+    visiting every pair.  Conjugating by h maps the pair (s, q) to
+    (s^h, q^h) and its class (c, P) to (c^h, P^h), so a class count is
+    constant on its conjugation orbit, and row s^h holds the shapes of row s.
+    Each row is counted as it is built, scaled by the size of its type; the
+    classes found are closed into orbits under a transposition and the
+    n-cycle (which generate S_n), and each orbit's pair total is shared
+    evenly among its classes.  The first row holding a shape is the first
+    permutation of some type, so the first pair of each shape in the rows
+    counted is its first pair overall.  For the genus levels, ``orbit_of``,
+    ``orbit_reps`` and ``orbit_pairs`` keep the orbits, one class of each
+    and their pair totals.
     """
 
     def __init__(self, n: int):
@@ -238,22 +239,32 @@ class _PairClasses:
         width = len(parts.blocks)
         code = {p: rank * width for rank, p in enumerate(perms)}
         cycle_part = [parts.index[_cycle_labels(p)] for p in perms]
+        cycles = [parts.blocks[c] for c in cycle_part]
 
         def row(s: int) -> list[int]:
             """The class of every pair (s, q), in the rank order of q."""
             # the orbits of <s, q> join the cycle partitions of s and q
-            joined = parts.join[cycle_part[s]]
+            joined = parts.join(cycle_part[s])
             comms = tables.commutator_row(s)
             return list(map(add, map(code.__getitem__, comms), map(joined.__getitem__, cycle_part)))
 
-        # count pass: one row for the first permutation of each cycle type
+        # one row for the first permutation of each cycle type, in rank order
         labels = list(parts.index)  # partition ids follow insertion order
-        types = [tuple(sorted(Counter(labels[c]).values())) for c in cycle_part]
-        type_size = Counter(types)
+        part_types = [tuple(sorted(Counter(labs).values())) for labs in labels]
+        type_size = Counter(part_types[c] for c in cycle_part)
         reps: dict[tuple[int, ...], int] = {}
-        for s, kind in enumerate(types):
-            reps.setdefault(kind, s)
-        rep_rows = {s: row(s) for s in reps.values()}
+        for s, c in enumerate(cycle_part):
+            reps.setdefault(part_types[c], s)
+        pairs: Counter[int] = Counter()
+        witnesses: dict[tuple[int, int], tuple[int, int]] = {}
+        for kind, s in reps.items():
+            keys = row(s)
+            scale = type_size[kind]
+            for key, hits in Counter(keys).items():
+                pairs[key] += scale * hits
+                shape = (parts.blocks[key % width], cycles[key // width])
+                if shape not in witnesses:
+                    witnesses[shape] = (s, keys.index(key))
 
         conjugators = [tuple(range(1, n)) + (0,)]
         if n > 1:
@@ -268,7 +279,7 @@ class _PairClasses:
         orbit_of: dict[int, int] = {}
         orbit_reps: list[int] = []
         orbit_sizes: list[int] = []
-        for start in (key for keys in rep_rows.values() for key in keys):
+        for start in pairs:
             if start in orbit_of:
                 continue
             orbit = [start]
@@ -283,25 +294,13 @@ class _PairClasses:
                         orbit.append(image)
             orbit_sizes.append(len(orbit))
         orbit_pairs = [0] * len(orbit_sizes)
-        for s, keys in rep_rows.items():
-            scale = type_size[types[s]]
-            for key, hits in Counter(keys).items():
-                orbit_pairs[orbit_of[key]] += scale * hits
-        if any(pairs % size for pairs, size in zip(orbit_pairs, orbit_sizes)):
+        for key, weight in pairs.items():
+            orbit_pairs[orbit_of[key]] += weight
+        if any(total % size for total, size in zip(orbit_pairs, orbit_sizes)):
             raise AssertionError("an orbit total does not divide by its size; this is a bug")
-
-        # shape sweep: rows in rank order until every shape (m, k) is hit
-        cycles = [parts.blocks[c] for c in cycle_part]
         shapes = {(parts.blocks[key % width], cycles[key // width]) for key in orbit_of}
-        witnesses: dict[tuple[int, int], tuple[int, int]] = {}
-        for s in range(len(perms)):
-            for q, key in enumerate(rep_rows.get(s) or row(s)):
-                rank, pid = divmod(key, width)
-                witnesses.setdefault((parts.blocks[pid], cycles[rank]), (s, q))
-            if len(witnesses) == len(shapes):
-                break
         if witnesses.keys() != shapes:
-            raise AssertionError("the shape sweep and the pair classes disagree; this is a bug")
+            raise AssertionError("the witnesses and the pair classes disagree; this is a bug")
 
         self.perms = perms
         self.composers = tables.composers
@@ -309,7 +308,6 @@ class _PairClasses:
         self.width = width
         self.join = parts.join
         self.cycles = cycles
-        self.rows_swept = s + 1
         self.witnesses = witnesses
         self.keys = list(orbit_of)
         self.counts = [orbit_pairs[orbit_of[key]] // orbit_sizes[orbit_of[key]] for key in self.keys]
@@ -335,11 +333,11 @@ def _transfer(pc: _PairClasses) -> list[list[int]]:
     so every state of an orbit has its representative's row, and one check
     here covers every genus: classes only ever reach classes.
     """
-    code, join, width = pc.code, pc.join, pc.width
+    code, width = pc.code, pc.width
     rows = []
     for rep in pc.orbit_reps:
         rank, pid = divmod(rep, width)
-        joined = join[pid]
+        joined = pc.join(pid)
         targets = map(
             add,
             map(code.__getitem__, map(pc.composers[rank], pc.comms)),

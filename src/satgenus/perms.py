@@ -32,9 +32,8 @@ CycleType = tuple[int, ...]
 # ValueError before any list of that size is built.
 MAX_DEGREE = 10**6
 
-# The largest degree whose S_n tables, and the oracle's join table of set
-# partitions, fit in memory: at degree 9 the join table of the 21147 set
-# partitions alone has 4.5 * 10^8 entries.
+# The largest degree whose S_n tables are built: at degree 9 the tables alone
+# take about 120 MB, and the oracle's class pass peaks at about 430 MB.
 MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

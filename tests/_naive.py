@@ -61,6 +61,22 @@ def naive_first_shape_pairs(n):
     return first
 
 
+def naive_shape_sweep(n, shapes):
+    """The first (a, b) in lexicographic image order of every shape (orbits
+    of <a, b>, cycles of [a, b]), by a sweep of whole rows (a, all b) in that
+    order that stops after the row by which every shape in ``shapes`` has
+    been found.  Returns the first pairs and the number of rows swept."""
+    perms = list(itertools.permutations(range(n)))
+    first = {}
+    for rows, a in enumerate(perms, 1):
+        for b in perms:
+            shape = (len(naive_orbits([a, b], n)), len(naive_cycles(naive_commutator(a, b))))
+            first.setdefault(shape, (a, b))
+        if shapes <= first.keys():
+            break
+    return first, rows
+
+
 def naive_first_commutator_pair(target):
     """The first (a, b) in lexicographic image order with [a, b] == target,
     by a row-major double loop that returns at the first hit; None if the

@@ -18,6 +18,8 @@ import satgenus.cli as cli
 from satgenus import oracle
 from satgenus.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 
+from _frobenius import boundary_histogram
+
 
 def load_schema():
     path = resources.files("satgenus") / "schemas" / "output_envelope.schema.json"
@@ -193,20 +195,21 @@ def test_cover_cyclic_needs_base_genus_one(capsys):
     assert captured.err == "error: the base surface needs genus at least 1\n"
 
 
-def _cap_memory():
+def _cap_memory(megabytes):
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+    resource.setrlimit(resource.RLIMIT_AS, (megabytes * 2**20, megabytes * 2**20))
 
 
-def _run_capped(argv, env=None):
+def _run_capped(argv, env=None, megabytes=256):
     """Run the CLI in a child with 256 MB of address space and a 20 s limit:
     an input built before its check ends in MemoryError or a timeout.  ``env``
-    adds variables to the child's environment."""
+    adds variables to the child's environment, ``megabytes`` sets another
+    cap."""
     return subprocess.run(
         [sys.executable, "-m", "satgenus.cli", *argv, "--json"],
-        capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory,
-        env={**os.environ, **(env or {})},
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: _cap_memory(megabytes), env={**os.environ, **(env or {})},
     )
 
 
@@ -325,6 +328,16 @@ def test_cover_enumerate_refuses_degrees_over_the_ceiling_whatever_the_budget(de
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == _ceiling_error(degree)
+
+
+def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
+    # the class pass holds one commutator row at a time and no join table
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8",
+                        "--budget", "2000000000"], megabytes=128)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    histogram = json.loads(proc.stdout)["results"]["boundary_k_histogram"]
+    assert histogram == {str(k): v for k, v in boundary_histogram(1, 8).items()}
 
 
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])

@@ -17,7 +17,12 @@ from satgenus import perms as perms_module
 from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram, connected_boundary_histogram
-from _naive import naive_cover_shape, naive_first_shape_pairs, naive_pair_classes
+from _naive import (
+    naive_cover_shape,
+    naive_first_shape_pairs,
+    naive_pair_classes,
+    naive_shape_sweep,
+)
 
 
 def all_tuples(base_genus, degree):
@@ -303,14 +308,25 @@ def test_shape_witnesses_match_naive_double_loop(n):
 
 def test_shape_sweep_stops_once_every_shape_is_found():
     # the first pairs of all 12 shapes of S_6 lie in rows s <= 3, though its
-    # 1486 classes need 108 rows
+    # 1486 classes need 108 rows; each lies in the row of the first
+    # permutation of a cycle type, which the class pass counts
     pc = oracle._classes(6)
     assert len(pc.keys) == 1486
     assert len(pc.witnesses) == 12
-    assert pc.rows_swept == 4
-    assert max(s for s, _ in pc.witnesses.values()) == 3
-    assert oracle._classes(5).rows_swept == 4
-    assert oracle._classes(7).rows_swept == 10
+    for n, last in [(5, 3), (6, 3), (7, 9)]:
+        pc = oracle._classes(n)
+        assert max(s for s, _ in pc.witnesses.values()) == last
+        types = [perms_module.cycle_type(Permutation(p)) for p in pc.perms]
+        for s, _ in pc.witnesses.values():
+            assert types.index(types[s]) == s
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_shape_witnesses_match_a_naive_row_sweep(n):
+    pc = oracle._classes(n)
+    first, rows = naive_shape_sweep(n, pc.witnesses.keys())
+    assert first == {shape: (pc.perms[s], pc.perms[q]) for shape, (s, q) in pc.witnesses.items()}
+    assert rows == max(s for s, _ in pc.witnesses.values()) + 1
 
 
 BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6), (1, 7), (2, 7), (7, 7)]
@@ -346,7 +362,7 @@ def test_connected_rows_match_frobenius_count(g, n):
 
 @pytest.fixture
 def cold_tables():
-    """Drop the cached tables afterwards: those of degree 8 hold about 230 MB."""
+    """Drop the cached tables afterwards: those of degree 8 hold about 40 MB."""
     yield
     oracle._scan.cache_clear()
     oracle._classes.cache_clear()

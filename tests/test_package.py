@@ -89,6 +89,18 @@ def test_import_loads_no_layer_until_a_name_is_used():
     assert proc.stdout == "['satgenus'] ['satgenus', 'satgenus.perms'] satgenus.oracle\n"
 
 
+def test_lazy_exports_show_in_importtime():
+    # a layer loaded through the lazy exports is timed like any other import
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import satgenus; satgenus.enumerate_covers"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    timed = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "satgenus.oracle" in timed
+    assert "satgenus.perms" in timed
+
+
 # one instance of every record class, by its fields in declaration order
 RECORD_FIELDS = {
     Permutation: {"images": (1, 0, 2)},
