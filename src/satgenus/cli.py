@@ -7,8 +7,8 @@ Every subcommand assembles an output envelope
 printed as human-readable lines by default, as canonical JSON (two-space
 indent, sorted keys) under ``--json``, and written atomically to a file with
 ``--out``.  Exit codes: 0 success, 2 bad usage or validation error (a closed
-stdout included), 3 budget or degree ceiling exceeded, 4 internal invariant
-violation found by the enumeration oracle.
+stdout included), 3 budget or degree ceiling exceeded or out of memory, 4
+internal invariant violation found by the enumeration oracle.
 
 A process compiles and builds only what its request runs.  ``main`` builds
 the argparse arguments of the one subcommand its command line names (see
@@ -281,7 +281,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _print_error(str(exc))
         return EXIT_USAGE
-    return code
+    except MemoryError:
+        pass  # report below, once the traceback and the frames it holds are freed
+    else:
+        return code
+    _print_error("out of memory: the request needs more than this process can allocate")
+    return EXIT_BUDGET
 
 
 def run() -> None:

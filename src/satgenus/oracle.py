@@ -142,30 +142,6 @@ def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetE
     )
 
 
-def _cycle_labels(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Label every point by the least point of its cycle."""
-    labels = [-1] * len(p)
-    for start in range(len(p)):
-        x = start
-        while labels[x] < 0:
-            labels[x] = start
-            x = p[x]
-    return tuple(labels)
-
-
-def _conjugate(p: tuple[int, ...], h: tuple[int, ...], h_inv: tuple[int, ...]) -> tuple[int, ...]:
-    """h^-1 p h: the permutation that moves h(x) to h(p(x))."""
-    return tuple(h[p[x]] for x in h_inv)
-
-
-def _relabel(names: list[int]) -> tuple[int, ...]:
-    """Label every point by the least point whose block has the same name."""
-    least: dict[int, int] = {}
-    for point, name in enumerate(names):
-        least.setdefault(name, point)
-    return tuple(least[name] for name in names)
-
-
 class _Partitions:
     """Every set partition of range(n), with joins built one row at a time.
 
@@ -173,7 +149,13 @@ class _Partitions:
     its block.  Ids run in breadth-first order from the discrete partition
     (id 0), each new partition reached from an earlier one by merging the
     blocks of two points, so ``join(a)[p]`` follows from ``join(a)`` at p's
-    parent with one more merge.
+    parent with one more merge.  ``merge[p][step]`` is that merge for the
+    point pair ``(i, j)``, i < j, taken in the order (0, 1), (0, 2), (1, 2),
+    (0, 3), ...; ``step[i][j]`` and ``step[j][i]`` give its step.
+
+    Two points of one block merge to p itself, and each pair of blocks is
+    merged once: its first point pair is the pair of the blocks' least
+    points, and every later pair reads that merge back from the row.
     """
 
     def __init__(self, n: int):
@@ -182,16 +164,24 @@ class _Partitions:
         self.index = {labels[0]: 0}
         self.parent: list[tuple[int, int]] = [(0, 0)]
         self.merge: list[list[int]] = []
+        self.step = steps = [[0] * n for _ in range(n)]
+        for step, (i, j) in enumerate(pairs):
+            steps[i][j] = steps[j][i] = step
         for pid, labs in enumerate(labels):  # labels grows while we walk it
             row = []
             for step, (i, j) in enumerate(pairs):
-                lo, hi = sorted((labs[i], labs[j]))
-                merged = tuple(lo if x == hi else x for x in labs)
-                target = self.index.get(merged)
-                if target is None:
-                    target = self.index[merged] = len(labels)
-                    labels.append(merged)
-                    self.parent.append((pid, step))
+                lo, hi = labs[i], labs[j]
+                if lo == hi:
+                    target = pid
+                elif lo != i or hi != j:
+                    target = row[steps[lo][hi]]
+                else:
+                    merged = tuple([lo if x == hi else x for x in labs])
+                    target = self.index.get(merged)
+                    if target is None:
+                        target = self.index[merged] = len(labels)
+                        labels.append(merged)
+                        self.parent.append((pid, step))
                 row.append(target)
             self.merge.append(row)
         self.blocks = [len(set(labs)) for labs in labels]
@@ -230,6 +220,11 @@ class _PairClasses:
     counted is its first pair overall.  For the genus levels, ``orbit_of``,
     ``orbit_reps`` and ``orbit_pairs`` keep the orbits, one class of each
     and their pair totals.
+
+    The set-up around the rows stays small: the cycle partition of p is
+    walked through ``_Partitions.merge``, one merge per moved point, and the
+    conjugate h^-1 p h of every p is two calls of the shared composers of
+    ``sn_tables``, ``then_h_inv(then_p(h))``.
     """
 
     def __init__(self, n: int):
@@ -238,7 +233,14 @@ class _PairClasses:
         parts = _Partitions(n)
         width = len(parts.blocks)
         code = {p: rank * width for rank, p in enumerate(perms)}
-        cycle_part = [parts.index[_cycle_labels(p)] for p in perms]
+        merge, step = parts.merge, parts.step
+        cycle_part = []
+        for p in perms:  # the cycle partition of p merges the blocks of x and p(x)
+            pid = 0
+            for x, y in enumerate(p):
+                if x != y:
+                    pid = merge[pid][step[x][y]]
+            cycle_part.append(pid)
         cycles = [parts.blocks[c] for c in cycle_part]
 
         def row(s: int) -> list[int]:
@@ -250,18 +252,16 @@ class _PairClasses:
 
         # one row for the first permutation of each cycle type, in rank order
         labels = list(parts.index)  # partition ids follow insertion order
-        part_types = [tuple(sorted(Counter(labs).values())) for labs in labels]
-        type_size = Counter(part_types[c] for c in cycle_part)
-        reps: dict[tuple[int, ...], int] = {}
-        for s, c in enumerate(cycle_part):
-            reps.setdefault(part_types[c], s)
-        pairs: Counter[int] = Counter()
+        part_types = [tuple(sorted(map(labs.count, set(labs)))) for labs in labels]
+        perm_types = list(map(part_types.__getitem__, cycle_part))
+        type_size = Counter(perm_types)  # in order of each type's first permutation
+        pairs: dict[int, int] = {}
         witnesses: dict[tuple[int, int], tuple[int, int]] = {}
-        for kind, s in reps.items():
+        for kind, scale in type_size.items():
+            s = perm_types.index(kind)
             keys = row(s)
-            scale = type_size[kind]
             for key, hits in Counter(keys).items():
-                pairs[key] += scale * hits
+                pairs[key] = pairs.get(key, 0) + scale * hits
                 shape = (parts.blocks[key % width], cycles[key // width])
                 if shape not in witnesses:
                     witnesses[shape] = (s, keys.index(key))
@@ -271,10 +271,13 @@ class _PairClasses:
             conjugators.append((1, 0) + tuple(range(2, n)))
         moves = []
         for h in conjugators:
+            # h^-1 p h applies h^-1, p, h in turn; a block of P^h is named
+            # by its least point, the first position of its name
             h_inv = tables.inverses[code[h] // width]
+            then_h_inv = tables.composers[code[h_inv] // width]
             moves.append((
-                [code[_conjugate(p, h, h_inv)] for p in perms],
-                [parts.index[_relabel([labs[x] for x in h_inv])] for labs in labels],
+                [code[then_h_inv(then_p(h))] for then_p in tables.composers],
+                [parts.index[tuple(map(names.index, names))] for names in map(then_h_inv, labels)],
             ))
         orbit_of: dict[int, int] = {}
         orbit_reps: list[int] = []
@@ -310,7 +313,8 @@ class _PairClasses:
         self.cycles = cycles
         self.witnesses = witnesses
         self.keys = list(orbit_of)
-        self.counts = [orbit_pairs[orbit_of[key]] // orbit_sizes[orbit_of[key]] for key in self.keys]
+        shares = [total // size for total, size in zip(orbit_pairs, orbit_sizes)]
+        self.counts = list(map(shares.__getitem__, orbit_of.values()))
         self.comms = [perms[key // width] for key in self.keys]
         self.pair_parts = [key % width for key in self.keys]
         self.orbit_of = orbit_of

@@ -340,6 +340,15 @@ def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
     assert histogram == {str(k): v for k, v in boundary_histogram(1, 8).items()}
 
 
+def test_running_out_of_memory_is_the_budget_exit():
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8",
+                        "--budget", "2000000000"], megabytes=48)
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
 def test_huge_degrees_are_refused_without_a_print_limit(degree):
     # with the print limit off only the degree ceiling guards the pair pass,

@@ -19,7 +19,9 @@ from satgenus.perms import Permutation, cycles_str
 from _frobenius import boundary_histogram, connected_boundary_histogram
 from _naive import (
     naive_cover_shape,
+    naive_cycles,
     naive_first_shape_pairs,
+    naive_join,
     naive_pair_classes,
     naive_shape_sweep,
 )
@@ -297,6 +299,39 @@ def test_pair_classes_match_naive_double_loop(n):
     }
     assert len(found) == len(pc.keys)
     assert found == {key: count for key, count, _ in naive_pair_classes(n)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_partition_merges_and_joins_match_naive_joins(n):
+    parts = oracle._Partitions(n)
+    labels = list(parts.index)
+    assert len(labels) == [1, 2, 5, 15, 52][n - 1]  # the Bell numbers
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for step, (i, j) in enumerate(pairs):
+        assert parts.step[i][j] == parts.step[j][i] == step
+        pair = tuple(i if x == j else x for x in range(n))
+        for p, row in enumerate(parts.merge):
+            assert labels[row[step]] == naive_join(labels[p], pair)
+    for a in range(len(labels)):
+        assert [labels[c] for c in parts.join(a)] == [naive_join(labels[a], b) for b in labels]
+
+
+def test_the_join_rows_of_the_s6_class_pass_match_naive_joins():
+    # the pass joins the cycle partition of the first permutation of each
+    # of the 11 cycle types of S_6 with every partition
+    parts = oracle._Partitions(6)
+    labels = list(parts.index)
+    firsts = {}
+    for p in itertools.permutations(range(6)):
+        firsts.setdefault(perms_module.cycle_type(Permutation(p)), p)
+    assert len(firsts) == 11
+    for p in firsts.values():
+        cycle_labels = [0] * 6
+        for cycle in naive_cycles(p):
+            for x in cycle:
+                cycle_labels[x - 1] = min(cycle) - 1
+        joined = parts.join(parts.index[tuple(cycle_labels)])
+        assert [labels[c] for c in joined] == [naive_join(tuple(cycle_labels), b) for b in labels]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

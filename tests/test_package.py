@@ -1,9 +1,12 @@
-"""The package's lazy exports, and the value semantics of its record classes."""
+"""The package's lazy exports, the value semantics of its record classes, and
+the oldest Python its source promises to run on."""
 
+import ast
 import importlib
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +249,11 @@ S = SurfaceShape
 def test_record_validation_still_fires(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10
+    sources = sorted(Path(satgenus.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
