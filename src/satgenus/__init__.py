@@ -13,12 +13,12 @@ The names below are exported lazily (PEP 562): ``import satgenus`` loads no
 layer, and the first access to a name imports its submodule.  So a process
 pays only for the layers it uses; ``satgenus.cli`` imports the package first.
 
-Two things every process needs live here, where no layer has to be loaded
-for them: ``_Record``, the frozen-value base of every record class, and the
-command line's exit codes, which ``satgenus.cli`` and its handler modules
-share.  Without a bytecode cache each module a process imports is compiled
-from source, so a layer loaded only for a base class would cost its whole
-compile.
+What every process needs lives here, where no layer has to be loaded for
+it: ``_Record``, the frozen-value base of every record class, and the
+command line's exit codes and ``BudgetExceededError``, which
+``satgenus.cli``, its handler modules and the oracle share.  Without a
+bytecode cache each module a process imports is compiled from source, so a
+layer loaded only for a base class would cost its whole compile.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration over the budget or the degree ceiling (EXIT_BUDGET)."""
+
 
 # exported name: (submodule, attribute)
 _EXPORTS = {
@@ -51,8 +56,8 @@ _EXPORTS = {
         "cyclic_cover", "euler_characteristic", "rh_euler",
     )},
     **{name: ("oracle", name) for name in (
-        "BudgetExceededError", "EnumerationReport", "SharpnessReport",
-        "enumerate_covers", "realizability_table", "verify_sharpness",
+        "EnumerationReport", "SharpnessReport", "enumerate_covers",
+        "realizability_table", "verify_sharpness",
     )},
     **{name: ("perms", name) for name in (
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",
@@ -64,7 +69,7 @@ _EXPORTS = {
 }
 _SUBMODULES = ("bounds", "braids", "cli", "covering", "oracle", "perms")
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "BudgetExceededError"])
 
 
 def __getattr__(name: str):

@@ -95,11 +95,11 @@ def schubert_bound(genus_companion: int, winding: int, genus_pattern: int | None
 
 def thm1_knot_bound(g4_companion: int, winding: int) -> BoundReport:
     """Smooth 4-genus bound for satellite knots of analytic companions:
-    n * g4(companion) - floor((n - 1) / 2)."""
+    n * g4(companion) - floor((n - 1) / 2), for winding n >= 1."""
     if g4_companion < 0:
         raise ValueError("companion 4-genus cannot be negative")
-    if winding < 0:
-        raise ValueError("winding number cannot be negative")
+    if winding < 1:
+        raise ValueError("winding number must be positive")
     value = winding * g4_companion - (winding - 1) // 2
     inputs = {"companion_g4": g4_companion, "winding": winding}
     return _genus_report("genus4_lower", "thm1_knot", value, inputs)
@@ -107,11 +107,11 @@ def thm1_knot_bound(g4_companion: int, winding: int) -> BoundReport:
 
 def thm1_link_bound(g4_companion: int, winding: int) -> BoundReport:
     """Smooth 4-genus bound for satellite links of analytic companions:
-    n * g4(companion) - (n - 1)."""
+    n * g4(companion) - (n - 1), for winding n >= 1."""
     if g4_companion < 0:
         raise ValueError("companion 4-genus cannot be negative")
-    if winding < 0:
-        raise ValueError("winding number cannot be negative")
+    if winding < 1:
+        raise ValueError("winding number must be positive")
     value = winding * g4_companion - (winding - 1)
     inputs = {"companion_g4": g4_companion, "winding": winding}
     return _genus_report("genus4_lower", "thm1_link", value, inputs)

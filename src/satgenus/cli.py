@@ -16,11 +16,12 @@ the argparse arguments of the one subcommand its command line names (see
 :mod:`satgenus.cmd_braid`, :mod:`satgenus.cmd_bounds` (``bounds`` and
 ``examples``), :mod:`satgenus.cmd_cover` or :mod:`satgenus.cmd_perm`.  A
 handler imports the library layers it calls when it runs and returns its exit
-code and envelope parts, which ``main`` prints.  So building the parser loads
-no layer, only ``cover enumerate`` loads the oracle, and only ``--json`` and
-``--out`` load ``json``.  The handler modules never import this module: run
-as ``python -m satgenus.cli`` it is ``__main__``, and importing it again
-would compile it a second time.
+code and envelope parts, which ``main`` prints; a refused request raises
+ValueError or ``BudgetExceededError``, which ``main`` prints as one ``error:``
+line.  So building the parser loads no layer, only ``cover enumerate`` loads
+the oracle, and only ``--json`` and ``--out`` load ``json``.  The handler
+modules never import this module: run as ``python -m satgenus.cli`` it is
+``__main__``, and importing it again would compile it a second time.
 
 ``main`` returns the exit code and is what in-process callers use; argparse's
 help and usage errors still leave it through ``SystemExit``.  The process
@@ -41,7 +42,7 @@ import stat
 import sys
 
 # the exit codes live in the package, where the handler modules read them
-from . import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE
+from . import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, BudgetExceededError
 
 FORMAT_VERSION = "0.1.0"
 
@@ -274,13 +275,13 @@ def main(argv: list[str] | None = None) -> int:
     handler = getattr(__import__(f"satgenus.{module}", fromlist=[name]), name)
     try:
         code, report = handler(args)
-        if isinstance(report, str):
-            _print_error(report)
-        else:
-            _emit(args, *report)
+        _emit(args, *report)
     except ValueError as exc:
         _print_error(str(exc))
         return EXIT_USAGE
+    except BudgetExceededError as exc:
+        _print_error(str(exc))
+        return EXIT_BUDGET
     except MemoryError:
         pass  # report below, once the traceback and the frames it holds are freed
     else:

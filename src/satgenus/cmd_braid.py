@@ -4,9 +4,9 @@ Like every handler module of :mod:`satgenus.cli`, this one is imported only
 when its command runs, imports the layers a handler calls inside it, and
 never imports ``satgenus.cli``.  A handler takes the parsed arguments and
 returns its exit code with the envelope parts ``(command, inputs, results,
-human lines)``, which ``cli.main`` prints, or, for a refused request, with
-the message of its ``error:`` line.  A handler raises ValueError for a
-usage or validation error.
+human lines)``, which ``cli.main`` prints.  It raises ValueError for a usage
+or validation error and ``BudgetExceededError`` for a refused request, each
+printed as one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ a handler returns.
 
 from __future__ import annotations
 
-from . import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK
+from . import EXIT_INVARIANT, EXIT_OK
 
 
 def _cover_human(data: dict) -> list[str]:
@@ -56,18 +56,15 @@ def cover_from_hom(args):
 
 
 def cover_enumerate(args):
-    from .oracle import BudgetExceededError, enumerate_covers, verify_sharpness
+    from .oracle import enumerate_covers, verify_sharpness
 
-    try:
-        report = enumerate_covers(args.genus, args.degree, budget=args.budget)
-        results = report.to_json()
-        failed = bool(report.violations)
-        if args.sharpness:
-            sharp = verify_sharpness(args.genus, args.degree, budget=args.budget)
-            results["sharpness"] = sharp.to_json()
-            failed = failed or not sharp.ok
-    except BudgetExceededError as exc:
-        return EXIT_BUDGET, str(exc)
+    report = enumerate_covers(args.genus, args.degree, budget=args.budget)
+    results = report.to_json()
+    failed = bool(report.violations)
+    if args.sharpness:
+        sharp = verify_sharpness(args.genus, args.degree, budget=args.budget)
+        results["sharpness"] = sharp.to_json()
+        failed = failed or not sharp.ok
     human = [
         f"base genus:        {report.base_genus}",
         f"degree:            {report.degree}",

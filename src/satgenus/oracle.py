@@ -36,8 +36,10 @@ the Frobenius-Mednykh character count on larger ones.  Violations and
 counterexamples (none are expected) are reported once per shape class, with
 the lexicographically first witness tuple.
 
-Degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
-budget: the class pass of degree 9 peaks at about 430 MB.
+Every refusal is decided by ``_check_budget`` before any table is built;
+degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
+budget (the class pass of degree 9 peaks at about 430 MB).  The caches hold
+only constants of the degree: the tables, the classes, the transfer rows.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 
-from . import _Record
+from . import BudgetExceededError, _Record
 from .perms import MAX_TABLE_DEGREE, Permutation, cycles_str, sn_tables
 
 __all__ = [
@@ -63,14 +65,14 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the budget or the degree
-    ceiling allows."""
+_CLASS_COUNTS = (0, 1, 2, 7, 34, 206, 1486, 12412, 117692)  # len(_classes(n).keys), n = 0..8
 
 
 def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
-    """Validate the request and return the work limit."""
+    """Validate the request and return the work limit, refusing it before
+    any table is built.  Work is the (n!)^2 pair pass, then plus classes x
+    classes per genus level: the cost of the state-by-class scan the
+    transfer rows replaced, so that refusals stay where they were."""
     if base_genus < 1:
         raise ValueError("the base surface needs genus at least 1")
     if degree < 1:
@@ -84,6 +86,14 @@ def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
             "the largest degree whose S_n tables fit in memory"
         )
     _check_printable(base_genus, degree)
+    size = math.factorial(degree)
+    for work in (size**2, size**2 + (base_genus - 1) * _CLASS_COUNTS[degree] ** 2):
+        if work > limit:
+            raise BudgetExceededError(
+                f"enumerating S_{degree}^{2 * base_genus} needs an estimated {work} work units "
+                f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
+                f"over the budget of {limit}"
+            )
     return limit
 
 
@@ -131,15 +141,6 @@ def _rough(x: int) -> str:
     if x < 10**15:
         return str(x)
     return f"about 10^{math.floor(math.log10(x))}"
-
-
-def _over_budget(base_genus: int, degree: int, work: int, limit: int) -> BudgetExceededError:
-    size = math.factorial(degree)
-    return BudgetExceededError(
-        f"enumerating S_{degree}^{2 * base_genus} needs an estimated {work} work units "
-        f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
-        f"over the budget of {limit}"
-    )
 
 
 class _Partitions:
@@ -323,6 +324,11 @@ class _PairClasses:
         if sum(self.counts) != len(perms) ** 2:
             raise AssertionError("the class counts miss pairs; this is a bug")
 
+    @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """The transfer rows (``_transfer``) transposed, built on first use."""
+        return list(zip(*_transfer(self)))
+
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> _PairClasses:
@@ -356,45 +362,35 @@ def _transfer(pc: _PairClasses) -> list[list[int]]:
     return rows
 
 
-@lru_cache(maxsize=16)
-def _scan(
-    base_genus: int, degree: int, limit: int
-) -> tuple[dict[tuple[int, int, int], tuple[int, ...]], tuple[int, ...]]:
-    """The scan behind enumerate_covers, verify_sharpness and
-    realizability_table, cached so that a request scans once.  It returns
-    the shape classes with their first witnesses (as permutation ranks) and
-    the boundary-circle histogram.
-
-    Work is the (n!)^2 pair pass plus classes x classes per genus level, the
-    cost of the state-by-class scan the transfer rows replaced, so refusal
-    boundaries and estimates stay where they were.  The pass is checked
-    against ``limit`` before any table is built, the total before the rows.
-    """
-    g, n = base_genus, degree
-    work = math.factorial(n) ** 2
-    if work > limit:
-        raise _over_budget(g, n, work, limit)
+def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """Every cover shape (components, boundary circles, genus) with its
+    first tuple as ranks: 2g - 2 identities and its first pair.  Past genus
+    1 that rests on the levels staying in the pair classes, which the
+    transfer rows check as they are built."""
     pc = _classes(n)
-    work += (g - 1) * len(pc.keys) ** 2
-    if work > limit:
-        raise _over_budget(g, n, work, limit)
-    totals = pc.orbit_pairs
-    columns = list(zip(*_transfer(pc))) if g > 1 else []
-    for _ in range(g - 1):
-        totals = [sum(map(mul, totals, column)) for column in columns]
-
-    khist = [0] * (n + 1)
-    for rep, total in zip(pc.orbit_reps, totals):
-        khist[pc.cycles[rep // pc.width]] += total
+    if g > 1:
+        pc.columns  # builds the transfer rows and their check
     base_odd = n * (2 * g - 1)
     identities = (0,) * (2 * g - 2)
-    rows = {
+    return {
         (m, k, (base_odd + 2 * m - k) >> 1): identities + pair
         for (m, k), pair in pc.witnesses.items()
     }
+
+
+def _boundary_histogram(g: int, n: int) -> list[int]:
+    """How many tuples give k boundary circles, k = 0..n: the orbit totals
+    of the pairs times the transfer rows once per further genus level."""
+    pc = _classes(n)
+    totals = pc.orbit_pairs
+    for _ in range(g - 1):
+        totals = [sum(map(mul, totals, column)) for column in pc.columns]
+    khist = [0] * (n + 1)
+    for rep, total in zip(pc.orbit_reps, totals):
+        khist[pc.cycles[rep // pc.width]] += total
     if sum(khist) != math.factorial(n) ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
-    return rows, tuple(khist)
+    return khist
 
 
 def _class_finding(check: str, key: tuple[int, int, int], wit: tuple, **extra) -> dict:
@@ -505,8 +501,8 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     BudgetExceededError whatever the budget.
     """
     limit = _check_budget(base_genus, degree, budget)
-    rows, khist = _scan(base_genus, degree, limit)
-    a = _analyze(base_genus, degree, rows)
+    a = _analyze(base_genus, degree, _shape_rows(base_genus, degree))
+    khist = _boundary_histogram(base_genus, degree)
     min_k1 = a["min_k1"]
     return EnumerationReport(
         base_genus=base_genus,
@@ -561,8 +557,8 @@ def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) ->
     is recorded in the notes without being asserted.
     """
     g, n = base_genus, degree
-    rows, _ = _scan(g, n, _check_budget(g, n, budget))
-    a = _analyze(g, n, rows)
+    _check_budget(g, n, budget)
+    a = _analyze(g, n, _shape_rows(g, n))
     bound_all, bound_k1 = a["bound_all"], a["bound_k1"]
     counterexamples = list(a["violations"]) + list(a["counterexamples"])
 
@@ -651,5 +647,6 @@ def realizability_table(
 ) -> dict[tuple[int, int, int], tuple[Permutation, ...]]:
     """Every achievable (components, boundary circles, genus) triple of an
     unbranched cover, with the lexicographically first witness tuple."""
-    rows, _ = _scan(base_genus, degree, _check_budget(base_genus, degree, budget))
+    _check_budget(base_genus, degree, budget)
+    rows = _shape_rows(base_genus, degree)
     return {key: _witness_perms(degree, wit) for key, wit in sorted(rows.items())}

@@ -102,6 +102,9 @@ def test_input_validation():
         thm1_knot_bound(-1, 2)
     with pytest.raises(ValueError):
         thm1_knot_bound(1, -2)
+    for bound in (thm1_knot_bound, thm1_link_bound):
+        with pytest.raises(ValueError, match="winding number must be positive"):
+            bound(5, 0)
     with pytest.raises(ValueError):
         qp_closure_euler(0, 1)
     with pytest.raises(ValueError):

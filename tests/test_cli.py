@@ -152,6 +152,16 @@ def test_bounds_negative_input(capsys):
     assert code == EXIT_USAGE
 
 
+def test_bounds_refuse_winding_zero(capsys):
+    # the thm1 floors hold for winding n >= 1; at 0 the knot formula would
+    # print a genus of 1 for an unknot in the tube
+    code = main(["bounds", "--g4k", "5", "--winding", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: winding number must be positive\n"
+
+
 def test_examples_orevkov(capsys):
     code, env = run_json(capsys, ["examples", "orevkov", "--n", "2", "--twists", "1"])
     assert code == EXIT_OK
@@ -349,6 +359,20 @@ def test_running_out_of_memory_is_the_budget_exit():
     assert "Traceback" not in proc.stderr
 
 
+def test_an_over_budget_genus_is_refused_before_the_class_pass():
+    # the pair pass fits the budget and the genus level does not; the S_8
+    # class pass, which does not fit in 48 MB, must not start
+    proc = _run_capped(["cover", "enumerate", "--genus", "2", "--degree", "8",
+                        "--budget", "2000000000"], megabytes=48)
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: enumerating S_8^4 needs an estimated 15477109264 work units "
+        "(the 40320^2-pair class pass plus states x pair classes per genus level), "
+        "over the budget of 2000000000\n"
+    )
+
+
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
 def test_huge_degrees_are_refused_without_a_print_limit(degree):
     # with the print limit off only the degree ceiling guards the pair pass,
@@ -496,17 +520,18 @@ def test_cover_enumerate_sharpness(capsys):
     assert env["results"]["sharpness"]["ok"] is True
 
 
-def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
-    passes, transfers = [], []
-    build, transfer = oracle._PairClasses, oracle._transfer
+def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch, cold_tables):
+    passes, transfers, levels = [], [], []
+    build, transfer, histogram = oracle._PairClasses, oracle._transfer, oracle._boundary_histogram
     monkeypatch.setattr(oracle, "_PairClasses", lambda n: passes.append(n) or build(n))
     monkeypatch.setattr(oracle, "_transfer", lambda pc: transfers.append(pc) or transfer(pc))
-    oracle._classes.cache_clear()
-    oracle._scan.cache_clear()
+    monkeypatch.setattr(oracle, "_boundary_histogram",
+                        lambda g, n: levels.append((g, n)) or histogram(g, n))
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
     assert passes == [4]
     assert len(transfers) == 1
+    assert levels == [(2, 4)]
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())
@@ -881,14 +906,13 @@ def test_a_request_compiles_cli_once(argv):
     assert "satgenus.cli" not in imported
 
 
-def test_json_output_is_deterministic(capsys):
+def test_json_output_is_deterministic(capsys, cold_tables):
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     first = capsys.readouterr().out
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     repeat = capsys.readouterr().out
     assert first == repeat
-    oracle._classes.cache_clear()
-    oracle._scan.cache_clear()
+    cold_tables()
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     cold = capsys.readouterr().out
     # a cold rebuild of the pair classes must not move a byte

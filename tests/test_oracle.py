@@ -179,15 +179,12 @@ def test_min_witnesses_reproduce_their_minima():
             assert cover.genus_total == r.min_genus_connected_boundary
 
 
-def test_json_deterministic_across_runs_and_cold_caches():
+def test_json_deterministic_across_runs_and_cold_caches(cold_tables):
     baseline = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
     again = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
-    oracle._scan.cache_clear()
-    rescanned = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
-    oracle._classes.cache_clear()
-    oracle._scan.cache_clear()
+    cold_tables()
     cold = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
-    assert baseline == again == rescanned == cold
+    assert baseline == again == cold
 
 
 def test_report_json_shape():
@@ -395,17 +392,9 @@ def test_connected_rows_match_frobenius_count(g, n):
     assert connected == set(connected_boundary_histogram(g, n))
 
 
-@pytest.fixture
-def cold_tables():
-    """Drop the cached tables afterwards: those of degree 8 hold about 40 MB."""
-    yield
-    oracle._scan.cache_clear()
-    oracle._classes.cache_clear()
-    perms_module.sn_tables.cache_clear()
-
-
 def test_enumeration_at_the_degree_ceiling(cold_tables):
     r = enumerate_covers(1, 8, budget=2 * 10**9)
+    assert len(oracle._classes(8).keys) == oracle._CLASS_COUNTS[8]
     assert r.boundary_k_histogram == boundary_histogram(1, 8)
     assert r.total_tuples == math.factorial(8) ** 2
     cover = cover_from_homomorphism(HomomorphismCover(1, 8, r.min_overall_witness)).cover
@@ -419,7 +408,7 @@ def test_degrees_over_the_ceiling_are_refused_before_any_table(monkeypatch, degr
     def refuse(*args):
         raise AssertionError("tables built over the degree ceiling")
 
-    monkeypatch.setattr(oracle, "_scan", refuse)
+    monkeypatch.setattr(oracle, "_PairClasses", refuse)
     monkeypatch.setattr(oracle, "sn_tables", refuse)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError, match=f"degree {degree} exceeds the enumeration limit 8"):
@@ -430,6 +419,13 @@ def test_sharpness_at_degree_seven():
     report = verify_sharpness(1, 7)
     assert report.ok, (report.checks, report.counterexamples)
     assert report.notes["connected_boundary_floor"] == 4
+
+
+def test_class_counts_match_the_class_pass():
+    # the budget charges these counts per genus level without building the
+    # pass; degree 8 is checked with the enumeration at the ceiling
+    for n in range(1, 8):
+        assert len(oracle._classes(n).keys) == oracle._CLASS_COUNTS[n], n
 
 
 def test_budget_counts_work_not_tuples():
@@ -451,11 +447,10 @@ def test_budget_at_genus_one_is_the_tuple_count():
             enumerate_covers(1, n, budget=tuples - 1)
 
 
-def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch):
+def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch, cold_tables):
     def refuse(n):
         raise AssertionError("pair classes built over budget")
 
-    oracle._classes.cache_clear()
     monkeypatch.setattr(oracle, "_PairClasses", refuse)
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(2, 5, budget=14399)
@@ -463,11 +458,11 @@ def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch):
     assert oracle._classes.cache_info().currsize == 0
 
 
-def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch):
+def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch, cold_tables):
     def refuse(*args):
         raise AssertionError("scanned an unprintable count")
 
-    monkeypatch.setattr(oracle, "_scan", refuse)
+    monkeypatch.setattr(oracle, "_PairClasses", refuse)
     limit = 1000
     monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: limit)
     # 2^(2g) has 1000 digits up to g = 1660; this close to the limit the
@@ -481,14 +476,15 @@ def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch):
         verify_sharpness(10**400, 6)
 
 
-def test_budget_checks_each_level_before_it_runs(monkeypatch):
-    def refuse(pc):
-        raise AssertionError("transfer rows built over budget")
+def test_budget_checks_each_level_before_it_runs(monkeypatch, cold_tables):
+    def refuse(*args):
+        raise AssertionError("a table built for a refused request")
 
-    monkeypatch.setattr(oracle, "_transfer", refuse)
-    classes = len(oracle._classes(5).keys)
     # the pair pass fits, the second genus level does not; the estimate
-    # covers both levels, each at classes x classes
+    # covers both levels, each at classes x classes, and is refused before
+    # the pair classes or the S_5 tables exist
+    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    monkeypatch.setattr(oracle, "sn_tables", refuse)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(3, 5, budget=14400 + classes * classes - 1)
-    assert f"estimated {14400 + 2 * classes * classes} work units" in str(exc.value)
+        enumerate_covers(3, 5, budget=14400 + 206**2 - 1)
+    assert f"estimated {14400 + 2 * 206**2} work units" in str(exc.value)

@@ -305,13 +305,10 @@ def test_ore_search_at_the_degree_ceiling():
     assert (a.images, b.images) == naive_first_commutator_pair(target.images)
 
 
-def test_ore_search_builds_no_pair_classes_and_shares_the_tables(monkeypatch):
+def test_ore_search_builds_no_pair_classes_and_shares_the_tables(monkeypatch, cold_tables):
     built = []
     real = oracle._PairClasses
     monkeypatch.setattr(oracle, "_PairClasses", lambda n: built.append(n) or real(n))
-    perms_module.sn_tables.cache_clear()
-    oracle._classes.cache_clear()
-    oracle._scan.cache_clear()
     ore_commutator_search(parse_cycles("(1 2 3 4 5)", 5))
     assert built == []
     oracle.enumerate_covers(1, 5)
