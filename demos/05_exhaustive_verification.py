@@ -8,11 +8,10 @@ monodromy tuple in S_n^(2g) and checks the two floors directly:
 
 together with exactly where equality occurs, including after one simple
 branch point.  The scan is budgeted and deterministic.  It never visits
-tuples one by one: the generator pairs of S_n are collapsed into classes,
-counted by conjugacy from one row per cycle type.  Those classes are the
-reachable (boundary product, orbit partition) states at every genus, so each
-further handle is one product of conjugation-orbit totals with a small
-orbit-to-orbit transfer table, and deep genus stays cheap.
+tuples one by one: one row of generator pairs per cycle type counts the
+pairs by the cycle type of their commutator and finds the first pair of
+every cover shape.  Each further handle is one product of the totals by
+cycle type with a small type-to-type matrix, and deep genus stays cheap.
 """
 
 from satgenus import enumerate_covers, realizability_table, verify_sharpness

@@ -13,22 +13,26 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The shape of a tuple depends only on its state: the running boundary
-product b of the handle commutators and the orbit partition of the images.
-So the scan never visits tuples.  The generator pairs of S_n x S_n fall
-into classes (commutator, pair partition), each with its pair count, and
-one pass over rows (s, all q) serves the scan without visiting every pair.
-Conjugation permutes the classes, keeps their counts and carries the shapes
-of row s onto row s^h, so one row per cycle type of s (7 of the 120 rows of
-S_5, 22 of the 40320 of S_8) gives the counts by orbit-stabilizer and the
-first pair of every cover shape (components, boundary circles): the first
-row that holds a shape is the first permutation of its type.  By Hurwitz
-existence for bases of positive genus (Husemoller 1962; Edmonds-Kulkarni-
-Stong 1984) the reachable states are the pair classes at every genus; the
-identity pair keeps every state, so a shape's first tuple at genus g is
-2g - 2 identities and its first pair.  Counts are constant on conjugation
-orbits (27 at S_6, 47 at S_7), so a genus level multiplies the orbit totals
-by one transfer row per orbit; (2, 7) takes about 0.9 s.
+The scan never visits tuples.  One pass over rows (s, all q) of
+S_n x S_n, one row for the first permutation of each cycle type of s (7 of
+the 120 rows of S_5, 22 of the 40320 of S_8), serves it.  Conjugating a
+pair keeps its cover shape (components, boundary circles) and conjugates
+its commutator, so the rows, each counted once for every permutation of its
+type, give the pairs by the cycle type of their commutator, and the first
+row that holds a shape is the first permutation of its type: the rows give
+the first pair of every shape.  By Hurwitz existence for bases of positive
+genus (Husemoller 1962; Edmonds-Kulkarni-Stong 1984) the shapes at every
+genus are those of the pairs; the identity pair keeps every shape, so a
+shape's first tuple at genus g is 2g - 2 identities and its first pair.
+
+The boundary circles are the cycles of the boundary product b, and the
+pairs with a given commutator c are counted by the type of c.  So one more
+handle maps the tuple totals by the type of b to totals by the type of
+b c through one p(n) x p(n) matrix, p(n) being the number of cycle types
+(22 at S_8): Frobenius's class-algebra count, done by composition.  Past
+genus 1 the exponential formula turns the histograms of degrees 1..n into
+the count of every shape, whose support must be the shapes of the pairs;
+that checks the Hurwitz step at run time.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -38,8 +42,8 @@ the lexicographically first witness tuple.
 
 Every refusal is decided by ``_check_budget`` before any table is built;
 degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
-budget (the class pass of degree 9 peaks at about 430 MB).  The caches hold
-only constants of the degree: the tables, the classes, the transfer rows.
+budget.  The caches hold only constants of the degree: the tables, the
+results of the count rows and the genus-level matrix.
 """
 
 from __future__ import annotations
@@ -65,14 +69,17 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 
-_CLASS_COUNTS = (0, 1, 2, 7, 34, 206, 1486, 12412, 117692)  # len(_classes(n).keys), n = 0..8
+# the classes (commutator, orbit partition) of the pairs of S_n x S_n,
+# n = 0..8, as an orbit closure in tests/_naive.py counts them
+_CLASS_COUNTS = (0, 1, 2, 7, 34, 206, 1486, 12412, 117692)
 
 
 def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
     """Validate the request and return the work limit, refusing it before
     any table is built.  Work is the (n!)^2 pair pass, then plus classes x
-    classes per genus level: the cost of the state-by-class scan the
-    transfer rows replaced, so that refusals stay where they were."""
+    classes per genus level (``_CLASS_COUNTS``): the cost of a scan of
+    states by pair classes, which the genus-level matrix long replaced,
+    kept so that refusals stay where they were."""
     if base_genus < 1:
         raise ValueError("the base surface needs genus at least 1")
     if degree < 1:
@@ -196,36 +203,31 @@ class _Partitions:
         return row
 
 
-class _PairClasses:
-    """S_n x S_n collapsed into classes (commutator, pair partition).
+class _CountRows:
+    """The count rows of S_n x S_n: the pairs by the cycle type of their
+    commutator, and the first pair of every cover shape.
 
     Permutations are ranked in lexicographic order of their image tuples
-    (``perms.sn_tables``).  A class, and later a scan state (boundary
-    product, orbit partition), is coded as one integer ``rank * width +
-    partition id``; ``code`` maps an image tuple to ``rank * width``.
-    ``keys`` lists the classes in the order the orbit closure meets them,
-    with their pair ``counts``; ``witnesses`` maps every cover shape (m, k),
-    the blocks of the pair partition and the cycles of the commutator, to
-    its lexicographically first pair (s, q) as ranks.
+    (``perms.sn_tables``), and cycle types are numbered in the order of
+    their first permutations: ``kind[rank]`` is the type of a permutation,
+    ``firsts[t]`` the first permutation of type t, ``sizes[t]`` the number
+    of its permutations and ``cycles[t]`` their cycles.  ``shares[t]``
+    counts the pairs whose commutator is one given permutation of type t.
+    ``witnesses`` maps every cover shape (m, k), the orbits of the pair and
+    the cycles of its commutator, to its lexicographically first pair (s, q)
+    as ranks.
 
-    One pass over whole rows (s, all q), one row for the first permutation
-    of each cycle type of s in rank order, gives all of those without
-    visiting every pair.  Conjugating by h maps the pair (s, q) to
-    (s^h, q^h) and its class (c, P) to (c^h, P^h), so a class count is
-    constant on its conjugation orbit, and row s^h holds the shapes of row s.
-    Each row is counted as it is built, scaled by the size of its type; the
-    classes found are closed into orbits under a transposition and the
-    n-cycle (which generate S_n), and each orbit's pair total is shared
-    evenly among its classes.  The first row holding a shape is the first
-    permutation of some type, so the first pair of each shape in the rows
-    counted is its first pair overall.  For the genus levels, ``orbit_of``,
-    ``orbit_reps`` and ``orbit_pairs`` keep the orbits, one class of each
-    and their pair totals.
-
-    The set-up around the rows stays small: the cycle partition of p is
-    walked through ``_Partitions.merge``, one merge per moved point, and the
-    conjugate h^-1 p h of every p is two calls of the shared composers of
-    ``sn_tables``, ``then_h_inv(then_p(h))``.
+    One row (s, all q) for each first permutation s gives all of those
+    without visiting every pair.  Conjugating by h maps the pair (s, q) to
+    (s^h, q^h), keeps its shape and conjugates its commutator, so row s^h
+    holds the shapes and the commutator types of row s, and each row counts
+    for every permutation of its type.  The first row holding a shape is
+    then the first permutation of some type, so the first pair of each
+    shape in the rows counted is its first pair overall.  In a row a pair
+    is coded as one integer ``rank * width + partition id``, the rank of
+    its commutator and the join of the cycle partitions of s and q; the
+    cycle partition of q is walked through ``_Partitions.merge``, one merge
+    per moved point.
     """
 
     def __init__(self, n: int):
@@ -242,134 +244,75 @@ class _PairClasses:
                 if x != y:
                     pid = merge[pid][step[x][y]]
             cycle_part.append(pid)
-        cycles = [parts.blocks[c] for c in cycle_part]
 
-        def row(s: int) -> list[int]:
-            """The class of every pair (s, q), in the rank order of q."""
+        # partition ids follow insertion order; each partition type is a cycle type
+        part_types = [tuple(sorted(map(labs.count, set(labs)))) for labs in parts.index]
+        sizes = Counter(map(part_types.__getitem__, cycle_part))  # in order of first permutation
+        number = {cycle_type: t for t, cycle_type in enumerate(sizes)}
+        part_kind = [number[cycle_type] for cycle_type in part_types]
+        kind = list(map(part_kind.__getitem__, cycle_part))
+        self.firsts = list(map(kind.index, range(len(sizes))))
+        self.sizes = list(sizes.values())
+        self.cycles = list(map(len, sizes))
+        pairs = [0] * len(sizes)
+        witnesses: dict[tuple[int, int], tuple[int, int]] = {}
+        for s, scale in zip(self.firsts, self.sizes):
             # the orbits of <s, q> join the cycle partitions of s and q
             joined = parts.join(cycle_part[s])
             comms = tables.commutator_row(s)
-            return list(map(add, map(code.__getitem__, comms), map(joined.__getitem__, cycle_part)))
-
-        # one row for the first permutation of each cycle type, in rank order
-        labels = list(parts.index)  # partition ids follow insertion order
-        part_types = [tuple(sorted(map(labs.count, set(labs)))) for labs in labels]
-        perm_types = list(map(part_types.__getitem__, cycle_part))
-        type_size = Counter(perm_types)  # in order of each type's first permutation
-        pairs: dict[int, int] = {}
-        witnesses: dict[tuple[int, int], tuple[int, int]] = {}
-        for kind, scale in type_size.items():
-            s = perm_types.index(kind)
-            keys = row(s)
+            keys = list(map(add, map(code.__getitem__, comms), map(joined.__getitem__, cycle_part)))
             for key, hits in Counter(keys).items():
-                pairs[key] = pairs.get(key, 0) + scale * hits
-                shape = (parts.blocks[key % width], cycles[key // width])
+                rank, pid = divmod(key, width)
+                pairs[kind[rank]] += scale * hits
+                shape = (parts.blocks[pid], self.cycles[kind[rank]])
                 if shape not in witnesses:
                     witnesses[shape] = (s, keys.index(key))
 
-        conjugators = [tuple(range(1, n)) + (0,)]
-        if n > 1:
-            conjugators.append((1, 0) + tuple(range(2, n)))
-        moves = []
-        for h in conjugators:
-            # h^-1 p h applies h^-1, p, h in turn; a block of P^h is named
-            # by its least point, the first position of its name
-            h_inv = tables.inverses[code[h] // width]
-            then_h_inv = tables.composers[code[h_inv] // width]
-            moves.append((
-                [code[then_h_inv(then_p(h))] for then_p in tables.composers],
-                [parts.index[tuple(map(names.index, names))] for names in map(then_h_inv, labels)],
-            ))
-        orbit_of: dict[int, int] = {}
-        orbit_reps: list[int] = []
-        orbit_sizes: list[int] = []
-        for start in pairs:
-            if start in orbit_of:
-                continue
-            orbit = [start]
-            orbit_of[start] = len(orbit_reps)
-            orbit_reps.append(start)
-            for key in orbit:  # orbit grows while we walk it
-                rank, pid = divmod(key, width)
-                for perm_move, part_move in moves:
-                    image = perm_move[rank] + part_move[pid]
-                    if image not in orbit_of:
-                        orbit_of[image] = len(orbit_sizes)
-                        orbit.append(image)
-            orbit_sizes.append(len(orbit))
-        orbit_pairs = [0] * len(orbit_sizes)
-        for key, weight in pairs.items():
-            orbit_pairs[orbit_of[key]] += weight
-        if any(total % size for total, size in zip(orbit_pairs, orbit_sizes)):
-            raise AssertionError("an orbit total does not divide by its size; this is a bug")
-        shapes = {(parts.blocks[key % width], cycles[key // width]) for key in orbit_of}
-        if witnesses.keys() != shapes:
-            raise AssertionError("the witnesses and the pair classes disagree; this is a bug")
-
         self.perms = perms
         self.composers = tables.composers
-        self.code = code
-        self.width = width
-        self.join = parts.join
-        self.cycles = cycles
+        self.kind = kind
         self.witnesses = witnesses
-        self.keys = list(orbit_of)
-        shares = [total // size for total, size in zip(orbit_pairs, orbit_sizes)]
-        self.counts = list(map(shares.__getitem__, orbit_of.values()))
-        self.comms = [perms[key // width] for key in self.keys]
-        self.pair_parts = [key % width for key in self.keys]
-        self.orbit_of = orbit_of
-        self.orbit_reps = orbit_reps
-        self.orbit_pairs = orbit_pairs
-        if sum(self.counts) != len(perms) ** 2:
-            raise AssertionError("the class counts miss pairs; this is a bug")
+        self.shares = [total // size for total, size in zip(pairs, self.sizes)]
+        if sum(map(mul, self.shares, self.sizes)) != len(perms) ** 2:
+            raise AssertionError("the pair counts miss pairs; this is a bug")
 
     @cached_property
-    def columns(self) -> list[tuple[int, ...]]:
-        """The transfer rows (``_transfer``) transposed, built on first use."""
-        return list(zip(*_transfer(self)))
+    def level(self) -> list[tuple[int, ...]]:
+        """One more handle on totals by cycle type, built on first use:
+        ``level[u][t]`` counts the pairs whose commutator c takes the first
+        permutation b of type t to a product b c (b, then c) of type u.
+
+        The pairs of c are counted by its type, and conjugating b and c
+        together keeps the types of c and of b c, so every b of type t has
+        that row (Frobenius's class-algebra count, done by composition).
+        """
+        kind = dict(zip(self.perms, self.kind))
+        weighted = [
+            (c, share) for c, share in zip(self.perms, map(self.shares.__getitem__, self.kind)) if share
+        ]
+        rows = []
+        for b in self.firsts:
+            then_b = self.composers[b]
+            row = [0] * len(self.firsts)
+            for c, share in weighted:
+                row[kind[then_b(c)]] += share
+            rows.append(row)
+        return list(zip(*rows))
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> _PairClasses:
-    return _PairClasses(n)
-
-
-def _transfer(pc: _PairClasses) -> list[list[int]]:
-    """One more handle, orbit to orbit: ``rows[o][p]`` counts the pairs that
-    take the representative state of orbit o into orbit p.
-
-    Conjugating a state and a pair together conjugates the state they reach,
-    so every state of an orbit has its representative's row, and one check
-    here covers every genus: classes only ever reach classes.
-    """
-    code, width = pc.code, pc.width
-    rows = []
-    for rep in pc.orbit_reps:
-        rank, pid = divmod(rep, width)
-        joined = pc.join(pid)
-        targets = map(
-            add,
-            map(code.__getitem__, map(pc.composers[rank], pc.comms)),
-            map(joined.__getitem__, pc.pair_parts),
-        )
-        row = [0] * len(pc.orbit_reps)
-        for target, weight in zip(targets, pc.counts):
-            if target not in pc.orbit_of:
-                raise AssertionError("a genus level left the pair classes; this is a bug")
-            row[pc.orbit_of[target]] += weight
-        rows.append(row)
-    return rows
+def _classes(n: int) -> _CountRows:
+    return _CountRows(n)
 
 
 def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Every cover shape (components, boundary circles, genus) with its
     first tuple as ranks: 2g - 2 identities and its first pair.  Past genus
-    1 that rests on the levels staying in the pair classes, which the
-    transfer rows check as they are built."""
+    1 that rests on the shapes at genus g being those of the pairs, which
+    is checked against the shapes the exponential formula counts."""
     pc = _classes(n)
-    if g > 1:
-        pc.columns  # builds the transfer rows and their check
+    if g > 1 and _shape_histogram(g, n).keys() != pc.witnesses.keys():
+        raise AssertionError(f"the shapes at genus {g} are not those of the pairs; this is a bug")
     base_odd = n * (2 * g - 1)
     identities = (0,) * (2 * g - 2)
     return {
@@ -379,18 +322,46 @@ def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
 
 
 def _boundary_histogram(g: int, n: int) -> list[int]:
-    """How many tuples give k boundary circles, k = 0..n: the orbit totals
-    of the pairs times the transfer rows once per further genus level."""
+    """How many tuples give k boundary circles, k = 0..n: the pairs by the
+    type of their commutator, then one genus level per further handle."""
     pc = _classes(n)
-    totals = pc.orbit_pairs
+    totals = list(map(mul, pc.shares, pc.sizes))
     for _ in range(g - 1):
-        totals = [sum(map(mul, totals, column)) for column in pc.columns]
+        totals = [sum(map(mul, totals, column)) for column in pc.level]
     khist = [0] * (n + 1)
-    for rep, total in zip(pc.orbit_reps, totals):
-        khist[pc.cycles[rep // pc.width]] += total
+    for k, total in zip(pc.cycles, totals):
+        khist[k] += total
     if sum(khist) != math.factorial(n) ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
     return khist
+
+
+def _shape_histogram(g: int, n: int) -> dict[tuple[int, int], int]:
+    """How many tuples give each cover shape (components, boundary
+    circles), from the boundary histograms of degrees 1..n.
+
+    By the exponential formula: the orbit of the first point has some j
+    points, chosen in C(size - 1, j - 1) ways, and carries a transitive
+    tuple; the other points carry any tuple, and components and boundary
+    circles add up.  What the smaller first orbits leave of a histogram are
+    the transitive tuples of its size.
+    """
+    full = [{(0, 0): 1}]
+    transitive: list[dict[int, int]] = []
+    for size in range(1, n + 1):
+        shapes: dict[tuple[int, int], int] = {}
+        connected = dict(enumerate(_boundary_histogram(g, size)))
+        for j, counts in enumerate(transitive, 1):
+            ways = math.comb(size - 1, j - 1)
+            for k, count in counts.items():
+                for (m, rest), other in full[size - j].items():
+                    tuples = ways * count * other
+                    shapes[m + 1, k + rest] = shapes.get((m + 1, k + rest), 0) + tuples
+                    connected[k + rest] -= tuples
+        transitive.append({k: count for k, count in connected.items() if count})
+        shapes.update(((1, k), count) for k, count in transitive[-1].items())
+        full.append(shapes)
+    return {shape: count for shape, count in full[n].items() if count}
 
 
 def _class_finding(check: str, key: tuple[int, int, int], wit: tuple, **extra) -> dict:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -351,8 +352,9 @@ def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
 
 
 def test_running_out_of_memory_is_the_budget_exit():
+    # the S_8 tables and class pass fit in 48 MB but not in 32
     proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8",
-                        "--budget", "2000000000"], megabytes=48)
+                        "--budget", "2000000000"], megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
@@ -361,9 +363,9 @@ def test_running_out_of_memory_is_the_budget_exit():
 
 def test_an_over_budget_genus_is_refused_before_the_class_pass():
     # the pair pass fits the budget and the genus level does not; the S_8
-    # class pass, which does not fit in 48 MB, must not start
+    # class pass, which does not fit in 32 MB, must not start
     proc = _run_capped(["cover", "enumerate", "--genus", "2", "--degree", "8",
-                        "--budget", "2000000000"], megabytes=48)
+                        "--budget", "2000000000"], megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -521,17 +523,18 @@ def test_cover_enumerate_sharpness(capsys):
 
 
 def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch, cold_tables):
-    passes, transfers, levels = [], [], []
-    build, transfer, histogram = oracle._PairClasses, oracle._transfer, oracle._boundary_histogram
-    monkeypatch.setattr(oracle, "_PairClasses", lambda n: passes.append(n) or build(n))
-    monkeypatch.setattr(oracle, "_transfer", lambda pc: transfers.append(pc) or transfer(pc))
-    monkeypatch.setattr(oracle, "_boundary_histogram",
-                        lambda g, n: levels.append((g, n)) or histogram(g, n))
+    # each degree's class pass and genus-level matrix is built once: degree 4
+    # for the report, degrees 1..3 for the shape check past genus 1
+    passes, levels = [], []
+    build = oracle._CountRows
+    level = build.level.func
+    monkeypatch.setattr(oracle, "_CountRows", lambda n: passes.append(n) or build(n))
+    counted = functools.cached_property(lambda pc: levels.append(len(pc.perms[0])) or level(pc))
+    counted.__set_name__(build, "level")
+    monkeypatch.setattr(build, "level", counted)
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
-    assert passes == [4]
-    assert len(transfers) == 1
-    assert levels == [(2, 4)]
+    assert sorted(passes) == sorted(levels) == [1, 2, 3, 4]
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())

@@ -18,6 +18,7 @@ from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram, connected_boundary_histogram
 from _naive import (
+    naive_class_closure,
     naive_cover_shape,
     naive_cycles,
     naive_first_shape_pairs,
@@ -39,7 +40,7 @@ def test_budget_default(monkeypatch):
         raise AssertionError("pair classes built over the default budget")
 
     # no budget means DEFAULT_BUDGET in every entry point: (8!)^2 pairs are over it
-    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    monkeypatch.setattr(oracle, "_CountRows", refuse)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError) as default:
             run(1, 8)
@@ -187,6 +188,22 @@ def test_json_deterministic_across_runs_and_cold_caches(cold_tables):
     assert baseline == again == cold
 
 
+def test_cold_tables_clears_every_cache(cold_tables):
+    # every lru_cache of the two modules, so that no cache added later
+    # carries its tables from one test into the next
+    caches = {
+        id(obj): obj
+        for module in (oracle, perms_module)
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear")
+    }.values()
+    enumerate_covers(2, 4)
+    perms_module.ore_commutator_search(Permutation((1, 2, 0)))
+    assert all(cache.cache_info().currsize for cache in caches)
+    cold_tables()
+    assert not any(cache.cache_info().currsize for cache in caches)
+
+
 def test_report_json_shape():
     data = enumerate_covers(1, 3).to_json()
     assert data["base_genus"] == 1
@@ -281,21 +298,21 @@ def test_frobenius_connected_rows_match_naive_exhaustion():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pair_classes_match_naive_double_loop(n):
-    pc = oracle._PairClasses(n)
-    labels = list(oracle._Partitions(n).index)
-
-    def blocks(pid):
-        return frozenset(
-            frozenset(x for x in range(n) if labels[pid][x] == least)
-            for least in set(labels[pid])
-        )
-
-    found = {
-        (pc.perms[key // pc.width], blocks(key % pc.width)): count
-        for key, count in zip(pc.keys, pc.counts)
-    }
-    assert len(found) == len(pc.keys)
-    assert found == {key: count for key, count, _ in naive_pair_classes(n)}
+    # the pairs by the cycle type of their commutator, from the count rows
+    pc = oracle._CountRows(n)
+    kinds = [perms_module.cycle_type(Permutation(p)) for p in pc.perms]
+    assert [pc.firsts[t] for t in pc.kind] == [kinds.index(kind) for kind in kinds]
+    found = {}
+    for t, first in enumerate(pc.firsts):
+        kind = kinds[first]
+        assert (pc.sizes[t], pc.cycles[t]) == (kinds.count(kind), len(kind))
+        if pc.shares[t]:
+            found[kind] = pc.shares[t] * pc.sizes[t]
+    naive = {}
+    for (c, _), count, _ in naive_pair_classes(n):
+        kind = perms_module.cycle_type(Permutation(c))
+        naive[kind] = naive.get(kind, 0) + count
+    assert found == naive
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -333,7 +350,7 @@ def test_the_join_rows_of_the_s6_class_pass_match_naive_joins():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_shape_witnesses_match_naive_double_loop(n):
-    pc = oracle._PairClasses(n)
+    pc = oracle._CountRows(n)
     found = {shape: (pc.perms[s], pc.perms[q]) for shape, (s, q) in pc.witnesses.items()}
     assert found == naive_first_shape_pairs(n)
 
@@ -343,7 +360,7 @@ def test_shape_sweep_stops_once_every_shape_is_found():
     # 1486 classes need 108 rows; each lies in the row of the first
     # permutation of a cycle type, which the class pass counts
     pc = oracle._classes(6)
-    assert len(pc.keys) == 1486
+    assert oracle._CLASS_COUNTS[6] == 1486
     assert len(pc.witnesses) == 12
     for n, last in [(5, 3), (6, 3), (7, 9)]:
         pc = oracle._classes(n)
@@ -394,13 +411,19 @@ def test_connected_rows_match_frobenius_count(g, n):
 
 def test_enumeration_at_the_degree_ceiling(cold_tables):
     r = enumerate_covers(1, 8, budget=2 * 10**9)
-    assert len(oracle._classes(8).keys) == oracle._CLASS_COUNTS[8]
     assert r.boundary_k_histogram == boundary_histogram(1, 8)
     assert r.total_tuples == math.factorial(8) ** 2
     cover = cover_from_homomorphism(HomomorphismCover(1, 8, r.min_overall_witness)).cover
     assert cover.genus_total == r.min_genus_overall == 1
     # even degree: no unbranched cover has connected boundary
     assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
+    # one genus level on the same S_8 tables, and its shape check over degrees 1..8
+    assert enumerate_covers(2, 8, budget=10**11).boundary_k_histogram == boundary_histogram(2, 8)
+    table = realizability_table(2, 8, budget=10**11)
+    assert len(table) == 20
+    for key, wit in table.items():
+        cover = cover_from_homomorphism(HomomorphismCover(2, 8, wit)).cover
+        assert (cover.components, cover.boundary_components, cover.genus_total) == key
 
 
 @pytest.mark.parametrize("degree", [9, 10])
@@ -408,7 +431,7 @@ def test_degrees_over_the_ceiling_are_refused_before_any_table(monkeypatch, degr
     def refuse(*args):
         raise AssertionError("tables built over the degree ceiling")
 
-    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    monkeypatch.setattr(oracle, "_CountRows", refuse)
     monkeypatch.setattr(oracle, "sn_tables", refuse)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError, match=f"degree {degree} exceeds the enumeration limit 8"):
@@ -421,17 +444,47 @@ def test_sharpness_at_degree_seven():
     assert report.notes["connected_boundary_floor"] == 4
 
 
-def test_class_counts_match_the_class_pass():
-    # the budget charges these counts per genus level without building the
-    # pass; degree 8 is checked with the enumeration at the ceiling
-    for n in range(1, 8):
-        assert len(oracle._classes(n).keys) == oracle._CLASS_COUNTS[n], n
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_counts_match_the_orbit_closure(n):
+    # the budget charges these counts per genus level; the package builds no
+    # pair classes, so an orbit closure from one row per cycle type rebuilds
+    # them, itself checked against the plain double loop up to degree 5
+    classes = naive_class_closure(n)
+    assert len(classes) == oracle._CLASS_COUNTS[n]
+    assert sum(classes.values()) == math.factorial(n) ** 2
+    if n <= 5:
+        assert classes == {key: count for key, count, _ in naive_pair_classes(n)}
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_shape_histogram_matches_naive_exhaustion(g, n):
+    shapes = {}
+    for images in all_tuples(g, n):
+        m, k, _ = naive_cover_shape(g, images)
+        shapes[m, k] = shapes.get((m, k), 0) + 1
+    assert oracle._shape_histogram(g, n) == shapes
+
+
+def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
+    # the shapes counted at genus 2 must be those of the pairs; drop one
+    counted = oracle._shape_histogram
+
+    def drop_one(g, n):
+        shapes = counted(g, n)
+        del shapes[max(shapes)]
+        return shapes
+
+    monkeypatch.setattr(oracle, "_shape_histogram", drop_one)
+    assert realizability_table(1, 3)  # genus 1 reads the pairs alone
+    for run in (enumerate_covers, verify_sharpness, realizability_table):
+        with pytest.raises(AssertionError, match="shapes at genus 2 are not those of the pairs"):
+            run(2, 3)
 
 
 def test_budget_counts_work_not_tuples():
     # (3, 5) has 120^6 tuples, far over the default budget, but the scan
     # costs the 14400-pair pass plus two levels of states x classes
-    classes = len(oracle._classes(5).keys)
+    classes = oracle._CLASS_COUNTS[5]
     assert classes == 206
     work = 14400 + 2 * classes * classes
     assert enumerate_covers(3, 5, budget=work).total_tuples == 120**6 > DEFAULT_BUDGET
@@ -451,7 +504,7 @@ def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch, cold_ta
     def refuse(n):
         raise AssertionError("pair classes built over budget")
 
-    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    monkeypatch.setattr(oracle, "_CountRows", refuse)
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(2, 5, budget=14399)
     assert "estimated 14400 work units" in str(exc.value)
@@ -462,7 +515,7 @@ def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch, cold_ta
     def refuse(*args):
         raise AssertionError("scanned an unprintable count")
 
-    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    monkeypatch.setattr(oracle, "_CountRows", refuse)
     limit = 1000
     monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: limit)
     # 2^(2g) has 1000 digits up to g = 1660; this close to the limit the
@@ -483,7 +536,7 @@ def test_budget_checks_each_level_before_it_runs(monkeypatch, cold_tables):
     # the pair pass fits, the second genus level does not; the estimate
     # covers both levels, each at classes x classes, and is refused before
     # the pair classes or the S_5 tables exist
-    monkeypatch.setattr(oracle, "_PairClasses", refuse)
+    monkeypatch.setattr(oracle, "_CountRows", refuse)
     monkeypatch.setattr(oracle, "sn_tables", refuse)
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(3, 5, budget=14400 + 206**2 - 1)

@@ -307,8 +307,8 @@ def test_ore_search_at_the_degree_ceiling():
 
 def test_ore_search_builds_no_pair_classes_and_shares_the_tables(monkeypatch, cold_tables):
     built = []
-    real = oracle._PairClasses
-    monkeypatch.setattr(oracle, "_PairClasses", lambda n: built.append(n) or real(n))
+    real = oracle._CountRows
+    monkeypatch.setattr(oracle, "_CountRows", lambda n: built.append(n) or real(n))
     ore_commutator_search(parse_cycles("(1 2 3 4 5)", 5))
     assert built == []
     oracle.enumerate_covers(1, 5)
