@@ -32,7 +32,9 @@ b c through one p(n) x p(n) matrix, p(n) being the number of cycle types
 (22 at S_8): Frobenius's class-algebra count, done by composition.  Past
 genus 1 the exponential formula turns the histograms of degrees 1..n into
 the count of every shape, whose support must be the shapes of the pairs;
-that checks the Hurwitz step at run time.
+that checks the Hurwitz step at run time in every enumeration, which reads
+its histogram off those counts.  The sharpness check and the realizability
+table run no genus level.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -78,7 +80,7 @@ def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
     """Validate the request and return the work limit, refusing it before
     any table is built.  Work is the (n!)^2 pair pass, then plus classes x
     classes per genus level (``_CLASS_COUNTS``): the cost of a scan of
-    states by pair classes, which the genus-level matrix long replaced,
+    states by pair classes, which the genus-level matrix replaced,
     kept so that refusals stay where they were."""
     if base_genus < 1:
         raise ValueError("the base surface needs genus at least 1")
@@ -209,8 +211,8 @@ class _CountRows:
 
     Permutations are ranked in lexicographic order of their image tuples
     (``perms.sn_tables``), and cycle types are numbered in the order of
-    their first permutations: ``kind[rank]`` is the type of a permutation,
-    ``firsts[t]`` the first permutation of type t, ``sizes[t]`` the number
+    their first permutations: ``type_of`` maps an image tuple to its type,
+    ``firsts[t]`` is the first permutation of type t, ``sizes[t]`` the number
     of its permutations and ``cycles[t]`` their cycles.  ``shares[t]``
     counts the pairs whose commutator is one given permutation of type t.
     ``witnesses`` maps every cover shape (m, k), the orbits of the pair and
@@ -224,8 +226,8 @@ class _CountRows:
     for every permutation of its type.  The first row holding a shape is
     then the first permutation of some type, so the first pair of each
     shape in the rows counted is its first pair overall.  In a row a pair
-    is coded as one integer ``rank * width + partition id``, the rank of
-    its commutator and the join of the cycle partitions of s and q; the
+    is coded as one integer ``partition id * types + type``, the join of
+    the cycle partitions of s and q and the type of its commutator; the
     cycle partition of q is walked through ``_Partitions.merge``, one merge
     per moved point.
     """
@@ -234,8 +236,6 @@ class _CountRows:
         tables = sn_tables(n)
         perms = tables.perms
         parts = _Partitions(n)
-        width = len(parts.blocks)
-        code = {p: rank * width for rank, p in enumerate(perms)}
         merge, step = parts.merge, parts.step
         cycle_part = []
         for p in perms:  # the cycle partition of p merges the blocks of x and p(x)
@@ -251,26 +251,27 @@ class _CountRows:
         number = {cycle_type: t for t, cycle_type in enumerate(sizes)}
         part_kind = [number[cycle_type] for cycle_type in part_types]
         kind = list(map(part_kind.__getitem__, cycle_part))
-        self.firsts = list(map(kind.index, range(len(sizes))))
+        self.type_of = type_of = dict(zip(perms, kind))
+        types = len(sizes)
+        self.firsts = list(map(kind.index, range(types)))
         self.sizes = list(sizes.values())
         self.cycles = list(map(len, sizes))
-        pairs = [0] * len(sizes)
+        pairs = [0] * types
         witnesses: dict[tuple[int, int], tuple[int, int]] = {}
         for s, scale in zip(self.firsts, self.sizes):
             # the orbits of <s, q> join the cycle partitions of s and q
-            joined = parts.join(cycle_part[s])
+            joined = [pid * types for pid in parts.join(cycle_part[s])]
             comms = tables.commutator_row(s)
-            keys = list(map(add, map(code.__getitem__, comms), map(joined.__getitem__, cycle_part)))
+            keys = list(map(add, map(joined.__getitem__, cycle_part), map(type_of.__getitem__, comms)))
             for key, hits in Counter(keys).items():
-                rank, pid = divmod(key, width)
-                pairs[kind[rank]] += scale * hits
-                shape = (parts.blocks[pid], self.cycles[kind[rank]])
+                pid, t = divmod(key, types)
+                pairs[t] += scale * hits
+                shape = (parts.blocks[pid], self.cycles[t])
                 if shape not in witnesses:
                     witnesses[shape] = (s, keys.index(key))
 
         self.perms = perms
         self.composers = tables.composers
-        self.kind = kind
         self.witnesses = witnesses
         self.shares = [total // size for total, size in zip(pairs, self.sizes)]
         if sum(map(mul, self.shares, self.sizes)) != len(perms) ** 2:
@@ -286,16 +287,14 @@ class _CountRows:
         together keeps the types of c and of b c, so every b of type t has
         that row (Frobenius's class-algebra count, done by composition).
         """
-        kind = dict(zip(self.perms, self.kind))
-        weighted = [
-            (c, share) for c, share in zip(self.perms, map(self.shares.__getitem__, self.kind)) if share
-        ]
+        shares, type_of = self.shares, self.type_of
+        weighted = [(c, shares[t]) for c, t in type_of.items() if shares[t]]
         rows = []
         for b in self.firsts:
             then_b = self.composers[b]
             row = [0] * len(self.firsts)
             for c, share in weighted:
-                row[kind[then_b(c)]] += share
+                row[type_of[then_b(c)]] += share
             rows.append(row)
         return list(zip(*rows))
 
@@ -309,10 +308,8 @@ def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Every cover shape (components, boundary circles, genus) with its
     first tuple as ranks: 2g - 2 identities and its first pair.  Past genus
     1 that rests on the shapes at genus g being those of the pairs, which
-    is checked against the shapes the exponential formula counts."""
+    ``_report_histogram`` checks in every enumeration."""
     pc = _classes(n)
-    if g > 1 and _shape_histogram(g, n).keys() != pc.witnesses.keys():
-        raise AssertionError(f"the shapes at genus {g} are not those of the pairs; this is a bug")
     base_odd = n * (2 * g - 1)
     identities = (0,) * (2 * g - 2)
     return {
@@ -333,6 +330,21 @@ def _boundary_histogram(g: int, n: int) -> list[int]:
         khist[k] += total
     if sum(khist) != math.factorial(n) ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
+    return khist
+
+
+def _report_histogram(g: int, n: int) -> list[int]:
+    """The boundary histogram of an enumeration.  Past genus 1 it is the
+    sum over components of the shape counts, whose support must be the
+    shapes of the pairs, so its genus levels run once per degree 1..n."""
+    if g == 1:
+        return _boundary_histogram(g, n)
+    shapes = _shape_histogram(g, n)
+    if shapes.keys() != _classes(n).witnesses.keys():
+        raise AssertionError(f"the shapes at genus {g} are not those of the pairs; this is a bug")
+    khist = [0] * (n + 1)
+    for (_, k), count in shapes.items():
+        khist[k] += count
     return khist
 
 
@@ -473,7 +485,7 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     """
     limit = _check_budget(base_genus, degree, budget)
     a = _analyze(base_genus, degree, _shape_rows(base_genus, degree))
-    khist = _boundary_histogram(base_genus, degree)
+    khist = _report_histogram(base_genus, degree)
     min_k1 = a["min_k1"]
     return EnumerationReport(
         base_genus=base_genus,

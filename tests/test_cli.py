@@ -523,18 +523,22 @@ def test_cover_enumerate_sharpness(capsys):
 
 
 def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch, cold_tables):
-    # each degree's class pass and genus-level matrix is built once: degree 4
-    # for the report, degrees 1..3 for the shape check past genus 1
-    passes, levels = [], []
-    build = oracle._CountRows
+    # each degree's class pass, genus-level matrix and genus levels run once:
+    # degree 4 for the report, degrees 1..3 for its shape check past genus 1;
+    # the sharpness check runs no genus level
+    passes, matrices, levels = [], [], []
+    build, histogram = oracle._CountRows, oracle._boundary_histogram
     level = build.level.func
     monkeypatch.setattr(oracle, "_CountRows", lambda n: passes.append(n) or build(n))
-    counted = functools.cached_property(lambda pc: levels.append(len(pc.perms[0])) or level(pc))
+    counted = functools.cached_property(lambda pc: matrices.append(len(pc.perms[0])) or level(pc))
     counted.__set_name__(build, "level")
     monkeypatch.setattr(build, "level", counted)
+    monkeypatch.setattr(oracle, "_boundary_histogram",
+                        lambda g, n: levels.append((g, n)) or histogram(g, n))
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
-    assert sorted(passes) == sorted(levels) == [1, 2, 3, 4]
+    assert sorted(passes) == sorted(matrices) == [1, 2, 3, 4]
+    assert levels == [(2, 1), (2, 2), (2, 3), (2, 4)]
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())
