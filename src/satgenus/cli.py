@@ -149,9 +149,7 @@ def _cover_from_hom(p: argparse.ArgumentParser) -> None:
 def _cover_enumerate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--budget", type=int,
-                   help="work budget: the pair pass, charged at (n!)^2, plus states x pair "
-                        "classes per genus level (default 10^9)")
+    p.add_argument("--budget", type=int, help="work budget (default 10^9)")
     p.add_argument("--sharpness", action="store_true", help="also run the equality analysis")
 
 

@@ -13,28 +13,20 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The scan never visits tuples.  One pass over rows (s, all q) of
-S_n x S_n, one row for the first permutation of each cycle type of s (7 of
-the 120 rows of S_5, 22 of the 40320 of S_8), serves it.  Conjugating a
-pair keeps its cover shape (components, boundary circles) and conjugates
-its commutator, so the rows, each counted once for every permutation of its
-type, give the pairs by the cycle type of their commutator, and the first
-row that holds a shape is the first permutation of its type: the rows give
-the first pair of every shape.  By Hurwitz existence for bases of positive
+The scan never visits tuples.  One row (s, all q) of S_n x S_n for the
+first permutation s of each cycle type (22 of the 40320 rows of S_8) gives
+the pairs by the cycle type of their commutator and the first pair of every
+cover shape (``_CountRows``).  By Hurwitz existence for bases of positive
 genus (Husemoller 1962; Edmonds-Kulkarni-Stong 1984) the shapes at every
 genus are those of the pairs; the identity pair keeps every shape, so a
 shape's first tuple at genus g is 2g - 2 identities and its first pair.
 
-The boundary circles are the cycles of the boundary product b, and the
-pairs with a given commutator c are counted by the type of c.  So one more
-handle maps the tuple totals by the type of b to totals by the type of
-b c through one p(n) x p(n) matrix, p(n) being the number of cycle types
-(22 at S_8): Frobenius's class-algebra count, done by composition.  Past
-genus 1 the exponential formula turns the histograms of degrees 1..n into
-the count of every shape, whose support must be the shapes of the pairs;
-that checks the Hurwitz step at run time in every enumeration, which reads
-its histogram off those counts.  The sharpness check and the realizability
-table run no genus level.
+Each further handle maps the tuple totals by the cycle type of the boundary
+product through one p(n) x p(n) matrix (``_CountRows.level``).  Past genus 1
+the exponential formula turns the histograms of degrees 1..n into the count
+of every shape, whose support must be the shapes of the pairs; that checks
+the Hurwitz step at run time in every enumeration.  The sharpness check and
+the realizability table run no genus level.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -71,38 +63,51 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 
-# the classes (commutator, orbit partition) of the pairs of S_n x S_n,
-# n = 0..8, as an orbit closure in tests/_naive.py counts them
-_CLASS_COUNTS = (0, 1, 2, 7, 34, 206, 1486, 12412, 117692)
+# p(n), the number of cycle types of S_n, n = 0..MAX_TABLE_DEGREE
+_TYPE_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22)
 
 
-def _check_budget(base_genus: int, degree: int, budget: int | None) -> int:
+def _check_budget(g: int, n: int, budget: int | None) -> int:
     """Validate the request and return the work limit, refusing it before
-    any table is built.  Work is the (n!)^2 pair pass, then plus classes x
-    classes per genus level (``_CLASS_COUNTS``): the cost of a scan of
-    states by pair classes, which the genus-level matrix replaced,
-    kept so that refusals stay where they were."""
-    if base_genus < 1:
+    any table is built.
+
+    The estimate counts what the request builds, in units of about 30 ns on
+    a 2-CPU host, so that the default 10^9 is about half a minute:
+
+    - 64 per count-row entry: p(n) n! at genus 1, and past it p(j) j! twice
+      for each degree j <= n, the rows and the genus-level matrix;
+    - per genus level past the first, p(j)^2 multiply-adds for each j <= n,
+      each 1 plus 1 per 1024 bits of the largest total, (j!)^(2g);
+    - 512 per witness entry: 2g for each cover shape (m, k), m <= k <= n and
+      k = n mod 2, of which there are floor((n + 1)^2 / 4).
+    """
+    if g < 1:
         raise ValueError("the base surface needs genus at least 1")
-    if degree < 1:
+    if n < 1:
         raise ValueError("degree must be at least 1")
     limit = DEFAULT_BUDGET if budget is None else budget
     if limit < 1:
         raise ValueError("budget must be positive")
-    if degree > MAX_TABLE_DEGREE:
+    if n > MAX_TABLE_DEGREE:
         raise BudgetExceededError(
-            f"degree {degree} exceeds the enumeration limit {MAX_TABLE_DEGREE}, "
+            f"degree {n} exceeds the enumeration limit {MAX_TABLE_DEGREE}, "
             "the largest degree whose S_n tables fit in memory"
         )
-    _check_printable(base_genus, degree)
-    size = math.factorial(degree)
-    for work in (size**2, size**2 + (base_genus - 1) * _CLASS_COUNTS[degree] ** 2):
-        if work > limit:
-            raise BudgetExceededError(
-                f"enumerating S_{degree}^{2 * base_genus} needs an estimated {work} work units "
-                f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
-                f"over the budget of {limit}"
-            )
+    _check_printable(g, n)
+    work = 512 * 2 * g * ((n + 1) ** 2 // 4)
+    if g == 1:
+        work += 64 * _TYPE_COUNTS[n] * math.factorial(n)
+    else:
+        for j, types in enumerate(_TYPE_COUNTS[1 : n + 1], 1):
+            # exact rational arithmetic on the float log, so no genus overflows it
+            num, den = math.log2(math.factorial(j)).as_integer_ratio()
+            work += 128 * types * math.factorial(j)
+            work += (g - 1) * types**2 * (1 + g * num // (512 * den))
+    if work > limit:
+        raise BudgetExceededError(
+            f"enumerating {_power(n, 2 * g)} needs an estimated {_rough(work)} work units "
+            f"(count rows, genus levels and witnesses), over the budget of {limit}"
+        )
     return limit
 
 
@@ -131,22 +136,21 @@ def _check_printable(base_genus: int, degree: int) -> None:
             digits -= 1
     if digits <= limit:
         return
-    exponent_text = _rough(exponent)
-    if not exponent_text.isdigit():
-        exponent_text = f"({exponent_text})"
     raise BudgetExceededError(
-        f"the tuple count of S_{degree}^{exponent_text} has {_rough(digits)} decimal digits, "
+        f"the tuple count of {_power(degree, exponent)} has {_rough(digits)} decimal digits, "
         f"over this interpreter's limit of {limit} for printing an integer"
     )
 
 
-def _rough(x: int) -> str:
-    """x in decimal up to 15 digits, its power of ten above.
+def _power(degree: int, exponent: int) -> str:
+    """S_n^e, the exponent as ``_rough`` gives it."""
+    text = _rough(exponent)
+    return f"S_{degree}^{text}" if text.isdigit() else f"S_{degree}^({text})"
 
-    Past 15 digits the digit estimate is no longer exact, and a genus of
-    thousands of digits would give an exponent and a digit count too long to
-    print at all.
-    """
+
+def _rough(x: int) -> str:
+    """x in decimal up to 15 digits, its power of ten above: a longer count
+    may be an estimate, or too long to print at all."""
     if x < 10**15:
         return str(x)
     return f"about 10^{math.floor(math.log10(x))}"
@@ -478,10 +482,8 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     """Account for every monodromy tuple and report minima, histogram and any
     violations of the two genus floors (there should never be any).
 
-    ``budget`` caps the work units (default 10^9): the pair pass, charged at
-    (n!)^2, plus states x pair classes per genus level.  At genus 1 that is
-    the tuple count.  Degrees above ``MAX_TABLE_DEGREE`` are refused with
-    BudgetExceededError whatever the budget.
+    ``budget`` caps the work units that ``_check_budget`` estimates (default
+    10^9); degrees above ``MAX_TABLE_DEGREE`` are refused whatever it is.
     """
     limit = _check_budget(base_genus, degree, budget)
     a = _analyze(base_genus, degree, _shape_rows(base_genus, degree))

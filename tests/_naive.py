@@ -7,7 +7,7 @@ products, braid permutations by composing transposition maps.
 """
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 
 
 def naive_compose(a, b):
@@ -48,56 +48,6 @@ def naive_pair_classes(n):
             entry = classes.setdefault(key, [0, (a, b)])
             entry[0] += 1
     return [(key, count, first) for key, (count, first) in classes.items()]
-
-
-def naive_class_closure(n):
-    """Every class (commutator, orbit partition of <a, b>) of S_n x S_n with
-    its pair count, from the rows (a, all b) of the first a of each cycle
-    type alone.
-
-    Conjugating by h maps the pair (a, b) to (a^h, b^h) and its class to the
-    class conjugated by h, so counts are constant on conjugation orbits.
-    The classes found in those rows, each row counted once for every
-    permutation of its type, are closed under conjugation by a transposition
-    and the n-cycle, which generate S_n, and each orbit's pair total is
-    shared evenly among its classes.
-    """
-    perms = list(itertools.permutations(range(n)))
-    kinds = [tuple(sorted(len(c) for c in naive_cycles(p))) for p in perms]
-    sizes = Counter(kinds)
-    found = Counter()
-    for kind, size in sizes.items():
-        a = perms[kinds.index(kind)]
-        for b in perms:
-            found[naive_commutator(a, b), frozenset(naive_orbits([a, b], n))] += size
-    movers = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))] if n > 1 else []
-
-    def conjugate(key, h):
-        # h^-1 c h sends h(x) to h(c(x)); each block B goes to h(B)
-        c, blocks = key
-        return (
-            naive_compose(naive_compose(naive_inverse(h), c), h),
-            frozenset(frozenset(h[x] for x in block) for block in blocks),
-        )
-
-    classes = {}
-    for start in found:
-        if start in classes:
-            continue
-        orbit = {start: None}
-        queue = deque([start])
-        while queue:
-            key = queue.popleft()
-            for h in movers:
-                image = conjugate(key, h)
-                if image not in orbit:
-                    orbit[image] = None
-                    queue.append(image)
-        total = sum(found[key] for key in orbit)
-        if total % len(orbit):
-            raise AssertionError(f"an orbit total does not divide by its size at n={n}")
-        classes.update(dict.fromkeys(orbit, total // len(orbit)))
-    return classes
 
 
 def naive_first_shape_pairs(n):

@@ -4,7 +4,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import stat
 import subprocess
@@ -256,7 +255,7 @@ VALID_COMMANDS = [
     ["examples", "orevkov", "--n", "2", "--twists", "1"],
     ["cover", "cyclic", "--genus", "1", "--degree", "3"],
     ["cover", "from-hom", "--genus", "1", "--degree", "3", "--images", "();()"],
-    ["cover", "enumerate", "--genus", "1", "--degree", "3", "--budget", "100"],
+    ["cover", "enumerate", "--genus", "1", "--degree", "3", "--budget", "10000"],
     ["perm", "commutator", "--a", "(1 2)", "--b", "()", "--degree", "3"],
     ["perm", "examples", "--type", "odd", "--m", "1"],
     ["perm", "ore", "--target", "(1 2 3)", "--degree", "3"],
@@ -343,8 +342,7 @@ def test_cover_enumerate_refuses_degrees_over_the_ceiling_whatever_the_budget(de
 
 def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
     # the class pass holds one commutator row at a time and no join table
-    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8",
-                        "--budget", "2000000000"], megabytes=128)
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=128)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
     histogram = json.loads(proc.stdout)["results"]["boundary_k_histogram"]
@@ -353,26 +351,44 @@ def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
 
 def test_running_out_of_memory_is_the_budget_exit():
     # the S_8 tables and class pass fit in 48 MB but not in 32
-    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8",
-                        "--budget", "2000000000"], megabytes=32)
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
-def test_an_over_budget_genus_is_refused_before_the_class_pass():
-    # the pair pass fits the budget and the genus level does not; the S_8
-    # class pass, which does not fit in 32 MB, must not start
-    proc = _run_capped(["cover", "enumerate", "--genus", "2", "--degree", "8",
-                        "--budget", "2000000000"], megabytes=32)
+@pytest.mark.parametrize("genus,budget,env,estimate", [
+    ("2", ["--budget", "100000000"], None, "124399382"),
+    ("6000", [], {"PYTHONINTMAXSTRDIGITS": "0"}, "1080762560"),
+])
+def test_an_over_budget_genus_is_refused_before_the_class_pass(genus, budget, env, estimate):
+    # a small explicit budget, or the default one with the print limit off;
+    # the S_8 class pass, which does not fit in 32 MB, must not start
+    proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", "8", *budget],
+                       env=env, megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: enumerating S_8^4 needs an estimated 15477109264 work units "
-        "(the 40320^2-pair class pass plus states x pair classes per genus level), "
-        "over the budget of 2000000000\n"
+        f"error: enumerating S_8^{2 * int(genus)} needs an estimated {estimate} work units "
+        "(count rows, genus levels and witnesses), "
+        f"over the budget of {budget[1] if budget else 10**9}\n"
     )
+
+
+@pytest.mark.parametrize("genus,degree,env", [
+    ("1000000000", "1", None),
+    ("1000000", "3", {"PYTHONINTMAXSTRDIGITS": "0"}),
+    ("1" + "0" * 400, "3", {"PYTHONINTMAXSTRDIGITS": "0"}),
+])
+def test_a_deep_genus_is_refused_by_its_estimate(genus, degree, env):
+    # each used to pass the budget and run on, building 2g-entry witnesses
+    # or genus levels on totals of millions of digits
+    proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", degree], env=env)
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "work units" in proc.stderr
 
 
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
@@ -556,7 +572,7 @@ def test_cover_enumerate_budget(capsys):
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "5", "--budget", "100"])
     assert code == EXIT_BUDGET
     err = capsys.readouterr().err
-    assert "14400" in err
+    assert "62976" in err
 
 
 def test_cover_enumerate_ignores_the_env_budget(capsys, monkeypatch):
@@ -666,11 +682,10 @@ def no_int_digit_limit():
 
 def test_budget_refusal_forms_no_factorial_above_the_degree_ceiling(capsys, no_int_digit_limit):
     # up to the ceiling the message states the exact estimate, as it always has
-    assert main(["cover", "enumerate", "--genus", "1", "--degree", "8"]) == EXIT_BUDGET
-    size = math.factorial(8)
+    assert main(["cover", "enumerate", "--genus", "6000", "--degree", "8"]) == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        f"error: enumerating S_8^2 needs an estimated {size ** 2} work units "
-        f"(the {size}^2-pair class pass plus states x pair classes per genus level), "
+        "error: enumerating S_8^12000 needs an estimated 1080762560 work units "
+        "(count rows, genus levels and witnesses), "
         f"over the budget of {10**9}\n"
     )
     # above it the degree alone decides

@@ -18,7 +18,6 @@ from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram, connected_boundary_histogram
 from _naive import (
-    naive_class_closure,
     naive_cover_shape,
     naive_cycles,
     naive_first_shape_pairs,
@@ -39,13 +38,14 @@ def test_budget_default(monkeypatch):
     def refuse(n):
         raise AssertionError("pair classes built over the default budget")
 
-    # no budget means DEFAULT_BUDGET in every entry point: (8!)^2 pairs are over it
+    # no budget means DEFAULT_BUDGET in every entry point: the 2 * 10^6
+    # witness entries of a million handles at degree 1 are over it
     monkeypatch.setattr(oracle, "_CountRows", refuse)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError) as default:
-            run(1, 8)
+            run(10**6, 1)
         with pytest.raises(BudgetExceededError) as explicit:
-            run(1, 8, budget=DEFAULT_BUDGET)
+            run(10**6, 1, budget=DEFAULT_BUDGET)
         assert str(default.value) == str(explicit.value)
         assert str(default.value).endswith(f"over the budget of {DEFAULT_BUDGET}")
 
@@ -55,13 +55,13 @@ def test_budget_ignores_the_environment(monkeypatch):
     for value in ("10", "ten", "0"):
         monkeypatch.setenv("SATGENUS_BUDGET", value)
         assert enumerate_covers(1, 3).budget == DEFAULT_BUDGET
-        assert enumerate_covers(1, 3, budget=36).total_tuples == 36
+        assert enumerate_covers(1, 3, budget=5248).total_tuples == 36
 
 
 def test_budget_argument():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(1, 5, budget=100)
-    assert "14400" in str(exc.value)
+    assert "62976" in str(exc.value)
     assert "100" in str(exc.value)
     with pytest.raises(BudgetExceededError):
         realizability_table(1, 5, budget=100)
@@ -408,7 +408,7 @@ def test_connected_rows_match_frobenius_count(g, n):
 
 
 def test_enumeration_at_the_degree_ceiling(cold_tables):
-    r = enumerate_covers(1, 8, budget=2 * 10**9)
+    r = enumerate_covers(1, 8)
     assert r.boundary_k_histogram == boundary_histogram(1, 8)
     assert r.total_tuples == math.factorial(8) ** 2
     cover = cover_from_homomorphism(HomomorphismCover(1, 8, r.min_overall_witness)).cover
@@ -416,8 +416,8 @@ def test_enumeration_at_the_degree_ceiling(cold_tables):
     # even degree: no unbranched cover has connected boundary
     assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
     # one genus level on the same S_8 tables, and its shape check over degrees 1..8
-    assert enumerate_covers(2, 8, budget=10**11).boundary_k_histogram == boundary_histogram(2, 8)
-    table = realizability_table(2, 8, budget=10**11)
+    assert enumerate_covers(2, 8).boundary_k_histogram == boundary_histogram(2, 8)
+    table = realizability_table(2, 8)
     assert len(table) == 20
     for key, wit in table.items():
         cover = cover_from_homomorphism(HomomorphismCover(2, 8, wit)).cover
@@ -443,15 +443,12 @@ def test_sharpness_at_degree_seven():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_class_counts_match_the_orbit_closure(n):
-    # the budget charges these counts per genus level; the package builds no
-    # pair classes, so an orbit closure from one row per cycle type rebuilds
-    # them, itself checked against the plain double loop up to degree 5
-    classes = naive_class_closure(n)
-    assert len(classes) == oracle._CLASS_COUNTS[n]
-    assert sum(classes.values()) == math.factorial(n) ** 2
-    if n <= 5:
-        assert classes == {key: count for key, count, _ in naive_pair_classes(n)}
+def test_budget_counts_the_rows_and_shapes_the_pass_finds(n):
+    # the budget charges p(n) count rows and one witness tuple per shape
+    # (m, k), m <= k <= n, k = n mod 2, before any table exists
+    pc = oracle._classes(n)
+    assert oracle._TYPE_COUNTS[n] == len(pc.firsts)
+    assert len(pc.witnesses) == (n + 1) ** 2 // 4
 
 
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
@@ -490,21 +487,24 @@ def test_sharpness_and_the_table_run_no_genus_level(monkeypatch):
 
 
 def test_budget_counts_work_not_tuples():
-    # (3, 5) has 120^6 tuples, far over the default budget, but the scan
-    # costs the 14400-pair pass plus two levels of states x classes
-    classes = oracle._CLASS_COUNTS[5]
-    work = 14400 + 2 * classes * classes
+    # (3, 5) has 120^6 tuples, far over the default budget, but the estimate
+    # charges 128 for each of the 983 count-row entries of degrees 1..5 (64
+    # for the row, 64 for the matrix), 88 small multiply-adds for each of two
+    # levels and 512 for each of nine shapes' six witness entries
+    work = 128 * 983 + 2 * 88 + 512 * 54
     assert enumerate_covers(3, 5, budget=work).total_tuples == 120**6 > DEFAULT_BUDGET
     with pytest.raises(BudgetExceededError):
         enumerate_covers(3, 5, budget=work - 1)
 
 
-def test_budget_at_genus_one_is_the_tuple_count():
-    for n in (2, 3, 4):
-        tuples = math.factorial(n) ** 2
-        assert enumerate_covers(1, n, budget=tuples).total_tuples == tuples
+def test_budget_at_genus_one_charges_the_rows_and_witnesses():
+    # 64 for each entry of p(n) rows of n!, 512 for each of two entries of
+    # a witness per shape
+    for n, types, shapes in ((2, 2, 2), (3, 3, 4), (4, 5, 6)):
+        work = 64 * types * math.factorial(n) + 512 * 2 * shapes
+        assert enumerate_covers(1, n, budget=work).total_tuples == math.factorial(n) ** 2
         with pytest.raises(BudgetExceededError):
-            enumerate_covers(1, n, budget=tuples - 1)
+            enumerate_covers(1, n, budget=work - 1)
 
 
 def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch, cold_tables):
@@ -513,8 +513,8 @@ def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch, cold_ta
 
     monkeypatch.setattr(oracle, "_CountRows", refuse)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(2, 5, budget=14399)
-    assert "estimated 14400 work units" in str(exc.value)
+        enumerate_covers(2, 5, budget=144343)
+    assert "estimated 144344 work units" in str(exc.value)
     assert oracle._classes.cache_info().currsize == 0
 
 
@@ -540,11 +540,26 @@ def test_budget_checks_each_level_before_it_runs(monkeypatch, cold_tables):
     def refuse(*args):
         raise AssertionError("a table built for a refused request")
 
-    # the pair pass fits, the second genus level does not; the estimate
-    # covers both levels, each at classes x classes, and is refused before
-    # the pair classes or the S_5 tables exist
+    # genus 2 (144344 units) fits, genus 3 does not: its estimate, one more
+    # level of 88 multiply-adds and nine witnesses two entries longer, is
+    # refused before the count rows or the S_5 tables exist
     monkeypatch.setattr(oracle, "_CountRows", refuse)
     monkeypatch.setattr(oracle, "sn_tables", refuse)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(3, 5, budget=14400 + 206**2 - 1)
-    assert f"estimated {14400 + 2 * 206**2} work units" in str(exc.value)
+        enumerate_covers(3, 5, budget=144344)
+    assert f"estimated {144344 + 88 + 512 * 18} work units" in str(exc.value)
+
+
+def test_a_deep_genus_is_refused_before_any_table(monkeypatch, cold_tables):
+    def refuse(*args):
+        raise AssertionError("a table built for a refused request")
+
+    # a billion handles at degree 1 and, with the print limit off, a genus
+    # of a million or of 401 digits at degree 3
+    monkeypatch.setattr(oracle, "_CountRows", refuse)
+    monkeypatch.setattr(oracle, "sn_tables", refuse)
+    monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
+    for g, n in ((10**9, 1), (10**6, 3), (10**400, 3)):
+        for run in (enumerate_covers, verify_sharpness, realizability_table):
+            with pytest.raises(BudgetExceededError, match="work units"):
+                run(g, n)

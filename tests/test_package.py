@@ -1,9 +1,11 @@
-"""The package's lazy exports, the value semantics of its record classes, and
-the oldest Python its source promises to run on."""
+"""The package's lazy exports, the value semantics of its record classes, the
+oldest Python its source promises to run on, and the names its docs cite."""
 
 import ast
+import functools
 import importlib
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,3 +259,43 @@ def test_every_module_parses_as_python_3_10():
     assert len(sources) > 1
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# a name qualified by the package or one of its layers, such as
+# ``oracle._check_budget``; a file name such as ``oracle.py`` is skipped
+LAYER_NAME = re.compile(r"(?<![\w./])(?:satgenus|oracle|perms|covering|braids|bounds)(?:\.[A-Za-z_]\w*)+")
+
+
+def _docstrings(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield ast.get_docstring(node) or ""
+
+
+def _resolve(name):
+    """The object a dotted name stands for, importing submodules on the way."""
+    head, *parts = name.split(".")
+    value = satgenus if head == "satgenus" else getattr(satgenus, head)
+    for part in parts:
+        if not hasattr(value, part) and hasattr(value, "__path__"):
+            importlib.import_module(f"{value.__name__}.{part}")
+        value = getattr(value, part)
+    return value
+
+
+def test_names_cited_in_the_docs_resolve():
+    # deleting a symbol that the README or a docstring still names fails here
+    package = Path(satgenus.__file__).parent
+    texts = [(Path(__file__).resolve().parent.parent / "README.md").read_text()]
+    for path in sorted(package.glob("*.py")):
+        texts.extend(_docstrings(path))
+    cited = {name for text in texts for name in LAYER_NAME.findall(text)}
+    cited = sorted(name for name in cited if not name.endswith(".py"))
+    assert len(cited) > 10
+    missing = []
+    for name in cited:
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert missing == []
