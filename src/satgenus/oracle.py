@@ -13,10 +13,12 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The scan never visits tuples.  One row (s, all q) of S_n x S_n for the
-first permutation s of each cycle type (22 of the 40320 rows of S_8) gives
-the pairs by the cycle type of their commutator and the first pair of every
-cover shape (``_CountRows``).  By Hurwitz existence for bases of positive
+The scan never visits tuples (``_CountRows``).  Class products give the
+pairs by the cycle type of their commutator: one composition for each
+permutation of S_n.  Rows (s, all q) of S_n x S_n for the first
+permutations s of the cycle types, walked in rank order until every cover
+shape has its first pair, give the witnesses: 5 of the 40320 rows of S_8.
+By Hurwitz existence for bases of positive
 genus (Husemoller 1962; Edmonds-Kulkarni-Stong 1984) the shapes at every
 genus are those of the pairs; the identity pair keeps every shape, so a
 shape's first tuple at genus g is 2g - 2 identities and its first pair.
@@ -75,7 +77,9 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
     a 2-CPU host, so that the default 10^9 is about half a minute:
 
     - 64 per count-row entry: p(n) n! at genus 1, and past it p(j) j! twice
-      for each degree j <= n, the rows and the genus-level matrix;
+      for each degree j <= n, the rows and the genus-level matrix.  From
+      degree 2 on, p(n) n! bounds what the count rows build: n! class
+      products and n! entries for each of at most p(n) - 1 witness rows;
     - per genus level past the first, p(j)^2 multiply-adds for each j <= n,
       each 1 plus 1 per 1024 bits of the largest total, (j!)^(2g);
     - 512 per witness entry: 2g for each cover shape (m, k), m <= k <= n and
@@ -156,57 +160,25 @@ def _rough(x: int) -> str:
     return f"about 10^{math.floor(math.log10(x))}"
 
 
-class _Partitions:
-    """Every set partition of range(n), with joins built one row at a time.
-
-    A partition is its label tuple, each point labelled by the least point of
-    its block.  Ids run in breadth-first order from the discrete partition
-    (id 0), each new partition reached from an earlier one by merging the
-    blocks of two points, so ``join(a)[p]`` follows from ``join(a)`` at p's
-    parent with one more merge.  ``merge[p][step]`` is that merge for the
-    point pair ``(i, j)``, i < j, taken in the order (0, 1), (0, 2), (1, 2),
-    (0, 3), ...; ``step[i][j]`` and ``step[j][i]`` give its step.
-
-    Two points of one block merge to p itself, and each pair of blocks is
-    merged once: its first point pair is the pair of the blocks' least
-    points, and every later pair reads that merge back from the row.
-    """
-
-    def __init__(self, n: int):
-        pairs = [(i, j) for j in range(n) for i in range(j)]
-        labels = [tuple(range(n))]
-        self.index = {labels[0]: 0}
-        self.parent: list[tuple[int, int]] = [(0, 0)]
-        self.merge: list[list[int]] = []
-        self.step = steps = [[0] * n for _ in range(n)]
-        for step, (i, j) in enumerate(pairs):
-            steps[i][j] = steps[j][i] = step
-        for pid, labs in enumerate(labels):  # labels grows while we walk it
-            row = []
-            for step, (i, j) in enumerate(pairs):
-                lo, hi = labs[i], labs[j]
-                if lo == hi:
-                    target = pid
-                elif lo != i or hi != j:
-                    target = row[steps[lo][hi]]
-                else:
-                    merged = tuple([lo if x == hi else x for x in labs])
-                    target = self.index.get(merged)
-                    if target is None:
-                        target = self.index[merged] = len(labels)
-                        labels.append(merged)
-                        self.parent.append((pid, step))
-                row.append(target)
-            self.merge.append(row)
-        self.blocks = [len(set(labs)) for labs in labels]
-
-    def join(self, a: int) -> list[int]:
-        """The join of partition a with every partition, by id."""
-        row = [a]
-        merge = self.merge
-        for up, step in self.parent[1:]:
-            row.append(merge[row[up]][step])
-        return row
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The join of the set partition a, given as labels (each point labelled
+    by the least point of its block), with the links x ~ b[x], as labels: the
+    join of a and b when b is labels too, the cycle partition of b when a is
+    discrete and b a permutation.  A plain union-find whose roots stay the
+    least points of their blocks, so one pass in point order flattens it."""
+    root = list(a)
+    for x, y in enumerate(b):
+        while root[x] != x:
+            x = root[x]
+        while root[y] != y:
+            y = root[y]
+        if x < y:
+            root[y] = x
+        elif y < x:
+            root[x] = y
+    for x, up in enumerate(root):
+        root[x] = root[up]
+    return root
 
 
 class _CountRows:
@@ -223,63 +195,70 @@ class _CountRows:
     the cycles of its commutator, to its lexicographically first pair (s, q)
     as ranks.
 
-    One row (s, all q) for each first permutation s gives all of those
-    without visiting every pair.  Conjugating by h maps the pair (s, q) to
-    (s^h, q^h), keeps its shape and conjugates its commutator, so row s^h
-    holds the shapes and the commutator types of row s, and each row counts
-    for every permutation of its type.  The first row holding a shape is
-    then the first permutation of some type, so the first pair of each
-    shape in the rows counted is its first pair overall.  In a row a pair
-    is coded as one integer ``partition id * types + type``, the join of
-    the cycle partitions of s and q and the type of its commutator; the
-    cycle partition of q is walked through ``_Partitions.merge``, one merge
-    per moved point.
+    The counts come from class products.  [s, q] = s (q s^-1 q^-1), and as
+    q runs over S_n the conjugate q s^-1 q^-1 runs over the class of s,
+    n!/size times each, so the commutators of row s are the products s x,
+    x in the class of s, each n!/size times.  Conjugation keeps the types
+    of s x, so the first permutation of each type stands for its class:
+    one composition per permutation.
+
+    The witnesses come from rows (s, all q).  Conjugating by h maps the pair
+    (s, q) to (s^h, q^h), keeps its shape and conjugates its commutator, so
+    row s^h holds the shapes of row s, and the first row holding a shape is
+    the first permutation of some type.  Those rows are walked in rank
+    order until every shape (m, k), 1 <= m <= k <= n and k = n mod 2 (the
+    commutator is even), has its first pair; the orbits of <s, q> join the
+    cycle partitions of s and q, one join per partition.
     """
 
     def __init__(self, n: int):
         tables = sn_tables(n)
         perms = tables.perms
-        parts = _Partitions(n)
-        merge, step = parts.merge, parts.step
-        cycle_part = []
-        for p in perms:  # the cycle partition of p merges the blocks of x and p(x)
-            pid = 0
-            for x, y in enumerate(p):
-                if x != y:
-                    pid = merge[pid][step[x][y]]
-            cycle_part.append(pid)
-
-        # partition ids follow insertion order; each partition type is a cycle type
-        part_types = [tuple(sorted(map(labs.count, set(labs)))) for labs in parts.index]
-        sizes = Counter(map(part_types.__getitem__, cycle_part))  # in order of first permutation
+        discrete = tuple(range(n))
+        partitions: dict[tuple[int, ...], int] = {}  # cycle partitions, in order of first permutation
+        part_of = [partitions.setdefault(tuple(_join(discrete, p)), len(partitions)) for p in perms]
+        part_types = [tuple(sorted(map(labs.count, set(labs)))) for labs in partitions]
+        sizes = Counter(map(part_types.__getitem__, part_of))  # in order of first permutation
         number = {cycle_type: t for t, cycle_type in enumerate(sizes)}
         part_kind = [number[cycle_type] for cycle_type in part_types]
-        kind = list(map(part_kind.__getitem__, cycle_part))
+        kind = list(map(part_kind.__getitem__, part_of))
         self.type_of = type_of = dict(zip(perms, kind))
-        types = len(sizes)
-        self.firsts = list(map(kind.index, range(types)))
+        self.firsts = firsts = list(map(kind.index, range(len(sizes))))
         self.sizes = list(sizes.values())
-        self.cycles = list(map(len, sizes))
-        pairs = [0] * types
-        witnesses: dict[tuple[int, int], tuple[int, int]] = {}
-        for s, scale in zip(self.firsts, self.sizes):
-            # the orbits of <s, q> join the cycle partitions of s and q
-            joined = [pid * types for pid in parts.join(cycle_part[s])]
-            comms = tables.commutator_row(s)
-            keys = list(map(add, map(joined.__getitem__, cycle_part), map(type_of.__getitem__, comms)))
-            for key, hits in Counter(keys).items():
-                pid, t = divmod(key, types)
-                pairs[t] += scale * hits
-                shape = (parts.blocks[pid], self.cycles[t])
-                if shape not in witnesses:
-                    witnesses[shape] = (s, keys.index(key))
-
+        self.cycles = cycles = list(map(len, sizes))
         self.perms = perms
         self.composers = tables.composers
-        self.witnesses = witnesses
+
+        classes: list[list[tuple[int, ...]]] = [[] for _ in firsts]
+        for p, t in zip(perms, kind):
+            classes[t].append(p)
+        products = Counter()
+        for b, members in zip(firsts, classes):
+            products.update(map(type_of.__getitem__, map(self.composers[b], members)))
+        pairs = [len(perms) * products[t] for t in range(len(firsts))]
         self.shares = [total // size for total, size in zip(pairs, self.sizes)]
-        if sum(map(mul, self.shares, self.sizes)) != len(perms) ** 2:
-            raise AssertionError("the pair counts miss pairs; this is a bug")
+        if any(total % size for total, size in zip(pairs, self.sizes)):
+            raise AssertionError("the pair counts are not whole shares; this is a bug")
+
+        shapes = {(m, k) for k in range(2 - n % 2, n + 1, 2) for m in range(1, k + 1)}
+        self.witnesses = witnesses = {}
+        labels = list(partitions)
+        for s in firsts:
+            # a pair is coded as one integer, orbits * (n + 1) + commutator cycles
+            orbit_keys = [(n + 1) * len(set(_join(labels[part_of[s]], part))) for part in labels]
+            comms = map(type_of.__getitem__, tables.commutator_row(s))
+            row = list(map(add, map(orbit_keys.__getitem__, part_of), map(cycles.__getitem__, comms)))
+            del comms  # the row's n! commutators, before the next row builds its own
+            for key in dict.fromkeys(row):
+                shape = divmod(key, n + 1)
+                if shape not in witnesses:
+                    if shape not in shapes:
+                        raise AssertionError(f"the pairs show a cover shape {shape} out of range; this is a bug")
+                    witnesses[shape] = (s, row.index(key))
+            if len(witnesses) == len(shapes):
+                break
+        else:
+            raise AssertionError("the count rows end before every cover shape has a pair; this is a bug")
 
     @cached_property
     def level(self) -> list[tuple[int, ...]]:
@@ -433,13 +412,23 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
 
 
 def _witness_perms(degree: int, wit: tuple) -> tuple[Permutation, ...]:
+    """The witness ranks as permutations, one shared ``Permutation`` per rank:
+    past genus 1 all but two entries are the identity."""
     perms = sn_tables(degree).perms
-    return tuple(Permutation(perms[i]) for i in wit)
+    shared = {rank: Permutation(perms[rank]) for rank in set(wit)}
+    return tuple(map(shared.__getitem__, wit))
+
+
+def _witness_json(witness: tuple[Permutation, ...]) -> list[str]:
+    """The witness in cycle notation, each distinct permutation converted once."""
+    images = [p.images for p in witness]
+    text = {key: cycles_str(p) for key, p in dict(zip(images, witness)).items()}
+    return list(map(text.__getitem__, images))
 
 
 def _finding_json(degree: int, finding: dict) -> dict:
     out = dict(finding)
-    out["witness"] = [cycles_str(p) for p in _witness_perms(degree, finding["witness"])]
+    out["witness"] = _witness_json(_witness_perms(degree, finding["witness"]))
     return out
 
 
@@ -465,12 +454,12 @@ class EnumerationReport(_Record):
             "budget": self.budget,
             "violations": [_finding_json(self.degree, v) for v in self.violations],
             "min_genus_overall": self.min_genus_overall,
-            "min_overall_witness": [cycles_str(p) for p in self.min_overall_witness],
+            "min_overall_witness": _witness_json(self.min_overall_witness),
             "min_genus_connected_boundary": self.min_genus_connected_boundary,
             "connected_boundary_witness": (
                 None
                 if self.connected_boundary_witness is None
-                else [cycles_str(p) for p in self.connected_boundary_witness]
+                else _witness_json(self.connected_boundary_witness)
             ),
             "boundary_k_histogram": {
                 str(k): v for k, v in sorted(self.boundary_k_histogram.items())

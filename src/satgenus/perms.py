@@ -34,7 +34,7 @@ MAX_DEGREE = 10**6
 
 # The largest degree whose S_n tables are built: at degree 9 the tables alone
 # take about 110 MB, and the oracle's count rows bring the peak to about
-# 280 MB.
+# 205 MB; the enumeration budget has no constants for degree 9 yet.
 MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -150,6 +150,16 @@ def naive_join(a, b):
     return tuple(joined)
 
 
+def naive_set_partitions(n):
+    """Every set partition of 0..n-1 as a label tuple (each point labelled
+    by the least point of its block): point x joins a block of a partition
+    of 0..x-1 or starts its own."""
+    parts = [()]
+    for x in range(n):
+        parts = [labels + (label,) for labels in parts for label in [*sorted(set(labels)), x]]
+    return parts
+
+
 def naive_boundary_map(genus, images):
     """Boundary image of x computed by walking the commutator word of every
     handle pair, one application at a time."""

@@ -349,6 +349,15 @@ def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
     assert histogram == {str(k): v for k, v in boundary_histogram(1, 8).items()}
 
 
+def test_a_deep_genus_witness_shares_its_entries():
+    # 400000 witness entries, all the identity: one permutation and one text
+    # per rank keep the request inside 128 MB
+    proc = _run_capped(["cover", "enumerate", "--genus", "200000", "--degree", "1"], megabytes=128)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["min_overall_witness"] == results["connected_boundary_witness"] == ["()"] * 400000
+
+
 def test_running_out_of_memory_is_the_budget_exit():
     # the S_8 tables and class pass fit in 48 MB but not in 32
     proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=32)

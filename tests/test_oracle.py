@@ -23,6 +23,7 @@ from _naive import (
     naive_first_shape_pairs,
     naive_join,
     naive_pair_classes,
+    naive_set_partitions,
     naive_shape_sweep,
 )
 
@@ -315,37 +316,30 @@ def test_pair_classes_match_naive_double_loop(n):
     assert found == naive
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_partition_merges_and_joins_match_naive_joins(n):
-    parts = oracle._Partitions(n)
-    labels = list(parts.index)
-    assert len(labels) == [1, 2, 5, 15, 52][n - 1]  # the Bell numbers
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for step, (i, j) in enumerate(pairs):
-        assert parts.step[i][j] == parts.step[j][i] == step
-        pair = tuple(i if x == j else x for x in range(n))
-        for p, row in enumerate(parts.merge):
-            assert labels[row[step]] == naive_join(labels[p], pair)
-    for a in range(len(labels)):
-        assert [labels[c] for c in parts.join(a)] == [naive_join(labels[a], b) for b in labels]
-
-
-def test_the_join_rows_of_the_s6_class_pass_match_naive_joins():
-    # the pass joins the cycle partition of the first permutation of each
-    # of the 11 cycle types of S_6 with every partition
-    parts = oracle._Partitions(6)
-    labels = list(parts.index)
-    firsts = {}
-    for p in itertools.permutations(range(6)):
-        firsts.setdefault(perms_module.cycle_type(Permutation(p)), p)
-    assert len(firsts) == 11
-    for p in firsts.values():
-        cycle_labels = [0] * 6
-        for cycle in naive_cycles(p):
-            for x in cycle:
-                cycle_labels[x - 1] = min(cycle) - 1
-        joined = parts.join(parts.index[tuple(cycle_labels)])
-        assert [labels[c] for c in joined] == [naive_join(tuple(cycle_labels), b) for b in labels]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_join_matches_naive_joins(n):
+    # up to n = 5 every pair of set partitions; at n = 6 the cycle partition
+    # of the first permutation of each of the 11 cycle types, which the
+    # count rows join with every partition, each also the join of the
+    # discrete partition with its permutation
+    parts = naive_set_partitions(n)
+    assert len(parts) == [1, 2, 5, 15, 52, 203][n - 1]  # the Bell numbers
+    lefts = parts
+    if n == 6:
+        firsts = {}
+        for p in itertools.permutations(range(n)):
+            firsts.setdefault(perms_module.cycle_type(Permutation(p)), p)
+        assert len(firsts) == 11
+        lefts = []
+        for p in firsts.values():
+            cycle_labels = [0] * n
+            for cycle in naive_cycles(p):
+                for x in cycle:
+                    cycle_labels[x - 1] = min(cycle) - 1
+            assert oracle._join(tuple(range(n)), p) == cycle_labels
+            lefts.append(tuple(cycle_labels))
+    for a in lefts:
+        assert [tuple(oracle._join(a, b)) for b in parts] == [naive_join(a, b) for b in parts]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -366,6 +360,41 @@ def test_shape_sweep_stops_once_every_shape_is_found():
         types = [perms_module.cycle_type(Permutation(p)) for p in pc.perms]
         for s, _ in pc.witnesses.values():
             assert types.index(types[s]) == s
+
+
+@pytest.mark.parametrize("n,rows", [(6, 3), (7, 5)])
+def test_the_count_rows_build_only_the_witness_rows(monkeypatch, n, rows):
+    # the counts come from class products; the rows of the first 3 of the
+    # 11 cycle types of S_6, and 5 of the 15 of S_7, hold every shape
+    built = []
+    row = perms_module.SnTables.commutator_row
+
+    def counted(tables, s):
+        built.append(s)
+        return row(tables, s)
+
+    monkeypatch.setattr(perms_module.SnTables, "commutator_row", counted)
+    pc = oracle._CountRows(n)
+    assert len(pc.firsts) == [11, 15][n - 6]
+    assert built == pc.firsts[:rows]
+
+
+@pytest.mark.parametrize("odd,message", [
+    (False, "end before every cover shape"),
+    (True, r"shape \(1, 2\) out of range"),
+])
+def test_a_count_row_that_misses_or_invents_a_shape_is_a_bug(monkeypatch, odd, message):
+    # in S_3 only a 3-cycle commutator gives one boundary circle; make every
+    # such commutator the identity, or an odd permutation no commutator is
+    row = perms_module.SnTables.commutator_row
+    swap = (0, 2, 1) if odd else (0, 1, 2)
+
+    def patched(tables, s):
+        return [swap if c in ((1, 2, 0), (2, 0, 1)) else c for c in row(tables, s)]
+
+    monkeypatch.setattr(perms_module.SnTables, "commutator_row", patched)
+    with pytest.raises(AssertionError, match=message):
+        oracle._CountRows(3)
 
 
 @pytest.mark.parametrize("n", [6, 7])
