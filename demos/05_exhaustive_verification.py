@@ -8,8 +8,8 @@ monodromy tuple in S_n^(2g) and checks the two floors directly:
 
 together with exactly where equality occurs, including after one simple
 branch point.  The scan is budgeted and deterministic.  It never visits
-tuples one by one: one row of generator pairs per cycle type counts the
-pairs by the cycle type of their commutator and finds the first pair of
+tuples one by one: class products count the pairs by the cycle type of
+their commutator, and a few rows of generator pairs give the first pair of
 every cover shape.  Each further handle is one product of the totals by
 cycle type with a small type-to-type matrix, and deep genus stays cheap.
 """

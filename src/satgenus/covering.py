@@ -83,7 +83,7 @@ class CoverData(_Record):
         if self.cover.boundary_components > self.degree * self.base.boundary_components:
             raise ValueError("boundary circles cannot outnumber degree times base boundary")
         parity = (
-            self.degree * (2 * self.base.genus_total - 1)
+            -self.degree * euler_characteristic(self.base)
             + self.branch_total
             + 2 * self.cover.components
             - self.cover.boundary_components

@@ -18,17 +18,19 @@ pairs by the cycle type of their commutator: one composition for each
 permutation of S_n.  Rows (s, all q) of S_n x S_n for the first
 permutations s of the cycle types, walked in rank order until every cover
 shape has its first pair, give the witnesses: 5 of the 40320 rows of S_8.
-By Hurwitz existence for bases of positive
-genus (Husemoller 1962; Edmonds-Kulkarni-Stong 1984) the shapes at every
-genus are those of the pairs; the identity pair keeps every shape, so a
-shape's first tuple at genus g is 2g - 2 identities and its first pair.
+
+The shapes at genus g are exactly those of the pairs.  Padding a pair with
+identities keeps its shape, so a shape's first tuple at genus g is 2g - 2
+identities and its first pair.  Each orbit carries an even boundary
+product, so every tuple has k = n mod 2 and m <= k, and the witness walk
+asserts that the pairs show every such shape.
 
 Each further handle maps the tuple totals by the cycle type of the boundary
 product through one p(n) x p(n) matrix (``_CountRows.level``).  Past genus 1
 the exponential formula turns the histograms of degrees 1..n into the count
 of every shape, whose support must be the shapes of the pairs; that checks
-the Hurwitz step at run time in every enumeration.  The sharpness check and
-the realizability table run no genus level.
+the class-algebra counts at run time in every enumeration.  The sharpness
+check and the realizability table run no genus level.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
@@ -124,7 +126,7 @@ def _check_printable(base_genus: int, degree: int) -> None:
     power is formed only near the limit, where the estimate may be one off.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or degree == 1:
+    if not limit:
         return
     exponent = 2 * base_genus
     # exact rational arithmetic on the float log, so no genus overflows it
@@ -289,9 +291,9 @@ def _classes(n: int) -> _CountRows:
 
 def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Every cover shape (components, boundary circles, genus) with its
-    first tuple as ranks: 2g - 2 identities and its first pair.  Past genus
-    1 that rests on the shapes at genus g being those of the pairs, which
-    ``_report_histogram`` checks in every enumeration."""
+    first tuple as ranks: 2g - 2 identities and its first pair.  These are
+    all the shapes at genus g: every tuple has k = n mod 2 and m <= k, one
+    even boundary product per orbit, and the pairs show every such shape."""
     pc = _classes(n)
     base_odd = n * (2 * g - 1)
     identities = (0,) * (2 * g - 2)
@@ -377,8 +379,6 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
     bound_k1 = n * g - (n - 1) // 2
     violations: list[dict] = []
     counterexamples: list[dict] = []
-    min_overall: tuple | None = None
-    min_k1: tuple | None = None
     for key in sorted(rows):
         m, k, genus = key
         wit = rows[key]
@@ -393,21 +393,13 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
                 counterexamples.append(_class_finding("connected_boundary_parity", key, wit))
             elif genus != bound_k1 or m != 1:
                 counterexamples.append(_class_finding("connected_boundary_equality", key, wit))
-            if min_k1 is None or (genus, wit) < min_k1:
-                min_k1 = (genus, wit)
-        if min_overall is None or (genus, wit) < min_overall:
-            min_overall = (genus, wit)
     return {
         "bound_all": bound_all,
         "bound_k1": bound_k1,
         "violations": violations,
         "counterexamples": counterexamples,
-        "min_overall": min_overall,
-        "min_k1": min_k1,
-        "connected": {
-            (k, genus): wit for (m, k, genus), wit in sorted(rows.items()) if m == 1
-        },
-        "floor_value_ks": sorted({k for (m, k, genus) in rows if genus == bound_k1}),
+        "min_overall": min((genus, wit) for (_, _, genus), wit in rows.items()),
+        "min_k1": min(((genus, wit) for (_, k, genus), wit in rows.items() if k == 1), default=None),
     }
 
 
@@ -532,69 +524,50 @@ def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) ->
     """
     g, n = base_genus, degree
     _check_budget(g, n, budget)
-    a = _analyze(g, n, _shape_rows(g, n))
+    rows = _shape_rows(g, n)
+    a = _analyze(g, n, rows)
     bound_all, bound_k1 = a["bound_all"], a["bound_k1"]
-    counterexamples = list(a["violations"]) + list(a["counterexamples"])
+    counterexamples = a["violations"] + a["counterexamples"]
 
     # One simple branch point on top of each connected cover shape: merging
     # two boundary circles (k >= 2) raises the genus by one, splitting one
     # circle (possible while k < n) keeps the genus.  Either move drops the
-    # Euler characteristic by one and keeps the cover connected.
-    branched: dict[tuple[int, int], dict] = {}
-    for (k, genus) in sorted(a["connected"]):
-        wit = a["connected"][(k, genus)]
-        if k >= 2:
-            branched.setdefault(
-                (k - 1, genus + 1), {"from": (k, genus), "move": "merge", "witness": wit}
-            )
-        if k + 1 <= n:
-            branched.setdefault(
-                (k + 1, genus), {"from": (k, genus), "move": "split", "witness": wit}
-            )
+    # Euler characteristic by one and keeps the cover connected.  Each
+    # (k, genus) keeps the first (source k, move, witness) that reaches it.
+    branched: dict[tuple[int, int], tuple[int, str, tuple]] = {}
+    for (m, k, genus), wit in sorted(rows.items()):
+        if m == 1 and k >= 2:
+            branched.setdefault((k - 1, genus + 1), (k, "merge", wit))
+        if m == 1 and k < n:
+            branched.setdefault((k + 1, genus), (k, "split", wit))
 
-    checks: dict[str, bool] = {
-        "unbranched_floor_holds": not any(
-            v["check"] == "unbranched_floor" for v in a["violations"]
-        ),
-        "unbranched_floor_attained": a["min_overall"][0] == bound_all,
-        "unbranched_floor_equality_characterized": not any(
-            c["check"] == "unbranched_floor_equality" for c in a["counterexamples"]
-        ),
-        "connected_boundary_floor_holds": not any(
-            v["check"] == "connected_boundary_floor" for v in a["violations"]
-        ),
-    }
-
-    for (k, genus), info in sorted(branched.items()):
+    for (k, genus), (_, move, wit) in sorted(branched.items()):
         if genus <= bound_all:
             check = "branched_floor_equality" if genus == bound_all else "branched_floor"
-            counterexamples.append(
-                _class_finding(check, (1, k, genus), info["witness"], move=info["move"])
-            )
+            counterexamples.append(_class_finding(check, (1, k, genus), wit, move=move))
         if k == 1 and genus < bound_k1:
             counterexamples.append(
-                _class_finding(
-                    "branched_connected_boundary_floor", (1, k, genus), info["witness"],
-                    move=info["move"],
-                )
+                _class_finding("branched_connected_boundary_floor", (1, k, genus), wit, move=move)
             )
-    checks["branched_stays_above_unbranched_floor"] = not any(
-        c["check"] in ("branched_floor", "branched_floor_equality") for c in counterexamples
-    )
 
-    branched_k1 = sorted(genus for (k, genus) in branched if k == 1)
-    min_k1_branched = branched_k1[0] if branched_k1 else None
+    found = {c["check"] for c in counterexamples}
+    min_k1_branched = min((genus for (k, genus) in branched if k == 1), default=None)
     min_k1_unbranched = None if a["min_k1"] is None else a["min_k1"][0]
+    checks: dict[str, bool] = {
+        "unbranched_floor_holds": "unbranched_floor" not in found,
+        "unbranched_floor_attained": a["min_overall"][0] == bound_all,
+        "unbranched_floor_equality_characterized": "unbranched_floor_equality" not in found,
+        "connected_boundary_floor_holds": "connected_boundary_floor" not in found,
+        "branched_stays_above_unbranched_floor": not found & {"branched_floor", "branched_floor_equality"},
+    }
     if n % 2:
         checks["connected_boundary_floor_attained_unbranched"] = min_k1_unbranched == bound_k1
         checks["no_branched_connected_boundary"] = min_k1_branched is None
     else:
         checks["no_unbranched_connected_boundary"] = min_k1_unbranched is None
         checks["connected_boundary_floor_attained_branched"] = min_k1_branched == bound_k1
-        checks["connected_boundary_minimizers_merge_two_circles"] = all(
-            info["move"] == "merge" and info["from"][0] == 2
-            for (k, genus), info in branched.items()
-            if k == 1 and genus == min_k1_branched
+        checks["connected_boundary_minimizers_merge_two_circles"] = (
+            min_k1_branched is None or branched[1, min_k1_branched][:2] == (2, "merge")
         )
 
     ok = all(checks.values()) and not counterexamples
@@ -604,7 +577,9 @@ def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) ->
         "min_genus_overall": a["min_overall"][0],
         "min_genus_connected_boundary_unbranched": min_k1_unbranched,
         "min_genus_connected_boundary_branched": min_k1_branched,
-        "floor_value_boundary_counts_unbranched": a["floor_value_ks"],
+        "floor_value_boundary_counts_unbranched": sorted(
+            {k for (_, k, genus) in rows if genus == bound_k1}
+        ),
     }
     return SharpnessReport(
         base_genus=g,

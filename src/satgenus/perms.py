@@ -157,12 +157,16 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             points = [int(tok) for tok in group.split()]
         except ValueError:
             raise ValueError(f"non-integer entry in cycle ({group})") from None
+        here: set[int] = set()
         for pt in points:
             if not 1 <= pt <= degree:
                 raise ValueError(f"point {pt} outside 1..{degree}")
+            if pt in here:
+                raise ValueError(f"point {pt} appears twice in the cycle ({group})")
             if pt in used:
                 raise ValueError(f"point {pt} appears in two cycles")
-            used.add(pt)
+            here.add(pt)
+        used |= here
         for src, dst in zip(points, points[1:] + points[:1]):
             images[src - 1] = dst - 1
     return Permutation(tuple(images))

@@ -77,6 +77,16 @@ def test_cover_data_validation():
         CoverData(2, SurfaceShape(2, 2, 2), 0, SurfaceShape(1, 1, 8))
 
 
+@pytest.mark.parametrize("degree, base, cover", [
+    (1, SurfaceShape(1, 0, 2), SurfaceShape(1, 0, 2)),  # the identity cover of an annulus
+    (1, SurfaceShape(1, 2, 0), SurfaceShape(1, 2, 0)),  # a closed base
+    (3, SurfaceShape(1, 1, 2), SurfaceShape(1, 3, 2)),
+])
+def test_cover_data_accepts_bases_without_exactly_one_boundary_circle(degree, base, cover):
+    # the parity rule reads -degree * chi(base), whatever the base boundary
+    assert CoverData(degree, base, 0, cover).cover == cover
+
+
 def test_homomorphism_validation():
     with pytest.raises(ValueError):
         HomomorphismCover(0, 3, ())

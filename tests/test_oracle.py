@@ -259,6 +259,66 @@ def test_sharpness_json_round_trip():
     json.dumps(data)
 
 
+@pytest.mark.parametrize(
+    "n, extra, failing, findings",
+    [
+        # odd degree: floors 1 and 3; a disconnected shape below the first,
+        # a connected one-circle shape below the second
+        (
+            5,
+            {(2, 5, 0): (1, 0), (1, 1, 2): (2, 0)},
+            {
+                "unbranched_floor_holds",
+                "unbranched_floor_attained",
+                "connected_boundary_floor_holds",
+                "connected_boundary_floor_attained_unbranched",
+            },
+            [
+                ("connected_boundary_floor", 1, 1, 2, (2, 0), None),
+                ("unbranched_floor", 2, 5, 0, (1, 0), None),
+                ("connected_boundary_equality", 1, 1, 2, (2, 0), None),
+            ],
+        ),
+        # even degree: floors 1 and 3; the one-circle shape sits on the
+        # unbranched floor, and splitting its circle keeps it there
+        (
+            4,
+            {(2, 4, 0): (1, 0), (1, 1, 1): (2, 0)},
+            {
+                "unbranched_floor_holds",
+                "unbranched_floor_attained",
+                "unbranched_floor_equality_characterized",
+                "connected_boundary_floor_holds",
+                "branched_stays_above_unbranched_floor",
+                "no_unbranched_connected_boundary",
+            },
+            [
+                ("connected_boundary_floor", 1, 1, 1, (2, 0), None),
+                ("unbranched_floor", 2, 4, 0, (1, 0), None),
+                ("unbranched_floor_equality", 1, 1, 1, (2, 0), None),
+                ("connected_boundary_parity", 1, 1, 1, (2, 0), None),
+                ("branched_floor_equality", 1, 2, 1, (2, 0), "split"),
+            ],
+        ),
+    ],
+)
+def test_shapes_below_the_floors_fail_their_checks(monkeypatch, n, extra, failing, findings):
+    real = oracle._shape_rows
+    monkeypatch.setattr(oracle, "_shape_rows", lambda g, n: {**real(g, n), **extra})
+    report = verify_sharpness(1, n)
+    assert not report.ok
+    assert {name for name, held in report.checks.items() if not held} == failing
+    assert [
+        (c["check"], c["components"], c["boundary"], c["genus"], c["witness"], c.get("move"))
+        for c in report.counterexamples
+    ] == findings
+    assert report.notes["min_genus_overall"] == 0
+    assert report.notes["min_genus_connected_boundary_unbranched"] == min(
+        genus for (m, k, genus) in extra if k == 1
+    )
+    json.dumps(report.to_json())
+
+
 def test_enumeration_and_sharpness_share_one_class_table():
     # all three entry points read one cached scan; make sure they agree on it
     direct = realizability_table(2, 4)

@@ -243,7 +243,7 @@ S = SurfaceShape
     (lambda: CoverData(1, S(1, 1, 1), 0, S(1, 0, 1)), "Euler characteristic 1"),
     (lambda: CoverData(1, S(1, 1, 1), 0, S(2, 2, 1)), "component count"),
     (lambda: CoverData(1, S(1, 1, 1), 0, S(1, 0, 3)), "cannot outnumber"),
-    (lambda: CoverData(1, S(1, 0, 2), 0, S(1, 0, 2)), "parity"),
+    (lambda: CoverData(3, S(1, 1, 1), 0, S(1, 1.5, 2)), "parity"),  # chi -3 needs genus 1.5
     (lambda: HomomorphismCover(0, 2, ()), "genus at least 1"),
     (lambda: HomomorphismCover(1, 2, (identity(2),)), "expected 2 generator images"),
     (lambda: HomomorphismCover(1, 2, (identity(2), identity(3))), "degree 3 does not match"),

@@ -161,6 +161,15 @@ def test_parse_cycles_errors():
     assert parse_cycles("()", 3) == identity(3)
 
 
+def test_parse_cycles_names_where_a_point_repeats():
+    with pytest.raises(ValueError, match=r"point 2 appears in two cycles"):
+        parse_cycles("(1 2)(2 3)", 3)
+    with pytest.raises(ValueError, match=r"point 1 appears twice in the cycle \(1 1\)"):
+        parse_cycles("(1 1)", 3)
+    with pytest.raises(ValueError, match=r"point 2 appears twice in the cycle \(3 2 1 2\)"):
+        parse_cycles("(3 2 1 2)", 3)
+
+
 def test_orbits_without_generators():
     assert orbits([], degree=3) == [(1,), (2,), (3,)]
     assert not is_transitive([], degree=2)
