@@ -8,10 +8,10 @@ monodromy tuple in S_n^(2g) and checks the two floors directly:
 
 together with exactly where equality occurs, including after one simple
 branch point.  The scan is budgeted and deterministic.  It never visits
-tuples one by one: class products count the pairs by the cycle type of
-their commutator, and a few rows of generator pairs give the first pair of
-every cover shape.  Each further handle is one product of the totals by
-cycle type with a small type-to-type matrix, and deep genus stays cheap.
+tuples one by one: the character table of S_n counts the tuples by the
+cycle type of their boundary product, one integer power per character at
+any genus, and a few rows of generator pairs give the first pair of every
+cover shape, so deep genus stays cheap.
 """
 
 from satgenus import enumerate_covers, realizability_table, verify_sharpness

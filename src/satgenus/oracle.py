@@ -13,11 +13,12 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The scan never visits tuples (``_CountRows``).  Class products give the
-pairs by the cycle type of their commutator: one composition for each
-permutation of S_n.  Rows (s, all q) of S_n x S_n for the first
-permutations s of the cycle types, walked in rank order until every cover
-shape has its first pair, give the witnesses: 5 of the 40320 rows of S_8.
+The scan never visits tuples.  The character table of S_n counts them by
+the cycle type of their boundary product, one exact integer power per
+character at any genus (``_boundary_histogram``).  Rows (s, all q) of
+S_n x S_n for the first permutations s of the cycle types, walked in rank
+order until every cover shape has its first pair, give the witnesses
+(``_CountRows``): 5 of the 40320 rows of S_8.
 
 The shapes at genus g are exactly those of the pairs.  Padding a pair with
 identities keeps its shape, so a shape's first tuple at genus g is 2g - 2
@@ -25,23 +26,22 @@ identities and its first pair.  Each orbit carries an even boundary
 product, so every tuple has k = n mod 2 and m <= k, and the witness walk
 asserts that the pairs show every such shape.
 
-Each further handle maps the tuple totals by the cycle type of the boundary
-product through one p(n) x p(n) matrix (``_CountRows.level``).  Past genus 1
-the exponential formula turns the histograms of degrees 1..n into the count
+The exponential formula turns the histograms of degrees 1..n into the count
 of every shape, whose support must be the shapes of the pairs; that checks
-the class-algebra counts at run time in every enumeration.  The sharpness
-check and the realizability table run no genus level.
+the character counts against the witness walk at run time in every
+enumeration.  The sharpness check and the realizability table read no
+histogram.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
-the Frobenius-Mednykh character count on larger ones.  Violations and
-counterexamples (none are expected) are reported once per shape class, with
-the lexicographically first witness tuple.
+class products and the Frobenius-Mednykh count on larger ones.  Violations
+and counterexamples (none are expected) are reported once per shape class,
+with the lexicographically first witness tuple.
 
 Every refusal is decided by ``_check_budget`` before any table is built;
 degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
-budget.  The caches hold only constants of the degree: the tables, the
-results of the count rows and the genus-level matrix.
+budget.  The caches hold only constants of the degree: the tables and the
+witnesses of the walk.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, mul
 
 from . import BudgetExceededError, _Record
@@ -67,9 +67,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 
-# p(n), the number of cycle types of S_n, n = 0..MAX_TABLE_DEGREE
-_TYPE_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22)
-
 
 def _check_budget(g: int, n: int, budget: int | None) -> int:
     """Validate the request and return the work limit, refusing it before
@@ -78,14 +75,19 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
     The estimate counts what the request builds, in units of about 30 ns on
     a 2-CPU host, so that the default 10^9 is about half a minute:
 
-    - 64 per count-row entry: p(n) n! at genus 1, and past it p(j) j! twice
-      for each degree j <= n, the rows and the genus-level matrix.  From
-      degree 2 on, p(n) n! bounds what the count rows build: n! class
-      products and n! entries for each of at most p(n) - 1 witness rows;
-    - per genus level past the first, p(j)^2 multiply-adds for each j <= n,
-      each 1 plus 1 per 1024 bits of the largest total, (j!)^(2g);
-    - 512 per witness entry: 2g for each cover shape (m, k), m <= k <= n and
-      k = n mod 2, of which there are floor((n + 1)^2 / 4).
+    - 16 per entry of p(n) rows of n!: the S_n tables and at most p(n) - 1
+      witness rows, with p(n) the number of cycle types;
+    - 256 per witness entry: 2g for each cover shape (m, k), m <= k <= n and
+      k = n mod 2, of which there are floor((n + 1)^2 / 4).  An entry takes
+      about 1 us, but up to about 190 bytes of a report's JSON, so the
+      weight keeps the default's deepest witnesses near 700 MB;
+    - 1 per 8 bits of the character counts: for each degree j <= n, p(j)
+      powers and p(j)^2 products of about (2g - 1) log2 j! bits, which the
+      exponential formula then multiplies by shape;
+    - d^2 / 1024 for each of the tuple count and the at most (n + 1) // 2
+      histogram counts, of up to d = 2g log10 n! + 1 digits: Python turns
+      an int into decimal text in quadratic time, and a report is printed
+      as text and as JSON.
     """
     if g < 1:
         raise ValueError("the base surface needs genus at least 1")
@@ -100,19 +102,18 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
             "the largest degree whose S_n tables fit in memory"
         )
     _check_printable(g, n)
-    work = 512 * 2 * g * ((n + 1) ** 2 // 4)
-    if g == 1:
-        work += 64 * _TYPE_COUNTS[n] * math.factorial(n)
-    else:
-        for j, types in enumerate(_TYPE_COUNTS[1 : n + 1], 1):
-            # exact rational arithmetic on the float log, so no genus overflows it
-            num, den = math.log2(math.factorial(j)).as_integer_ratio()
-            work += 128 * types * math.factorial(j)
-            work += (g - 1) * types**2 * (1 + g * num // (512 * den))
+    work = 16 * len(_partitions(n)) * math.factorial(n) + 256 * 2 * g * ((n + 1) ** 2 // 4)
+    # exact rational arithmetic on the float logs, so no genus overflows them
+    for j in range(2, n + 1):
+        types = len(_partitions(j))
+        num, den = math.log2(math.factorial(j)).as_integer_ratio()
+        work += (types + types**2) * (2 * g - 1) * num // (8 * den)
+    num, den = math.log10(math.factorial(n)).as_integer_ratio()
+    work += ((n + 1) // 2 + 1) * (2 * g * num // den + 1) ** 2 // 1024
     if work > limit:
         raise BudgetExceededError(
             f"enumerating {_power(n, 2 * g)} needs an estimated {_rough(work)} work units "
-            f"(count rows, genus levels and witnesses), over the budget of {limit}"
+            f"(witness rows, witnesses and character counts), over the budget of {limit}"
         )
     return limit
 
@@ -184,25 +185,14 @@ def _join(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 class _CountRows:
-    """The count rows of S_n x S_n: the pairs by the cycle type of their
-    commutator, and the first pair of every cover shape.
+    """The witness walk of S_n x S_n: the first pair of every cover shape.
 
     Permutations are ranked in lexicographic order of their image tuples
     (``perms.sn_tables``), and cycle types are numbered in the order of
-    their first permutations: ``type_of`` maps an image tuple to its type,
-    ``firsts[t]`` is the first permutation of type t, ``sizes[t]`` the number
-    of its permutations and ``cycles[t]`` their cycles.  ``shares[t]``
-    counts the pairs whose commutator is one given permutation of type t.
-    ``witnesses`` maps every cover shape (m, k), the orbits of the pair and
-    the cycles of its commutator, to its lexicographically first pair (s, q)
-    as ranks.
-
-    The counts come from class products.  [s, q] = s (q s^-1 q^-1), and as
-    q runs over S_n the conjugate q s^-1 q^-1 runs over the class of s,
-    n!/size times each, so the commutators of row s are the products s x,
-    x in the class of s, each n!/size times.  Conjugation keeps the types
-    of s x, so the first permutation of each type stands for its class:
-    one composition per permutation.
+    their first permutations: ``firsts[t]`` is the first permutation of type
+    t.  ``witnesses`` maps every cover shape (m, k), the orbits of the pair
+    and the cycles of its commutator, to its lexicographically first pair
+    (s, q) as ranks.
 
     The witnesses come from rows (s, all q).  Conjugating by h maps the pair
     (s, q) to (s^h, q^h), keeps its shape and conjugates its commutator, so
@@ -215,32 +205,16 @@ class _CountRows:
 
     def __init__(self, n: int):
         tables = sn_tables(n)
-        perms = tables.perms
+        self.perms = perms = tables.perms
         discrete = tuple(range(n))
         partitions: dict[tuple[int, ...], int] = {}  # cycle partitions, in order of first permutation
         part_of = [partitions.setdefault(tuple(_join(discrete, p)), len(partitions)) for p in perms]
-        part_types = [tuple(sorted(map(labs.count, set(labs)))) for labs in partitions]
-        sizes = Counter(map(part_types.__getitem__, part_of))  # in order of first permutation
-        number = {cycle_type: t for t, cycle_type in enumerate(sizes)}
-        part_kind = [number[cycle_type] for cycle_type in part_types]
-        kind = list(map(part_kind.__getitem__, part_of))
-        self.type_of = type_of = dict(zip(perms, kind))
-        self.firsts = firsts = list(map(kind.index, range(len(sizes))))
-        self.sizes = list(sizes.values())
-        self.cycles = cycles = list(map(len, sizes))
-        self.perms = perms
-        self.composers = tables.composers
-
-        classes: list[list[tuple[int, ...]]] = [[] for _ in firsts]
-        for p, t in zip(perms, kind):
-            classes[t].append(p)
-        products = Counter()
-        for b, members in zip(firsts, classes):
-            products.update(map(type_of.__getitem__, map(self.composers[b], members)))
-        pairs = [len(perms) * products[t] for t in range(len(firsts))]
-        self.shares = [total // size for total, size in zip(pairs, self.sizes)]
-        if any(total % size for total, size in zip(pairs, self.sizes)):
-            raise AssertionError("the pair counts are not whole shares; this is a bug")
+        first_part = {}  # the first cycle partition of each cycle type
+        for part, labs in enumerate(partitions):
+            first_part.setdefault(tuple(sorted(map(labs.count, set(labs)))), part)
+        self.firsts = firsts = list(map(part_of.index, first_part.values()))
+        cycles = [len(set(labs)) for labs in partitions]
+        cycles_of = dict(zip(perms, map(cycles.__getitem__, part_of)))
 
         shapes = {(m, k) for k in range(2 - n % 2, n + 1, 2) for m in range(1, k + 1)}
         self.witnesses = witnesses = {}
@@ -248,8 +222,8 @@ class _CountRows:
         for s in firsts:
             # a pair is coded as one integer, orbits * (n + 1) + commutator cycles
             orbit_keys = [(n + 1) * len(set(_join(labels[part_of[s]], part))) for part in labels]
-            comms = map(type_of.__getitem__, tables.commutator_row(s))
-            row = list(map(add, map(orbit_keys.__getitem__, part_of), map(cycles.__getitem__, comms)))
+            comms = map(cycles_of.__getitem__, tables.commutator_row(s))
+            row = list(map(add, map(orbit_keys.__getitem__, part_of), comms))
             del comms  # the row's n! commutators, before the next row builds its own
             for key in dict.fromkeys(row):
                 shape = divmod(key, n + 1)
@@ -260,28 +234,7 @@ class _CountRows:
             if len(witnesses) == len(shapes):
                 break
         else:
-            raise AssertionError("the count rows end before every cover shape has a pair; this is a bug")
-
-    @cached_property
-    def level(self) -> list[tuple[int, ...]]:
-        """One more handle on totals by cycle type, built on first use:
-        ``level[u][t]`` counts the pairs whose commutator c takes the first
-        permutation b of type t to a product b c (b, then c) of type u.
-
-        The pairs of c are counted by its type, and conjugating b and c
-        together keeps the types of c and of b c, so every b of type t has
-        that row (Frobenius's class-algebra count, done by composition).
-        """
-        shares, type_of = self.shares, self.type_of
-        weighted = [(c, shares[t]) for c, t in type_of.items() if shares[t]]
-        rows = []
-        for b in self.firsts:
-            then_b = self.composers[b]
-            row = [0] * len(self.firsts)
-            for c, share in weighted:
-                row[type_of[then_b(c)]] += share
-            rows.append(row)
-        return list(zip(*rows))
+            raise AssertionError("the witness rows end before every cover shape has a pair; this is a bug")
 
 
 @lru_cache(maxsize=None)
@@ -303,27 +256,70 @@ def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
     }
 
 
-def _boundary_histogram(g: int, n: int) -> list[int]:
-    """How many tuples give k boundary circles, k = 0..n: the pairs by the
-    type of their commutator, then one genus level per further handle."""
-    pc = _classes(n)
-    totals = list(map(mul, pc.shares, pc.sizes))
-    for _ in range(g - 1):
-        totals = [sum(map(mul, totals, column)) for column in pc.level]
-    khist = [0] * (n + 1)
-    for k, total in zip(pc.cycles, totals):
-        khist[k] += total
-    if sum(khist) != math.factorial(n) ** (2 * g):
+def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of n, the cycle types of S_n, as non-increasing
+    tuples in lexicographic order from the largest: (n) first, 1^n last."""
+    if n == 0:
+        return [()]
+    return [
+        (part, *rest)
+        for part in range(min(n, largest or n), 0, -1)
+        for rest in _partitions(n - part, part)
+    ]
+
+
+def _characters(n: int) -> list[list[int]]:
+    """The character table of S_n: ``chi[i][j]`` is the irreducible
+    character of the i-th partition of n on the class of the j-th.
+
+    Murnaghan-Nakayama on beta numbers: the partition lam puts n beads at
+    lam_i + n - i, and removing a rim hook of length r moves one bead from
+    b to an empty b - r, with sign -1 for each bead passed over.  The cycles
+    of the class are removed longest first, down to the empty partition.
+    """
+    memo: dict[tuple[frozenset[int], tuple[int, ...]], int] = {}
+
+    def chi(beads: frozenset[int], hooks: tuple[int, ...]) -> int:
+        if not hooks:
+            return 1
+        if (beads, hooks) not in memo:
+            r, rest = hooks[0], hooks[1:]
+            memo[beads, hooks] = sum(
+                (-1) ** sum(b - r < c < b for c in beads) * chi(beads - {b} | {b - r}, rest)
+                for b in beads
+                if b >= r and b - r not in beads
+            )
+        return memo[beads, hooks]
+
+    types = _partitions(n)
+    table = []
+    for lam in types:
+        beads = frozenset(part + n - 1 - i for i, part in enumerate(lam + (0,) * (n - len(lam))))
+        table.append([chi(beads, mu) for mu in types])
+    return table
+
+
+def _boundary_histogram(g: int, n: int) -> dict[tuple[int, ...], int]:
+    """How many tuples of S_n^(2g) have a boundary product of each cycle
+    type u: |C_u| sum over lam of chi_lam(u) (n!/d_lam)^(2g - 1), d_lam the
+    degree chi_lam(1^n), which divides n! (Frobenius 1896; Mednykh 1978).
+    The cycles of the boundary product are the boundary circles."""
+    order = math.factorial(n)
+    chars = _characters(n)
+    # the last class is 1^n, where each character takes its degree
+    powers = [(order // row[-1]) ** (2 * g - 1) for row in chars]
+    counts = {}
+    for mu, column in zip(_partitions(n), zip(*chars)):
+        centralizer = math.prod(length**m * math.factorial(m) for length, m in Counter(mu).items())
+        counts[mu] = order // centralizer * sum(map(mul, column, powers))
+    if sum(counts.values()) != order ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
-    return khist
+    return counts
 
 
 def _report_histogram(g: int, n: int) -> list[int]:
-    """The boundary histogram of an enumeration.  Past genus 1 it is the
-    sum over components of the shape counts, whose support must be the
-    shapes of the pairs, so its genus levels run once per degree 1..n."""
-    if g == 1:
-        return _boundary_histogram(g, n)
+    """The boundary histogram of an enumeration: the sum over components
+    of the shape counts, whose support must be the shapes of the pairs."""
     shapes = _shape_histogram(g, n)
     if shapes.keys() != _classes(n).witnesses.keys():
         raise AssertionError(f"the shapes at genus {g} are not those of the pairs; this is a bug")
@@ -347,7 +343,9 @@ def _shape_histogram(g: int, n: int) -> dict[tuple[int, int], int]:
     transitive: list[dict[int, int]] = []
     for size in range(1, n + 1):
         shapes: dict[tuple[int, int], int] = {}
-        connected = dict(enumerate(_boundary_histogram(g, size)))
+        connected = Counter()
+        for cycle_type, count in _boundary_histogram(g, size).items():
+            connected[len(cycle_type)] += count
         for j, counts in enumerate(transitive, 1):
             ways = math.comb(size - 1, j - 1)
             for k, count in counts.items():

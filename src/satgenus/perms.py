@@ -7,8 +7,8 @@ braid-strand and sheet labels.  Composition is left-to-right throughout:
 
 ``sn_tables`` holds S_n in rank order (lexicographic order of image
 tuples) with inverses and composition maps, built once per degree.  The
-exhaustive commutator search (``ore_commutator_search``) and the count
-rows of :mod:`satgenus.oracle` share it, and both refuse degrees above
+exhaustive commutator search (``ore_commutator_search``) and the witness
+walk of :mod:`satgenus.oracle` share it, and both refuse degrees above
 ``MAX_TABLE_DEGREE``.
 
 :class:`Permutation`, like the record classes of the other layers, derives
@@ -33,8 +33,8 @@ CycleType = tuple[int, ...]
 MAX_DEGREE = 10**6
 
 # The largest degree whose S_n tables are built: at degree 9 the tables alone
-# take about 110 MB, and the oracle's count rows bring the peak to about
-# 205 MB; the enumeration budget has no constants for degree 9 yet.
+# take about 110 MB, and the oracle's witness walk brings the peak to about
+# 200 MB; the enumeration budget's weights are not measured at degree 9 yet.
 MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -8,8 +8,13 @@ commutators is a given element z is
 (Frobenius 1896; Mednykh 1978, counting coverings of surfaces).  For the
 symmetric group the characters come from the Murnaghan-Nakayama rule.  The
 count is a class function, so it gives the boundary-circle histogram of the
-oracle for any genus without enumerating a single tuple, and nothing here
-touches the package.
+oracle for any genus without enumerating a single tuple.
+
+The oracle counts by this same formula, so this module restates its method
+rather than taking another route: in ``Fraction`` arithmetic, on
+partitions rather than beta numbers, without touching the package.  The
+independent routes are brute force and the class products and genus levels
+of ``_naive.naive_class_product_counts``.
 """
 
 from fractions import Fraction

@@ -3,7 +3,9 @@
 Everything here favors directness over speed and deliberately takes a
 different route than the package: orbits by breadth-first search instead of
 union-find, boundary permutations by pointwise application instead of table
-products, braid permutations by composing transposition maps.
+products, braid permutations by composing transposition maps, and tuple
+counts by class products and one genus level per handle instead of
+characters.
 """
 
 import itertools
@@ -48,6 +50,42 @@ def naive_pair_classes(n):
             entry = classes.setdefault(key, [0, (a, b)])
             entry[0] += 1
     return [(key, count, first) for key, (count, first) in classes.items()]
+
+
+def naive_class_product_counts(n, genera):
+    """{g: tuples of S_n^(2g) by the cycle type of their boundary product}
+    for each g in ``genera``, by class products and genus levels.
+
+    [s, q] = s (q s^-1 q^-1), and as q runs over S_n the conjugate
+    q s^-1 q^-1 runs over the class of s, n!/size times each; so composing
+    the first permutation of each cycle type with every member of its class
+    counts the pairs by the type of their commutator.  A further handle
+    takes a boundary product b to b c, with the pairs of c counted by its
+    type; conjugating b and c together keeps the types of c and of b c, so
+    the first b of each type stands for its class (Frobenius's class-algebra
+    count, done by composition).
+    """
+    perms = list(itertools.permutations(range(n)))
+    kind = {p: tuple(sorted(map(len, naive_cycles(p)), reverse=True)) for p in perms}
+    classes = {}
+    for p in perms:
+        classes.setdefault(kind[p], []).append(p)
+    pairs = dict.fromkeys(classes, 0)
+    for members in classes.values():
+        for x in members:
+            pairs[kind[naive_compose(members[0], x)]] += len(perms)
+    # the pairs whose commutator is one given permutation of each type
+    shares = {t: pairs[t] // len(members) for t, members in classes.items()}
+    level = {t: dict.fromkeys(classes, 0) for t in classes}
+    for t, members in classes.items():
+        for c in perms:
+            level[t][kind[naive_compose(members[0], c)]] += shares[kind[c]]
+    counts, totals = {}, pairs
+    for g in range(1, max(genera) + 1):
+        if g in genera:
+            counts[g] = totals
+        totals = {u: sum(totals[t] * level[t][u] for t in classes) for u in classes}
+    return counts
 
 
 def naive_first_shape_pairs(n):

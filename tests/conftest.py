@@ -21,10 +21,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 
 @pytest.fixture
 def cold_tables():
-    """Clear the per-degree caches, the ``S_n`` tables and the class pass
-    with its genus-level matrix, before and after the test; calling the
-    fixture's value clears them again.  Those of degree 8 add about 18 MB
-    to a process's resident size."""
+    """Clear the per-degree caches, the ``S_n`` tables and the witness
+    walk, before and after the test; calling the fixture's value clears
+    them again.  Those of degree 8 add about 18 MB to a process's resident
+    size."""
     from satgenus import oracle, perms
 
     def clear():

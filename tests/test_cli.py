@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -341,7 +340,7 @@ def test_cover_enumerate_refuses_degrees_over_the_ceiling_whatever_the_budget(de
 
 
 def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
-    # the class pass holds one commutator row at a time and no join table
+    # the witness walk holds one commutator row at a time and no join table
     proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=128)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
@@ -359,7 +358,7 @@ def test_a_deep_genus_witness_shares_its_entries():
 
 
 def test_running_out_of_memory_is_the_budget_exit():
-    # the S_8 tables and class pass fit in 48 MB but not in 32
+    # the S_8 tables and witness walk fit in 48 MB but not in 32
     proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
@@ -368,19 +367,19 @@ def test_running_out_of_memory_is_the_budget_exit():
 
 
 @pytest.mark.parametrize("genus,budget,env,estimate", [
-    ("2", ["--budget", "100000000"], None, "124399382"),
-    ("6000", [], {"PYTHONINTMAXSTRDIGITS": "0"}, "1080762560"),
+    ("2", ["--budget", "10000000"], None, "14217808"),
+    ("36000", [], {"PYTHONINTMAXSTRDIGITS": "0"}, "1032299020"),
 ])
 def test_an_over_budget_genus_is_refused_before_the_class_pass(genus, budget, env, estimate):
     # a small explicit budget, or the default one with the print limit off;
-    # the S_8 class pass, which does not fit in 32 MB, must not start
+    # the S_8 witness walk, which does not fit in 32 MB, must not start
     proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", "8", *budget],
                        env=env, megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
         f"error: enumerating S_8^{2 * int(genus)} needs an estimated {estimate} work units "
-        "(count rows, genus levels and witnesses), "
+        "(witness rows, witnesses and character counts), "
         f"over the budget of {budget[1] if budget else 10**9}\n"
     )
 
@@ -548,22 +547,18 @@ def test_cover_enumerate_sharpness(capsys):
 
 
 def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch, cold_tables):
-    # each degree's class pass, genus-level matrix and genus levels run once:
-    # degree 4 for the report, degrees 1..3 for its shape check past genus 1;
-    # the sharpness check runs no genus level
-    passes, matrices, levels = [], [], []
-    build, histogram = oracle._CountRows, oracle._boundary_histogram
-    level = build.level.func
-    monkeypatch.setattr(oracle, "_CountRows", lambda n: passes.append(n) or build(n))
-    counted = functools.cached_property(lambda pc: matrices.append(len(pc.perms[0])) or level(pc))
-    counted.__set_name__(build, "level")
-    monkeypatch.setattr(build, "level", counted)
+    # one witness walk, of degree 4, for both reports; the enumeration counts
+    # degrees 1..4 at genus 2 for its shape check, and the sharpness check
+    # counts nothing
+    walks, histograms = [], []
+    walk, histogram = oracle._CountRows, oracle._boundary_histogram
+    monkeypatch.setattr(oracle, "_CountRows", lambda n: walks.append(n) or walk(n))
     monkeypatch.setattr(oracle, "_boundary_histogram",
-                        lambda g, n: levels.append((g, n)) or histogram(g, n))
+                        lambda g, n: histograms.append((g, n)) or histogram(g, n))
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
-    assert sorted(passes) == sorted(matrices) == [1, 2, 3, 4]
-    assert levels == [(2, 1), (2, 2), (2, 3), (2, 4)]
+    assert walks == [4]
+    assert histograms == [(2, 1), (2, 2), (2, 3), (2, 4)]
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())
@@ -581,7 +576,7 @@ def test_cover_enumerate_budget(capsys):
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "5", "--budget", "100"])
     assert code == EXIT_BUDGET
     err = capsys.readouterr().err
-    assert "62976" in err
+    assert "18116" in err
 
 
 def test_cover_enumerate_ignores_the_env_budget(capsys, monkeypatch):
@@ -691,10 +686,10 @@ def no_int_digit_limit():
 
 def test_budget_refusal_forms_no_factorial_above_the_degree_ceiling(capsys, no_int_digit_limit):
     # up to the ceiling the message states the exact estimate, as it always has
-    assert main(["cover", "enumerate", "--genus", "6000", "--degree", "8"]) == EXIT_BUDGET
+    assert main(["cover", "enumerate", "--genus", "36000", "--degree", "8"]) == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        "error: enumerating S_8^12000 needs an estimated 1080762560 work units "
-        "(count rows, genus levels and witnesses), "
+        "error: enumerating S_8^72000 needs an estimated 1032299020 work units "
+        "(witness rows, witnesses and character counts), "
         f"over the budget of {10**9}\n"
     )
     # above it the degree alone decides

@@ -18,6 +18,7 @@ from satgenus.perms import Permutation, cycles_str
 
 from _frobenius import boundary_histogram, connected_boundary_histogram
 from _naive import (
+    naive_class_product_counts,
     naive_cover_shape,
     naive_cycles,
     naive_first_shape_pairs,
@@ -39,14 +40,14 @@ def test_budget_default(monkeypatch):
     def refuse(n):
         raise AssertionError("pair classes built over the default budget")
 
-    # no budget means DEFAULT_BUDGET in every entry point: the 2 * 10^6
-    # witness entries of a million handles at degree 1 are over it
+    # no budget means DEFAULT_BUDGET in every entry point: the 4 * 10^6
+    # witness entries of two million handles at degree 1 are over it
     monkeypatch.setattr(oracle, "_CountRows", refuse)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError) as default:
-            run(10**6, 1)
+            run(2 * 10**6, 1)
         with pytest.raises(BudgetExceededError) as explicit:
-            run(10**6, 1, budget=DEFAULT_BUDGET)
+            run(2 * 10**6, 1, budget=DEFAULT_BUDGET)
         assert str(default.value) == str(explicit.value)
         assert str(default.value).endswith(f"over the budget of {DEFAULT_BUDGET}")
 
@@ -62,7 +63,7 @@ def test_budget_ignores_the_environment(monkeypatch):
 def test_budget_argument():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(1, 5, budget=100)
-    assert "62976" in str(exc.value)
+    assert "18116" in str(exc.value)
     assert "100" in str(exc.value)
     with pytest.raises(BudgetExceededError):
         realizability_table(1, 5, budget=100)
@@ -359,21 +360,22 @@ def test_frobenius_connected_rows_match_naive_exhaustion():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pair_classes_match_naive_double_loop(n):
-    # the pairs by the cycle type of their commutator, from the count rows
-    pc = oracle._CountRows(n)
-    kinds = [perms_module.cycle_type(Permutation(p)) for p in pc.perms]
-    assert [pc.firsts[pc.type_of[p]] for p in pc.perms] == [kinds.index(kind) for kind in kinds]
-    found = {}
-    for t, first in enumerate(pc.firsts):
-        kind = kinds[first]
-        assert (pc.sizes[t], pc.cycles[t]) == (kinds.count(kind), len(kind))
-        if pc.shares[t]:
-            found[kind] = pc.shares[t] * pc.sizes[t]
+    # the pairs by the cycle type of their commutator, from characters
     naive = {}
     for (c, _), count, _ in naive_pair_classes(n):
         kind = perms_module.cycle_type(Permutation(c))
         naive[kind] = naive.get(kind, 0) + count
-    assert found == naive
+    counts = oracle._boundary_histogram(1, n)
+    assert {kind: count for kind, count in counts.items() if count} == naive
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boundary_histograms_match_class_products_and_genus_levels(n):
+    # every cycle type, odd ones at 0, against the route of one genus level
+    # per handle
+    genera = (1, 2, 3, 20) if n <= 6 else (1, 2, 3)
+    for g, counts in naive_class_product_counts(n, genera).items():
+        assert oracle._boundary_histogram(g, n) == counts
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -411,8 +413,7 @@ def test_shape_witnesses_match_naive_double_loop(n):
 
 def test_shape_sweep_stops_once_every_shape_is_found():
     # the first pairs of all 12 shapes of S_6 lie in rows s <= 3; each lies
-    # in the row of the first permutation of a cycle type, which the class
-    # pass counts
+    # in the row of the first permutation of a cycle type
     assert len(oracle._classes(6).witnesses) == 12
     for n, last in [(5, 3), (6, 3), (7, 9)]:
         pc = oracle._classes(n)
@@ -424,8 +425,8 @@ def test_shape_sweep_stops_once_every_shape_is_found():
 
 @pytest.mark.parametrize("n,rows", [(6, 3), (7, 5)])
 def test_the_count_rows_build_only_the_witness_rows(monkeypatch, n, rows):
-    # the counts come from class products; the rows of the first 3 of the
-    # 11 cycle types of S_6, and 5 of the 15 of S_7, hold every shape
+    # the rows of the first 3 of the 11 cycle types of S_6, and 5 of the 15
+    # of S_7, hold every shape
     built = []
     row = perms_module.SnTables.commutator_row
 
@@ -504,7 +505,7 @@ def test_enumeration_at_the_degree_ceiling(cold_tables):
     assert cover.genus_total == r.min_genus_overall == 1
     # even degree: no unbranched cover has connected boundary
     assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
-    # one genus level on the same S_8 tables, and its shape check over degrees 1..8
+    # genus 2 on the same S_8 tables, and its shape check over degrees 1..8
     assert enumerate_covers(2, 8).boundary_k_histogram == boundary_histogram(2, 8)
     table = realizability_table(2, 8)
     assert len(table) == 20
@@ -536,7 +537,7 @@ def test_budget_counts_the_rows_and_shapes_the_pass_finds(n):
     # the budget charges p(n) count rows and one witness tuple per shape
     # (m, k), m <= k <= n, k = n mod 2, before any table exists
     pc = oracle._classes(n)
-    assert oracle._TYPE_COUNTS[n] == len(pc.firsts)
+    assert len(oracle._partitions(n)) == len(pc.firsts)
     assert len(pc.witnesses) == (n + 1) ** 2 // 4
 
 
@@ -550,8 +551,8 @@ def test_shape_histogram_matches_naive_exhaustion(g, n):
 
 
 def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
-    # the shapes an enumeration counts at genus 2 must be those of the
-    # pairs; drop one
+    # the shapes an enumeration counts at any genus, genus 1 too, must be
+    # those of the pairs; drop one
     counted = oracle._shape_histogram
 
     def drop_one(g, n):
@@ -560,15 +561,27 @@ def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
         return shapes
 
     monkeypatch.setattr(oracle, "_shape_histogram", drop_one)
-    assert enumerate_covers(1, 3)  # genus 1 counts no shapes
-    with pytest.raises(AssertionError, match="shapes at genus 2 are not those of the pairs"):
-        enumerate_covers(2, 3)
+    for g in (1, 2):
+        with pytest.raises(AssertionError, match=f"shapes at genus {g} are not those of the pairs"):
+            enumerate_covers(g, 3)
 
 
-def test_sharpness_and_the_table_run_no_genus_level(monkeypatch):
-    # neither reads a histogram, so a deep genus costs them no level
+def test_an_enumeration_builds_tables_for_its_own_degree_only(monkeypatch, cold_tables):
+    # the histograms of degrees 1..4 behind the shape check come from
+    # characters, so no smaller S_j is built
+    built = []
+    tables, walk = oracle.sn_tables, oracle._CountRows
+    monkeypatch.setattr(oracle, "sn_tables", lambda n: built.append(("tables", n)) or tables(n))
+    monkeypatch.setattr(oracle, "_CountRows", lambda n: built.append(("walk", n)) or walk(n))
+    enumerate_covers(2, 5)
+    assert ("walk", 5) in built
+    assert {n for _, n in built} == {5}
+
+
+def test_sharpness_and_the_table_read_no_histogram(monkeypatch):
+    # neither reads a histogram, so a deep genus costs them no count
     def refuse(g, n):
-        raise AssertionError("ran genus levels that no report reads")
+        raise AssertionError("counted tuples that no report reads")
 
     monkeypatch.setattr(oracle, "_boundary_histogram", refuse)
     assert verify_sharpness(400, 5).ok
@@ -577,20 +590,23 @@ def test_sharpness_and_the_table_run_no_genus_level(monkeypatch):
 
 def test_budget_counts_work_not_tuples():
     # (3, 5) has 120^6 tuples, far over the default budget, but the estimate
-    # charges 128 for each of the 983 count-row entries of degrees 1..5 (64
-    # for the row, 64 for the matrix), 88 small multiply-adds for each of two
-    # levels and 512 for each of nine shapes' six witness entries
-    work = 128 * 983 + 2 * 88 + 512 * 54
+    # charges 16 for each of the 7 * 120 count-row entries of degree 5, 256
+    # for each of nine shapes' six witness entries, and 1 per 8 bits of the
+    # character counts of each degree j = 2..5, p(j) + p(j)^2 numbers of
+    # 5 log2 j! bits; its 13-digit counts print for nothing
+    work = 16 * 7 * 120 + 256 * 54 + (3 + 19 + 85 + 241)
+    assert work == 27612
     assert enumerate_covers(3, 5, budget=work).total_tuples == 120**6 > DEFAULT_BUDGET
     with pytest.raises(BudgetExceededError):
         enumerate_covers(3, 5, budget=work - 1)
 
 
 def test_budget_at_genus_one_charges_the_rows_and_witnesses():
-    # 64 for each entry of p(n) rows of n!, 512 for each of two entries of
-    # a witness per shape
-    for n, types, shapes in ((2, 2, 2), (3, 3, 4), (4, 5, 6)):
-        work = 64 * types * math.factorial(n) + 512 * 2 * shapes
+    # 16 for each entry of p(n) rows of n!, 256 for each of two entries of
+    # a witness per shape, and 1 per 8 bits of p(j) + p(j)^2 character
+    # counts of log2 j! bits for each degree j <= n: 0, 3 and 3 + 17
+    for n, types, shapes, counts in ((2, 2, 2, 0), (3, 3, 4, 3), (4, 5, 6, 20)):
+        work = 16 * types * math.factorial(n) + 256 * 2 * shapes + counts
         assert enumerate_covers(1, n, budget=work).total_tuples == math.factorial(n) ** 2
         with pytest.raises(BudgetExceededError):
             enumerate_covers(1, n, budget=work - 1)
@@ -602,8 +618,8 @@ def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch, cold_ta
 
     monkeypatch.setattr(oracle, "_CountRows", refuse)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(2, 5, budget=144343)
-    assert "estimated 144344 work units" in str(exc.value)
+        enumerate_covers(2, 5, budget=22864)
+    assert "estimated 22865 work units" in str(exc.value)
     assert oracle._classes.cache_info().currsize == 0
 
 
@@ -625,18 +641,19 @@ def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch, cold_ta
         verify_sharpness(10**400, 6)
 
 
-def test_budget_checks_each_level_before_it_runs(monkeypatch, cold_tables):
+def test_budget_refuses_one_more_handle_before_any_table(monkeypatch, cold_tables):
     def refuse(*args):
         raise AssertionError("a table built for a refused request")
 
-    # genus 2 (144344 units) fits, genus 3 does not: its estimate, one more
-    # level of 88 multiply-adds and nine witnesses two entries longer, is
-    # refused before the count rows or the S_5 tables exist
+    # genus 2 (22865 units) fits, genus 3 does not: its estimate, nine
+    # witnesses two entries longer (4608 units) and character counts
+    # 2 log2 j! bits longer (139), is refused before the count rows or the
+    # S_5 tables exist
     monkeypatch.setattr(oracle, "_CountRows", refuse)
     monkeypatch.setattr(oracle, "sn_tables", refuse)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(3, 5, budget=144344)
-    assert f"estimated {144344 + 88 + 512 * 18} work units" in str(exc.value)
+        enumerate_covers(3, 5, budget=22865)
+    assert f"estimated {22865 + 256 * 18 + 139} work units" in str(exc.value)
 
 
 def test_a_deep_genus_is_refused_before_any_table(monkeypatch, cold_tables):
