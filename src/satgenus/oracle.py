@@ -40,20 +40,22 @@ with the lexicographically first witness tuple.
 
 Every refusal is decided by ``_check_budget`` before any table is built;
 degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
-budget.  The caches hold only constants of the degree: the tables and the
-witnesses of the walk.
+budget.  The walk's S_n tables are local to it and freed when it ends; the
+caches hold only its witnesses, constants of the degree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections import Counter
 from functools import lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul
+from typing import Iterator
 
 from . import BudgetExceededError, _Record
-from .perms import MAX_TABLE_DEGREE, Permutation, cycles_str, sn_tables
+from .perms import MAX_TABLE_DEGREE, Permutation, cycles_str
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -184,15 +186,24 @@ def _join(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return root
 
 
+def _commutator_row(s: int, perms: list, inverses: list, composers: list) -> Iterator[tuple[int, ...]]:
+    """The commutator [s, q] of every q, in rank order of q, one at a time:
+    ``perms`` is S_n in rank order, ``inverses`` their inverses, and
+    ``composers[r]`` maps q to "apply perms[r], then q"."""
+    then_s, then_s_inv = composers[s], composers[perms.index(inverses[s])]
+    # [s, q] applies s, q, s^-1, q^-1 in turn
+    return (then_s(then_q(then_s_inv(q_inv))) for then_q, q_inv in zip(composers, inverses))
+
+
 class _CountRows:
     """The witness walk of S_n x S_n: the first pair of every cover shape.
 
-    Permutations are ranked in lexicographic order of their image tuples
-    (``perms.sn_tables``), and cycle types are numbered in the order of
-    their first permutations: ``firsts[t]`` is the first permutation of type
-    t.  ``witnesses`` maps every cover shape (m, k), the orbits of the pair
-    and the cycles of its commutator, to its lexicographically first pair
-    (s, q) as ranks.
+    Permutations are ranked in lexicographic order of their image tuples,
+    and cycle types are numbered in the order of their first permutations:
+    ``firsts[t]`` is the rank of the first permutation of type t.
+    ``witnesses`` maps every cover shape (m, k), the orbits of the pair and
+    the cycles of its commutator, to its lexicographically first pair (s, q)
+    as image tuples.
 
     The witnesses come from rows (s, all q).  Conjugating by h maps the pair
     (s, q) to (s^h, q^h), keeps its shape and conjugates its commutator, so
@@ -200,12 +211,17 @@ class _CountRows:
     the first permutation of some type.  Those rows are walked in rank
     order until every shape (m, k), 1 <= m <= k <= n and k = n mod 2 (the
     commutator is even), has its first pair; the orbits of <s, q> join the
-    cycle partitions of s and q, one join per partition.
+    cycle partitions of s and q, one join per partition.  The tables of
+    S_n, n! permutations with their inverses and composers, live only while
+    the walk runs.
     """
 
     def __init__(self, n: int):
-        tables = sn_tables(n)
-        self.perms = perms = tables.perms
+        perms = list(itertools.permutations(range(n)))
+        inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
+        # itemgetter with a single index returns a bare item; the one
+        # permutation of S_1 composes to itself
+        composers = [itemgetter(*p) for p in perms] if n > 1 else [tuple]
         discrete = tuple(range(n))
         partitions: dict[tuple[int, ...], int] = {}  # cycle partitions, in order of first permutation
         part_of = [partitions.setdefault(tuple(_join(discrete, p)), len(partitions)) for p in perms]
@@ -222,15 +238,14 @@ class _CountRows:
         for s in firsts:
             # a pair is coded as one integer, orbits * (n + 1) + commutator cycles
             orbit_keys = [(n + 1) * len(set(_join(labels[part_of[s]], part))) for part in labels]
-            comms = map(cycles_of.__getitem__, tables.commutator_row(s))
+            comms = map(cycles_of.__getitem__, _commutator_row(s, perms, inverses, composers))
             row = list(map(add, map(orbit_keys.__getitem__, part_of), comms))
-            del comms  # the row's n! commutators, before the next row builds its own
             for key in dict.fromkeys(row):
                 shape = divmod(key, n + 1)
                 if shape not in witnesses:
                     if shape not in shapes:
                         raise AssertionError(f"the pairs show a cover shape {shape} out of range; this is a bug")
-                    witnesses[shape] = (s, row.index(key))
+                    witnesses[shape] = (perms[s], perms[row.index(key)])
             if len(witnesses) == len(shapes):
                 break
         else:
@@ -242,14 +257,15 @@ def _classes(n: int) -> _CountRows:
     return _CountRows(n)
 
 
-def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[int, ...]]:
+def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[tuple[int, ...], ...]]:
     """Every cover shape (components, boundary circles, genus) with its
-    first tuple as ranks: 2g - 2 identities and its first pair.  These are
-    all the shapes at genus g: every tuple has k = n mod 2 and m <= k, one
-    even boundary product per orbit, and the pairs show every such shape."""
+    first tuple as image tuples: 2g - 2 identities and its first pair.
+    These are all the shapes at genus g: every tuple has k = n mod 2 and
+    m <= k, one even boundary product per orbit, and the pairs show every
+    such shape."""
     pc = _classes(n)
     base_odd = n * (2 * g - 1)
-    identities = (0,) * (2 * g - 2)
+    identities = (tuple(range(n)),) * (2 * g - 2)
     return {
         (m, k, (base_odd + 2 * m - k) >> 1): identities + pair
         for (m, k), pair in pc.witnesses.items()
@@ -401,11 +417,10 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
     }
 
 
-def _witness_perms(degree: int, wit: tuple) -> tuple[Permutation, ...]:
-    """The witness ranks as permutations, one shared ``Permutation`` per rank:
-    past genus 1 all but two entries are the identity."""
-    perms = sn_tables(degree).perms
-    shared = {rank: Permutation(perms[rank]) for rank in set(wit)}
+def _witness_perms(wit: tuple) -> tuple[Permutation, ...]:
+    """The witness image tuples as permutations, one shared ``Permutation``
+    per distinct tuple: past genus 1 all but two entries are the identity."""
+    shared = {images: Permutation(images) for images in set(wit)}
     return tuple(map(shared.__getitem__, wit))
 
 
@@ -416,9 +431,9 @@ def _witness_json(witness: tuple[Permutation, ...]) -> list[str]:
     return list(map(text.__getitem__, images))
 
 
-def _finding_json(degree: int, finding: dict) -> dict:
+def _finding_json(finding: dict) -> dict:
     out = dict(finding)
-    out["witness"] = _witness_json(_witness_perms(degree, finding["witness"]))
+    out["witness"] = _witness_json(_witness_perms(finding["witness"]))
     return out
 
 
@@ -442,7 +457,7 @@ class EnumerationReport(_Record):
             "degree": self.degree,
             "total_tuples": self.total_tuples,
             "budget": self.budget,
-            "violations": [_finding_json(self.degree, v) for v in self.violations],
+            "violations": [_finding_json(v) for v in self.violations],
             "min_genus_overall": self.min_genus_overall,
             "min_overall_witness": _witness_json(self.min_overall_witness),
             "min_genus_connected_boundary": self.min_genus_connected_boundary,
@@ -475,10 +490,10 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
         budget=limit,
         violations=tuple(a["violations"]),
         min_genus_overall=a["min_overall"][0],
-        min_overall_witness=_witness_perms(degree, a["min_overall"][1]),
+        min_overall_witness=_witness_perms(a["min_overall"][1]),
         min_genus_connected_boundary=None if min_k1 is None else min_k1[0],
         connected_boundary_witness=(
-            None if min_k1 is None else _witness_perms(degree, min_k1[1])
+            None if min_k1 is None else _witness_perms(min_k1[1])
         ),
         boundary_k_histogram={k: v for k, v in enumerate(khist) if v},
     )
@@ -500,7 +515,7 @@ class SharpnessReport(_Record):
             "degree": self.degree,
             "ok": self.ok,
             "checks": dict(self.checks),
-            "counterexamples": [_finding_json(self.degree, c) for c in self.counterexamples],
+            "counterexamples": [_finding_json(c) for c in self.counterexamples],
             "notes": dict(self.notes),
         }
 
@@ -596,4 +611,4 @@ def realizability_table(
     unbranched cover, with the lexicographically first witness tuple."""
     _check_budget(base_genus, degree, budget)
     rows = _shape_rows(base_genus, degree)
-    return {key: _witness_perms(degree, wit) for key, wit in sorted(rows.items())}
+    return {key: _witness_perms(wit) for key, wit in sorted(rows.items())}

@@ -5,11 +5,10 @@ I/O (cycle notation) is 1-indexed, matching the usual convention for
 braid-strand and sheet labels.  Composition is left-to-right throughout:
 ``compose(a, b)`` means "apply a first, then b".
 
-``sn_tables`` holds S_n in rank order (lexicographic order of image
-tuples) with inverses and composition maps, built once per degree.  The
-exhaustive commutator search (``ore_commutator_search``) and the witness
-walk of :mod:`satgenus.oracle` share it, and both refuse degrees above
-``MAX_TABLE_DEGREE``.
+The exhaustive commutator search (``ore_commutator_search``) walks S_n in
+rank order, the lexicographic order of image tuples, and builds no table;
+it refuses degrees above ``MAX_TABLE_DEGREE``, the ceiling of the witness
+walk of :mod:`satgenus.oracle`, whose tables hold all of S_n.
 
 :class:`Permutation`, like the record classes of the other layers, derives
 from the frozen-value base ``satgenus._Record``.
@@ -19,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
-from operator import itemgetter
 from typing import Sequence
 
 from . import _Record
@@ -32,9 +29,10 @@ CycleType = tuple[int, ...]
 # ValueError before any list of that size is built.
 MAX_DEGREE = 10**6
 
-# The largest degree whose S_n tables are built: at degree 9 the tables alone
-# take about 110 MB, and the oracle's witness walk brings the peak to about
-# 200 MB; the enumeration budget's weights are not measured at degree 9 yet.
+# The largest degree whose S_n tables the oracle's witness walk builds: at
+# degree 9 the tables alone take about 110 MB, and the walk brings the peak
+# to about 200 MB; the enumeration budget's weights are not measured at
+# degree 9 yet.  The commutator search builds no table but keeps the ceiling.
 MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -246,35 +244,6 @@ def example2_pair(m: int) -> tuple[Permutation, Permutation]:
     return s1, s2
 
 
-def _composer(p: tuple[int, ...]):
-    """The map q -> (apply p, then q) on image tuples."""
-    # itemgetter with a single index returns a bare item; the one
-    # permutation of S_1 composes to itself.
-    return itemgetter(*p) if len(p) > 1 else tuple
-
-
-class SnTables:
-    """S_n as image tuples in rank order, with their inverses and their
-    composers (``composers[r]`` maps q to "apply perms[r], then q")."""
-
-    def __init__(self, n: int):
-        self.perms = list(itertools.permutations(range(n)))
-        self.inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in self.perms]
-        self.composers = [_composer(p) for p in self.perms]
-
-    def commutator_row(self, s: int) -> list[tuple[int, ...]]:
-        """The commutator [s, q] of every q, in rank order of q."""
-        then_s, then_s_inv = self.composers[s], _composer(self.inverses[s])
-        # [s, q] applies s, q, s^-1, q^-1 in turn
-        return [then_s(then_q(then_s_inv(q_inv))) for then_q, q_inv in zip(self.composers, self.inverses)]
-
-
-@lru_cache(maxsize=None)
-def sn_tables(n: int) -> SnTables:
-    """The shared tables of S_n, built on first use."""
-    return SnTables(n)
-
-
 def check_search_degree(degree: int) -> None:
     """Refuse an exhaustive search above MAX_TABLE_DEGREE."""
     if degree > MAX_TABLE_DEGREE:
@@ -288,24 +257,28 @@ def ore_commutator_search(target: Permutation) -> tuple[Permutation, Permutation
     """Exhaustive search for (a, b) with ``commutator(a, b) == target``.
 
     Returns the lexicographically first witness pair, or None when the target
-    is not a commutator (odd permutations are rejected up front).  The first
-    a, in rank order, whose row (a, all b) holds the target t is found
-    without building rows: with products left to right, a b a^-1 b^-1 = t
-    exactly when b a^-1 b^-1 = a^-1 t, so row a holds t exactly when a^-1 t
-    is a conjugate of a^-1, that is, has the cycle type of a.  Only that row
-    is built (n! compositions), and its first b completes the pair.  By
-    Ore's theorem every even permutation is a commutator, so some row holds
-    it.  The ``S_n`` tables hold n! permutations, so degrees above
-    ``MAX_TABLE_DEGREE`` are refused with ValueError.
+    is not a commutator (odd permutations are rejected up front).  Both a and
+    b are walked in rank order, the order of ``itertools.permutations``, one
+    at a time; no row and no table is built.  The first a whose row (a, all
+    b) holds the target t is found without walking b: with products left to
+    right, a b a^-1 b^-1 = t exactly when b a^-1 b^-1 = a^-1 t, so row a
+    holds t exactly when a^-1 t is a conjugate of a^-1, that is, has the
+    cycle type of a.  The first b of that row with [a, b] = t completes the
+    pair.  By Ore's theorem every even permutation is a commutator, so some
+    row holds it.  Degrees above ``MAX_TABLE_DEGREE`` are refused with
+    ValueError.
     """
     check_search_degree(target.degree)
     if not is_even(target):
         return None
-    tables = sn_tables(target.degree)
-    goal = target.images
-    for s, (a, a_inv) in enumerate(zip(tables.perms, tables.inverses)):
+    points, goal = range(target.degree), target.images
+    for a in itertools.permutations(points):
+        a_inv = tuple(sorted(points, key=a.__getitem__))
         # a^-1 t applies a^-1, then t
         if cycle_type(Permutation(tuple(goal[x] for x in a_inv))) == cycle_type(Permutation(a)):
-            row = tables.commutator_row(s)
-            return Permutation(a), Permutation(tables.perms[row.index(goal)])
+            for b in itertools.permutations(points):
+                # [a, b] takes x through a, b and a^-1 to a_inv[b[a[x]]],
+                # then through b^-1, to t(x) exactly when that is b[t(x)]
+                if all(a_inv[b[a[x]]] == b[goal[x]] for x in points):
+                    return Permutation(a), Permutation(b)
     return None

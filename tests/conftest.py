@@ -21,16 +21,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 
 @pytest.fixture
 def cold_tables():
-    """Clear the per-degree caches, the ``S_n`` tables and the witness
-    walk, before and after the test; calling the fixture's value clears
-    them again.  Those of degree 8 add about 18 MB to a process's resident
-    size."""
-    from satgenus import oracle, perms
+    """Clear the per-degree cache, the witnesses of the ``S_n`` walk, before
+    and after the test; calling the fixture's value clears it again.  The
+    walk's tables are freed when it ends, so a cold cache means the next
+    request of that degree builds them and walks again."""
+    from satgenus import oracle
 
-    def clear():
-        perms.sn_tables.cache_clear()
-        oracle._classes.cache_clear()
-
+    clear = oracle._classes.cache_clear
     clear()
     yield clear
     clear()

@@ -595,7 +595,7 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
         "components": 1,
         "boundary": 2,
         "genus": 0,
-        "witness": (0, 0),
+        "witness": ((0, 1), (0, 1)),
     }
     rigged = oracle.EnumerationReport(
         base_genus=real.base_genus,
@@ -648,6 +648,27 @@ def test_cover_enumerate_prints_the_largest_printable_tuple_count(capsys, defaul
     assert env["results"]["total_tuples"] == 36**2762
     assert main(["cover", "enumerate", "--genus", "2762", "--degree", "3"]) == EXIT_OK
     assert "tuples scanned:" in capsys.readouterr().out
+
+
+def test_cover_enumerate_under_json_builds_no_human_lines(monkeypatch):
+    # --json prints no human line, so the handler makes none and turns no
+    # count into decimal text: with every conversion past 640 digits
+    # refused, (2000,3), whose 6^4000 tuples have 3113 digits, still runs,
+    # and only the human lines fail
+    from satgenus import cmd_cover
+
+    saved = sys.get_int_max_str_digits()
+    monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
+    args = argparse.Namespace(genus=2000, degree=3, budget=None, sharpness=True, json=True, out=None)
+    sys.set_int_max_str_digits(640)
+    try:
+        code, (command, _, results, human) = cmd_cover.cover_enumerate(args)
+        assert (code, command, human) == (EXIT_OK, "cover enumerate", [])
+        assert results["total_tuples"] == 6**4000
+        with pytest.raises(ValueError, match="integer string conversion"):
+            cmd_cover.cover_enumerate(argparse.Namespace(**{**vars(args), "json": False}))
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # the last two have 4300 digits, as many as the interpreter reads, and 2g

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -260,6 +262,11 @@ def test_sharpness_json_round_trip():
     json.dumps(data)
 
 
+# the first three permutations of S_5 and of S_4, as image tuples
+E5, A5, B5 = (0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 1, 3, 2, 4)
+E4, A4, B4 = (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)
+
+
 @pytest.mark.parametrize(
     "n, extra, failing, findings",
     [
@@ -267,7 +274,7 @@ def test_sharpness_json_round_trip():
         # a connected one-circle shape below the second
         (
             5,
-            {(2, 5, 0): (1, 0), (1, 1, 2): (2, 0)},
+            {(2, 5, 0): (A5, E5), (1, 1, 2): (B5, E5)},
             {
                 "unbranched_floor_holds",
                 "unbranched_floor_attained",
@@ -275,16 +282,16 @@ def test_sharpness_json_round_trip():
                 "connected_boundary_floor_attained_unbranched",
             },
             [
-                ("connected_boundary_floor", 1, 1, 2, (2, 0), None),
-                ("unbranched_floor", 2, 5, 0, (1, 0), None),
-                ("connected_boundary_equality", 1, 1, 2, (2, 0), None),
+                ("connected_boundary_floor", 1, 1, 2, (B5, E5), None),
+                ("unbranched_floor", 2, 5, 0, (A5, E5), None),
+                ("connected_boundary_equality", 1, 1, 2, (B5, E5), None),
             ],
         ),
         # even degree: floors 1 and 3; the one-circle shape sits on the
         # unbranched floor, and splitting its circle keeps it there
         (
             4,
-            {(2, 4, 0): (1, 0), (1, 1, 1): (2, 0)},
+            {(2, 4, 0): (A4, E4), (1, 1, 1): (B4, E4)},
             {
                 "unbranched_floor_holds",
                 "unbranched_floor_attained",
@@ -294,11 +301,11 @@ def test_sharpness_json_round_trip():
                 "no_unbranched_connected_boundary",
             },
             [
-                ("connected_boundary_floor", 1, 1, 1, (2, 0), None),
-                ("unbranched_floor", 2, 4, 0, (1, 0), None),
-                ("unbranched_floor_equality", 1, 1, 1, (2, 0), None),
-                ("connected_boundary_parity", 1, 1, 1, (2, 0), None),
-                ("branched_floor_equality", 1, 2, 1, (2, 0), "split"),
+                ("connected_boundary_floor", 1, 1, 1, (B4, E4), None),
+                ("unbranched_floor", 2, 4, 0, (A4, E4), None),
+                ("unbranched_floor_equality", 1, 1, 1, (B4, E4), None),
+                ("connected_boundary_parity", 1, 1, 1, (B4, E4), None),
+                ("branched_floor_equality", 1, 2, 1, (B4, E4), "split"),
             ],
         ),
     ],
@@ -406,9 +413,7 @@ def test_the_join_matches_naive_joins(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_shape_witnesses_match_naive_double_loop(n):
-    pc = oracle._CountRows(n)
-    found = {shape: (pc.perms[s], pc.perms[q]) for shape, (s, q) in pc.witnesses.items()}
-    assert found == naive_first_shape_pairs(n)
+    assert oracle._CountRows(n).witnesses == naive_first_shape_pairs(n)
 
 
 def test_shape_sweep_stops_once_every_shape_is_found():
@@ -416,10 +421,11 @@ def test_shape_sweep_stops_once_every_shape_is_found():
     # in the row of the first permutation of a cycle type
     assert len(oracle._classes(6).witnesses) == 12
     for n, last in [(5, 3), (6, 3), (7, 9)]:
-        pc = oracle._classes(n)
-        assert max(s for s, _ in pc.witnesses.values()) == last
-        types = [perms_module.cycle_type(Permutation(p)) for p in pc.perms]
-        for s, _ in pc.witnesses.values():
+        perms = list(itertools.permutations(range(n)))
+        rows = [perms.index(s) for s, _ in oracle._classes(n).witnesses.values()]
+        assert max(rows) == last
+        types = [perms_module.cycle_type(Permutation(p)) for p in perms]
+        for s in rows:
             assert types.index(types[s]) == s
 
 
@@ -428,13 +434,13 @@ def test_the_count_rows_build_only_the_witness_rows(monkeypatch, n, rows):
     # the rows of the first 3 of the 11 cycle types of S_6, and 5 of the 15
     # of S_7, hold every shape
     built = []
-    row = perms_module.SnTables.commutator_row
+    row = oracle._commutator_row
 
-    def counted(tables, s):
+    def counted(s, *tables):
         built.append(s)
-        return row(tables, s)
+        return row(s, *tables)
 
-    monkeypatch.setattr(perms_module.SnTables, "commutator_row", counted)
+    monkeypatch.setattr(oracle, "_commutator_row", counted)
     pc = oracle._CountRows(n)
     assert len(pc.firsts) == [11, 15][n - 6]
     assert built == pc.firsts[:rows]
@@ -447,23 +453,24 @@ def test_the_count_rows_build_only_the_witness_rows(monkeypatch, n, rows):
 def test_a_count_row_that_misses_or_invents_a_shape_is_a_bug(monkeypatch, odd, message):
     # in S_3 only a 3-cycle commutator gives one boundary circle; make every
     # such commutator the identity, or an odd permutation no commutator is
-    row = perms_module.SnTables.commutator_row
+    row = oracle._commutator_row
     swap = (0, 2, 1) if odd else (0, 1, 2)
 
-    def patched(tables, s):
-        return [swap if c in ((1, 2, 0), (2, 0, 1)) else c for c in row(tables, s)]
+    def patched(s, *tables):
+        return (swap if c in ((1, 2, 0), (2, 0, 1)) else c for c in row(s, *tables))
 
-    monkeypatch.setattr(perms_module.SnTables, "commutator_row", patched)
+    monkeypatch.setattr(oracle, "_commutator_row", patched)
     with pytest.raises(AssertionError, match=message):
         oracle._CountRows(3)
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_shape_witnesses_match_a_naive_row_sweep(n):
-    pc = oracle._classes(n)
-    first, rows = naive_shape_sweep(n, pc.witnesses.keys())
-    assert first == {shape: (pc.perms[s], pc.perms[q]) for shape, (s, q) in pc.witnesses.items()}
-    assert rows == max(s for s, _ in pc.witnesses.values()) + 1
+    witnesses = oracle._classes(n).witnesses
+    first, rows = naive_shape_sweep(n, witnesses.keys())
+    assert first == witnesses
+    perms = list(itertools.permutations(range(n)))
+    assert rows == max(perms.index(s) for s, _ in witnesses.values()) + 1
 
 
 BEYOND_EXHAUSTION = [(4, 3), (2, 5), (3, 5), (10, 5), (1, 6), (1, 7), (2, 7), (7, 7)]
@@ -520,7 +527,6 @@ def test_degrees_over_the_ceiling_are_refused_before_any_table(monkeypatch, degr
         raise AssertionError("tables built over the degree ceiling")
 
     monkeypatch.setattr(oracle, "_CountRows", refuse)
-    monkeypatch.setattr(oracle, "sn_tables", refuse)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError, match=f"degree {degree} exceeds the enumeration limit 8"):
             run(1, degree, budget=10**20)
@@ -568,14 +574,37 @@ def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
 
 def test_an_enumeration_builds_tables_for_its_own_degree_only(monkeypatch, cold_tables):
     # the histograms of degrees 1..4 behind the shape check come from
-    # characters, so no smaller S_j is built
+    # characters, so no smaller S_j is built: one witness walk, whose rows
+    # all read tables of S_5
     built = []
-    tables, walk = oracle.sn_tables, oracle._CountRows
-    monkeypatch.setattr(oracle, "sn_tables", lambda n: built.append(("tables", n)) or tables(n))
+    walk, row = oracle._CountRows, oracle._commutator_row
+
+    def counted(s, perms, *tables):
+        built.append(("row", len(perms), len(perms[s])))
+        return row(s, perms, *tables)
+
     monkeypatch.setattr(oracle, "_CountRows", lambda n: built.append(("walk", n)) or walk(n))
+    monkeypatch.setattr(oracle, "_commutator_row", counted)
     enumerate_covers(2, 5)
-    assert ("walk", 5) in built
-    assert {n for _, n in built} == {5}
+    assert built[0] == ("walk", 5)
+    assert len(built) > 1 and set(built[1:]) == {("row", 120, 5)}
+
+
+def test_the_caches_keep_no_table_after_an_enumeration(cold_tables):
+    # the S_7 tables, about 1.4 MB, are freed when the witness walk ends;
+    # its cache keeps 16 witness pairs
+    enumerate_covers(1, 6)  # warm whatever the first enumeration allocates
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        enumerate_covers(1, 7)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert oracle._classes.cache_info().currsize == 2
+    assert retained < 100_000
 
 
 def test_sharpness_and_the_table_read_no_histogram(monkeypatch):
@@ -650,7 +679,6 @@ def test_budget_refuses_one_more_handle_before_any_table(monkeypatch, cold_table
     # 2 log2 j! bits longer (139), is refused before the count rows or the
     # S_5 tables exist
     monkeypatch.setattr(oracle, "_CountRows", refuse)
-    monkeypatch.setattr(oracle, "sn_tables", refuse)
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(3, 5, budget=22865)
     assert f"estimated {22865 + 256 * 18 + 139} work units" in str(exc.value)
@@ -663,7 +691,6 @@ def test_a_deep_genus_is_refused_before_any_table(monkeypatch, cold_tables):
     # a billion handles at degree 1 and, with the print limit off, a genus
     # of a million or of 401 digits at degree 3
     monkeypatch.setattr(oracle, "_CountRows", refuse)
-    monkeypatch.setattr(oracle, "sn_tables", refuse)
     monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
     for g, n in ((10**9, 1), (10**6, 3), (10**400, 3)):
         for run in (enumerate_covers, verify_sharpness, realizability_table):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -314,30 +315,29 @@ def test_ore_search_at_the_degree_ceiling():
     assert (a.images, b.images) == naive_first_commutator_pair(target.images)
 
 
-def test_ore_search_builds_no_pair_classes_and_shares_the_tables(monkeypatch, cold_tables):
+def test_ore_search_builds_no_pair_classes(monkeypatch, cold_tables):
     built = []
     real = oracle._CountRows
     monkeypatch.setattr(oracle, "_CountRows", lambda n: built.append(n) or real(n))
     ore_commutator_search(parse_cycles("(1 2 3 4 5)", 5))
     assert built == []
+    assert oracle._classes.cache_info().currsize == 0
     oracle.enumerate_covers(1, 5)
     assert built == [5]
     assert oracle._classes.cache_info().misses == 1
-    assert perms_module.sn_tables.cache_info().misses == 1
 
 
-def test_ore_search_builds_one_commutator_row_per_target(monkeypatch):
-    rows = []
-    real = perms_module.SnTables.commutator_row
-    monkeypatch.setattr(perms_module.SnTables, "commutator_row",
-                        lambda self, s: rows.append(s) or real(self, s))
-    for n in range(2, 7):
-        for images in itertools.permutations(range(n)):
-            target = Permutation(images)
-            if is_even(target):
-                rows.clear()
-                ore_commutator_search(target)
-                assert len(rows) == 1, target
+def test_ore_search_holds_no_table_at_the_degree_ceiling():
+    # S_8 as image tuples alone takes about 4 MB; the search walks it one
+    # permutation at a time
+    target = parse_cycles("(1 2)(3 4)(5 6)(7 8)", 8)
+    tracemalloc.start()
+    try:
+        ore_commutator_search(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ore_search_degree_limit():
