@@ -11,11 +11,12 @@ branch point.  The scan is budgeted and deterministic.  It never visits
 tuples one by one: the character table of S_n counts the tuples by the
 cycle type of their boundary product, one integer power per character at
 any genus, and a few rows of generator pairs give the first pair of every
-cover shape, so deep genus stays cheap.
+cover shape, so deep genus stays cheap.  A witness is a tuple of 0-indexed
+image tuples; ``Permutation`` wraps each entry for printing or arithmetic.
 """
 
 from satgenus import enumerate_covers, realizability_table, verify_sharpness
-from satgenus.perms import cycles_str
+from satgenus.perms import Permutation, cycles_str
 
 GRID = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 5), (10, 5)]
 
@@ -28,7 +29,7 @@ for g, n in GRID:
           f"min genus {r.min_genus_overall} (floor {floor_all}), "
           f"violations {len(r.violations)}, sharpness ok={sharp.ok}")
     if r.min_genus_connected_boundary is not None:
-        wit = ", ".join(cycles_str(p) for p in r.connected_boundary_witness)
+        wit = ", ".join(cycles_str(Permutation(p)) for p in r.connected_boundary_witness)
         print(f"        connected boundary: min genus "
               f"{r.min_genus_connected_boundary} (floor {floor_k1}) via [{wit}]")
     else:
@@ -41,5 +42,5 @@ for g, n in GRID:
 print()
 print("realizable (components, boundary, genus) classes at g=1, n=3:")
 for (m, k, genus), wit in realizability_table(1, 3).items():
-    images = ", ".join(cycles_str(p) for p in wit)
+    images = ", ".join(cycles_str(Permutation(p)) for p in wit)
     print(f"  m={m} k={k} genus={genus}: [{images}]")

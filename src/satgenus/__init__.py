@@ -6,19 +6,22 @@ Euler-characteristic bookkeeping for branched covers
 (:mod:`satgenus.covering`), the integer bound evaluators
 (:mod:`satgenus.bounds`), and an exhaustive enumeration oracle that
 certifies the covering-genus floors on small symmetric groups
-(:mod:`satgenus.oracle`).  ``satgenus.cli`` exposes all of it as a command
-line tool.
+(:mod:`satgenus.oracle`), whose witnesses are tuples of 0-indexed image
+tuples that ``satgenus.perms.Permutation`` wraps.  ``satgenus.cli`` exposes
+all of it as a command line tool.
 
 The names below are exported lazily (PEP 562): ``import satgenus`` loads no
 layer, and the first access to a name imports its submodule.  So a process
 pays only for the layers it uses; ``satgenus.cli`` imports the package first.
 
-What every process needs lives here, where no layer has to be loaded for
-it: ``_Record``, the frozen-value base of every record class, and the
+What more than one layer needs lives here, where no layer has to be loaded
+for it: ``_Record``, the frozen-value base of every record class; the
 command line's exit codes and ``BudgetExceededError``, which
-``satgenus.cli``, its handler modules and the oracle share.  Without a
-bytecode cache each module a process imports is compiled from source, so a
-layer loaded only for a base class would cost its whole compile.
+``satgenus.cli``, its handler modules and the oracle share; and
+``MAX_TABLE_DEGREE`` and ``_cycle_notation``, which the oracle shares with
+:mod:`satgenus.perms`.  Without a bytecode cache each module a process
+imports is compiled from source, so a layer loaded only for a base class or
+a constant would cost its whole compile.
 """
 
 from __future__ import annotations
@@ -34,6 +37,33 @@ EXIT_INVARIANT = 4
 
 class BudgetExceededError(RuntimeError):
     """An enumeration over the budget or the degree ceiling (EXIT_BUDGET)."""
+
+
+# The largest degree whose S_n tables the oracle's witness walk builds: at
+# degree 9 the tables alone take about 110 MB, and the walk brings the peak
+# to about 200 MB; the enumeration budget's weights are not measured at
+# degree 9 yet.  The commutator search of satgenus.perms builds no table but
+# keeps the ceiling.
+MAX_TABLE_DEGREE = 8
+
+
+def _cycle_notation(images: tuple[int, ...]) -> str:
+    """The 1-indexed cycle notation of a 0-indexed image tuple: each cycle
+    from its least point, in order of least point, fixed points omitted; the
+    identity prints as '()'."""
+    seen = [False] * len(images)
+    parts = []
+    for start, image in enumerate(images):
+        if image == start or seen[start]:
+            continue
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(str(x + 1))
+            x = images[x]
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts) or "()"
 
 
 # exported name: (submodule, attribute)

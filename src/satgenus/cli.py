@@ -19,9 +19,10 @@ handler imports the library layers it calls when it runs and returns its exit
 code and envelope parts, which ``main`` prints; a refused request raises
 ValueError or ``BudgetExceededError``, which ``main`` prints as one ``error:``
 line.  So building the parser loads no layer, only ``cover enumerate`` loads
-the oracle, and only ``--json`` and ``--out`` load ``json``.  The handler
-modules never import this module: run as ``python -m satgenus.cli`` it is
-``__main__``, and importing it again would compile it a second time.
+the oracle, and no request loads ``json``: ``--json`` and ``--out`` render
+the envelope with ``_json_text`` and load only the C module ``_json``.  The
+handler modules never import this module: run as ``python -m satgenus.cli``
+it is ``__main__``, and importing it again would compile it a second time.
 
 ``main`` returns the exit code and is what in-process callers use; argparse's
 help and usage errors still leave it through ``SystemExit``.  The process
@@ -82,17 +83,61 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for what
+    an envelope holds: dicts with str keys, lists, tuples, str, int, bool and
+    None.  Anything else raises TypeError.
+
+    With an indent ``json.dumps`` runs its pure-Python encoder, and importing
+    the ``json`` package, with its decoder, scanner and their regexes, costs
+    a short request more than the encoding does.  Strings are quoted by the
+    C function that encoder uses, once per distinct string, so the entries
+    of a deep witness share one quoted text.
+    """
+    from _json import encode_basestring_ascii  # a local import: human output loads nothing
+
+    quoted: dict[str, str] = {}
+
+    def text(value, indent: str) -> str:
+        if isinstance(value, str):
+            if value not in quoted:
+                quoted[value] = encode_basestring_ascii(value)
+            return quoted[value]
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("keys must be str")
+            items = [f"{text(key, inner)}: {text(value[key], inner)}" for key in sorted(value)]
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            items = [text(item, inner) for item in value]
+            brackets = "[]"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not items:
+            return brackets
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+    return text(value, "")
+
+
 def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> None:
     if args.json or args.out is not None:
-        import json  # human output without --out needs no serializing
-
         envelope = {
             "command": command,
             "format_version": FORMAT_VERSION,
             "inputs": inputs,
             "results": results,
         }
-        text = json.dumps(envelope, indent=2, sort_keys=True)
+        text = _json_text(envelope)
     if args.out is not None:
         try:
             _write_atomic(args.out, text + "\n")

@@ -36,10 +36,12 @@ Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
 class products and the Frobenius-Mednykh count on larger ones.  Violations
 and counterexamples (none are expected) are reported once per shape class,
-with the lexicographically first witness tuple.
+with the lexicographically first witness tuple.  A witness is a tuple of
+0-indexed image tuples, shared wherever entries repeat; wrap an entry in
+``perms.Permutation`` for arithmetic.  The oracle imports no other layer.
 
 Every refusal is decided by ``_check_budget`` before any table is built;
-degrees above ``perms.MAX_TABLE_DEGREE`` (8) are refused whatever the
+degrees above ``satgenus.MAX_TABLE_DEGREE`` (8) are refused whatever the
 budget.  The walk's S_n tables are local to it and freed when it ends; the
 caches hold only its witnesses, constants of the degree.
 """
@@ -54,8 +56,7 @@ from functools import lru_cache
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from . import BudgetExceededError, _Record
-from .perms import MAX_TABLE_DEGREE, Permutation, cycles_str
+from . import MAX_TABLE_DEGREE, BudgetExceededError, _Record, _cycle_notation
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -81,8 +82,8 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
       witness rows, with p(n) the number of cycle types;
     - 256 per witness entry: 2g for each cover shape (m, k), m <= k <= n and
       k = n mod 2, of which there are floor((n + 1)^2 / 4).  An entry takes
-      about 1 us, but up to about 190 bytes of a report's JSON, so the
-      weight keeps the default's deepest witnesses near 700 MB;
+      under 1 us, but about 90 bytes at the peak of a report's JSON, so the
+      weight keeps the default's deepest witnesses near 370 MB;
     - 1 per 8 bits of the character counts: for each degree j <= n, p(j)
       powers and p(j)^2 products of about (2g - 1) log2 j! bits, which the
       exponential formula then multiplies by shape;
@@ -417,23 +418,16 @@ def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
     }
 
 
-def _witness_perms(wit: tuple) -> tuple[Permutation, ...]:
-    """The witness image tuples as permutations, one shared ``Permutation``
-    per distinct tuple: past genus 1 all but two entries are the identity."""
-    shared = {images: Permutation(images) for images in set(wit)}
-    return tuple(map(shared.__getitem__, wit))
-
-
-def _witness_json(witness: tuple[Permutation, ...]) -> list[str]:
-    """The witness in cycle notation, each distinct permutation converted once."""
-    images = [p.images for p in witness]
-    text = {key: cycles_str(p) for key, p in dict(zip(images, witness)).items()}
-    return list(map(text.__getitem__, images))
+def _witness_json(witness: tuple[tuple[int, ...], ...]) -> list[str]:
+    """The witness in cycle notation, each distinct image tuple converted
+    once: past genus 1 all but two entries are the identity."""
+    text = {images: _cycle_notation(images) for images in set(witness)}
+    return list(map(text.__getitem__, witness))
 
 
 def _finding_json(finding: dict) -> dict:
     out = dict(finding)
-    out["witness"] = _witness_json(_witness_perms(finding["witness"]))
+    out["witness"] = _witness_json(finding["witness"])
     return out
 
 
@@ -446,9 +440,9 @@ class EnumerationReport(_Record):
     budget: int
     violations: tuple[dict, ...]
     min_genus_overall: int
-    min_overall_witness: tuple[Permutation, ...]
+    min_overall_witness: tuple[tuple[int, ...], ...]
     min_genus_connected_boundary: int | None
-    connected_boundary_witness: tuple[Permutation, ...] | None
+    connected_boundary_witness: tuple[tuple[int, ...], ...] | None
     boundary_k_histogram: dict[int, int]
 
     def to_json(self) -> dict:
@@ -490,11 +484,9 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
         budget=limit,
         violations=tuple(a["violations"]),
         min_genus_overall=a["min_overall"][0],
-        min_overall_witness=_witness_perms(a["min_overall"][1]),
+        min_overall_witness=a["min_overall"][1],
         min_genus_connected_boundary=None if min_k1 is None else min_k1[0],
-        connected_boundary_witness=(
-            None if min_k1 is None else _witness_perms(min_k1[1])
-        ),
+        connected_boundary_witness=None if min_k1 is None else min_k1[1],
         boundary_k_histogram={k: v for k, v in enumerate(khist) if v},
     )
 
@@ -606,9 +598,9 @@ def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) ->
 
 def realizability_table(
     base_genus: int, degree: int, budget: int | None = None
-) -> dict[tuple[int, int, int], tuple[Permutation, ...]]:
+) -> dict[tuple[int, int, int], tuple[tuple[int, ...], ...]]:
     """Every achievable (components, boundary circles, genus) triple of an
-    unbranched cover, with the lexicographically first witness tuple."""
+    unbranched cover, with the lexicographically first witness tuple as
+    image tuples."""
     _check_budget(base_genus, degree, budget)
-    rows = _shape_rows(base_genus, degree)
-    return {key: _witness_perms(wit) for key, wit in sorted(rows.items())}
+    return dict(sorted(_shape_rows(base_genus, degree).items()))

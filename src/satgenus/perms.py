@@ -7,11 +7,14 @@ braid-strand and sheet labels.  Composition is left-to-right throughout:
 
 The exhaustive commutator search (``ore_commutator_search``) walks S_n in
 rank order, the lexicographic order of image tuples, and builds no table;
-it refuses degrees above ``MAX_TABLE_DEGREE``, the ceiling of the witness
-walk of :mod:`satgenus.oracle`, whose tables hold all of S_n.
+it refuses degrees above ``satgenus.MAX_TABLE_DEGREE``, the ceiling of the
+witness walk of :mod:`satgenus.oracle`, whose tables hold all of S_n.
 
 :class:`Permutation`, like the record classes of the other layers, derives
-from the frozen-value base ``satgenus._Record``.
+from the frozen-value base ``satgenus._Record``.  The oracle needs no
+arithmetic, so it imports nothing from here: its witnesses are bare image
+tuples, which ``Permutation`` wraps, and it formats them with the package's
+``_cycle_notation``, as ``cycles_str`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 import re
 from typing import Sequence
 
-from . import _Record
+from . import MAX_TABLE_DEGREE, _Record, _cycle_notation
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
 CycleType = tuple[int, ...]
@@ -28,12 +31,6 @@ CycleType = tuple[int, ...]
 # Degrees, strand counts and image-entry totals above this are refused with
 # ValueError before any list of that size is built.
 MAX_DEGREE = 10**6
-
-# The largest degree whose S_n tables the oracle's witness walk builds: at
-# degree 9 the tables alone take about 110 MB, and the walk brings the peak
-# to about 200 MB; the enumeration budget's weights are not measured at
-# degree 9 yet.  The commutator search builds no table but keeps the ceiling.
-MAX_TABLE_DEGREE = 8
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -127,10 +124,7 @@ def is_even(p: Permutation) -> bool:
 
 def cycles_str(p: Permutation) -> str:
     """Cycle notation with fixed points omitted; the identity prints as '()'."""
-    parts = [c for c in cycles(p) if len(c) > 1]
-    if not parts:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in parts)
+    return _cycle_notation(p.images)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -249,7 +243,7 @@ def check_search_degree(degree: int) -> None:
     if degree > MAX_TABLE_DEGREE:
         raise ValueError(
             f"degree {degree} exceeds the search limit {MAX_TABLE_DEGREE}, "
-            "the largest degree whose S_n tables fit in memory"
+            "the degree ceiling it shares with the enumeration oracle"
         )
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import satgenus.cli as cli
 from satgenus import oracle
@@ -437,7 +439,7 @@ SUBCOMMAND_MODULES = {
     ("examples", "orevkov"): {"cmd_bounds", "bounds", "braids", "perms"},
     ("cover", "cyclic"): {"cmd_cover", "covering", "perms"},
     ("cover", "from-hom"): {"cmd_cover", "covering", "perms"},
-    ("cover", "enumerate"): {"cmd_cover", "oracle", "perms"},
+    ("cover", "enumerate"): {"cmd_cover", "oracle"},
     ("perm", "commutator"): {"cmd_perm", "perms"},
     ("perm", "examples"): {"cmd_perm", "perms"},
     ("perm", "ore"): {"cmd_perm", "perms"},
@@ -769,7 +771,7 @@ def test_perm_ore_degree_limit(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: degree 9 exceeds the search limit 8, "
-        "the largest degree whose S_n tables fit in memory\n"
+        "the degree ceiling it shares with the enumeration oracle\n"
     )
 
 
@@ -1077,12 +1079,51 @@ print("json" in sys.modules, file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("argv", [[]] + VALID_COMMANDS, ids=lambda argv: " ".join(argv) or "parser")
-def test_human_output_loads_no_json(argv):
+@pytest.mark.parametrize("argv", [[]] + ENTRY_CASES, ids=lambda argv: " ".join(argv) or "parser")
+def test_no_request_loads_json(tmp_path, argv):
+    # every output mode: --json and --out render the envelope without it
+    if argv[-1:] == ["--out"]:
+        argv = argv + [str(tmp_path / "report.json")]
     proc = subprocess.run([sys.executable, "-c", JSON_PROBE, *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == "False\n"
+
+
+# what an envelope may hold: text over all of Unicode, lone surrogates
+# included, ints past 64 bits, bools and None, nested in dicts, lists and
+# tuples
+JSON_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | JSON_TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner)),
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, {("a",): 1}, {1, 2}, b"bytes", [object()]],
+                         ids=repr)
+def test_json_text_refuses_what_an_envelope_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("argv", VALID_COMMANDS + [
+    ["cover", "enumerate", "--genus", "2", "--degree", "6", "--sharpness"],
+    ["cover", "enumerate", "--genus", "1000", "--degree", "3", "--sharpness"],
+], ids=" ".join)
+def test_every_envelope_renders_as_json_dumps(monkeypatch, capsys, argv):
+    envelopes = []
+    render = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda value: envelopes.append(value) or render(value))
+    assert main(argv + ["--json"]) == EXIT_OK
+    [envelope] = envelopes
+    assert capsys.readouterr().out == json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
 def test_entry_points_end_through_run():

@@ -31,6 +31,15 @@ from _naive import (
 )
 
 
+def _hom(g, n, wit):
+    """The oracle's witness, a tuple of image tuples, as monodromy data."""
+    return HomomorphismCover(g, n, tuple(map(Permutation, wit)))
+
+
+def _cycle_texts(wit):
+    return [cycles_str(Permutation(images)) for images in wit]
+
+
 def all_tuples(base_genus, degree):
     perms = [tuple(p) for p in itertools.permutations(range(degree))]
     return itertools.product(perms, repeat=2 * base_genus)
@@ -87,7 +96,7 @@ def test_enumerate_genus1_degree2_frozen():
     assert r.total_tuples == 4
     assert r.violations == ()
     assert r.min_genus_overall == 1
-    assert [cycles_str(p) for p in r.min_overall_witness] == ["()", "(1 2)"]
+    assert _cycle_texts(r.min_overall_witness) == ["()", "(1 2)"]
     assert r.min_genus_connected_boundary is None
     assert r.connected_boundary_witness is None
     assert r.boundary_k_histogram == {2: 4}
@@ -98,9 +107,9 @@ def test_enumerate_genus1_degree3_frozen():
     assert r.total_tuples == 36
     assert r.violations == ()
     assert r.min_genus_overall == 1
-    assert [cycles_str(p) for p in r.min_overall_witness] == ["()", "(1 2 3)"]
+    assert _cycle_texts(r.min_overall_witness) == ["()", "(1 2 3)"]
     assert r.min_genus_connected_boundary == 2
-    assert [cycles_str(p) for p in r.connected_boundary_witness] == ["(2 3)", "(1 2)"]
+    assert _cycle_texts(r.connected_boundary_witness) == ["(2 3)", "(1 2)"]
     # commutator classes in S3: 18 commuting pairs, 18 whose commutator is
     # a 3-cycle
     assert r.boundary_k_histogram == {1: 18, 3: 18}
@@ -114,9 +123,7 @@ def test_histogram_counts_every_tuple():
 
 def test_realizability_genus1_degree3_frozen():
     table = realizability_table(1, 3)
-    rendered = {
-        key: [cycles_str(p) for p in wit] for key, wit in table.items()
-    }
+    rendered = {key: _cycle_texts(wit) for key, wit in table.items()}
     assert rendered == {
         (1, 1, 2): ["(2 3)", "(1 2)"],
         (1, 3, 1): ["()", "(1 2 3)"],
@@ -128,7 +135,7 @@ def test_realizability_genus1_degree3_frozen():
 def test_realizability_witnesses_reproduce_their_class():
     for g, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
         for (m, k, genus), wit in realizability_table(g, n).items():
-            cover = cover_from_homomorphism(HomomorphismCover(g, n, wit)).cover
+            cover = cover_from_homomorphism(_hom(g, n, wit)).cover
             assert (cover.components, cover.boundary_components, cover.genus_total) == (
                 m,
                 k,
@@ -148,7 +155,7 @@ def test_scan_agrees_with_naive_exhaustion():
         assert set(table) == set(classes)
         # itertools.product is lexicographic, so first seen = lex first
         for key, wit in table.items():
-            assert tuple(p.images for p in wit) == classes[key]
+            assert wit == classes[key]
         assert enumerate_covers(g, n).boundary_k_histogram == hist
 
 
@@ -172,14 +179,10 @@ def test_floor_for_connected_boundary():
 def test_min_witnesses_reproduce_their_minima():
     for g, n in [(1, 3), (1, 4), (2, 3)]:
         r = enumerate_covers(g, n)
-        cover = cover_from_homomorphism(
-            HomomorphismCover(g, n, r.min_overall_witness)
-        ).cover
+        cover = cover_from_homomorphism(_hom(g, n, r.min_overall_witness)).cover
         assert cover.genus_total == r.min_genus_overall
         if r.connected_boundary_witness is not None:
-            cover = cover_from_homomorphism(
-                HomomorphismCover(g, n, r.connected_boundary_witness)
-            ).cover
+            cover = cover_from_homomorphism(_hom(g, n, r.connected_boundary_witness)).cover
             assert cover.boundary_components == 1
             assert cover.genus_total == r.min_genus_connected_boundary
 
@@ -339,11 +342,15 @@ def test_enumeration_and_sharpness_share_one_class_table():
     )
 
 
-def test_witness_permutation_types():
+def test_witness_entries_are_image_tuples():
     r = enumerate_covers(1, 3)
-    for p in r.min_overall_witness:
-        assert isinstance(p, Permutation)
-        assert p.degree == 3
+    witnesses = [r.min_overall_witness, r.connected_boundary_witness, *realizability_table(1, 3).values()]
+    for wit in witnesses:
+        assert type(wit) is tuple and len(wit) == 2
+        for images in wit:
+            assert type(images) is tuple
+            # a 0-indexed bijection of degree 3, or Permutation refuses it
+            assert Permutation(images).degree == 3
 
 
 def test_frobenius_oracle_matches_naive_exhaustion():
@@ -486,7 +493,7 @@ def test_histogram_matches_frobenius_count(g, n):
 @pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
 def test_every_witness_reproduces_its_class(g, n):
     def shape(wit):
-        cover = cover_from_homomorphism(HomomorphismCover(g, n, wit)).cover
+        cover = cover_from_homomorphism(_hom(g, n, wit)).cover
         return cover.components, cover.boundary_components, cover.genus_total
 
     for key, wit in realizability_table(g, n).items():
@@ -508,7 +515,7 @@ def test_enumeration_at_the_degree_ceiling(cold_tables):
     r = enumerate_covers(1, 8)
     assert r.boundary_k_histogram == boundary_histogram(1, 8)
     assert r.total_tuples == math.factorial(8) ** 2
-    cover = cover_from_homomorphism(HomomorphismCover(1, 8, r.min_overall_witness)).cover
+    cover = cover_from_homomorphism(_hom(1, 8, r.min_overall_witness)).cover
     assert cover.genus_total == r.min_genus_overall == 1
     # even degree: no unbranched cover has connected boundary
     assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
@@ -517,7 +524,7 @@ def test_enumeration_at_the_degree_ceiling(cold_tables):
     table = realizability_table(2, 8)
     assert len(table) == 20
     for key, wit in table.items():
-        cover = cover_from_homomorphism(HomomorphismCover(2, 8, wit)).cover
+        cover = cover_from_homomorphism(_hom(2, 8, wit)).cover
         assert (cover.components, cover.boundary_components, cover.genus_total) == key
 
 

@@ -95,9 +95,11 @@ def test_import_loads_no_layer_until_a_name_is_used():
 
 
 def test_lazy_exports_show_in_importtime():
-    # a layer loaded through the lazy exports is timed like any other import
+    # a layer loaded through the lazy exports is timed like any other import;
+    # the oracle imports no other layer, so perms is loaded by name
+    code = "import satgenus; satgenus.enumerate_covers; satgenus.Permutation"
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import satgenus; satgenus.enumerate_covers"],
+        [sys.executable, "-X", "importtime", "-c", code],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -122,7 +124,7 @@ RECORD_FIELDS = {
                         "generator_images": (Permutation((1, 0)), identity(2))},
     EnumerationReport: {"base_genus": 1, "degree": 2, "total_tuples": 4, "budget": 100,
                         "violations": (), "min_genus_overall": 1,
-                        "min_overall_witness": (identity(2), identity(2)),
+                        "min_overall_witness": ((0, 1), (0, 1)),
                         "min_genus_connected_boundary": None,
                         "connected_boundary_witness": None,
                         "boundary_k_histogram": {1: 2, 2: 2}},
