@@ -8,8 +8,8 @@ monodromy tuple in S_n^(2g) and checks the two floors directly:
 
 together with exactly where equality occurs, including after one simple
 branch point.  The scan is budgeted and deterministic.  It never visits
-tuples one by one: the character table of S_n counts the tuples by the
-cycle type of their boundary product, one integer power per character at
+tuples one by one: the hook lengths and contents of the partitions of n
+count the tuples by boundary circles, one integer power per partition at
 any genus, and a few rows of generator pairs give the first pair of every
 cover shape, so deep genus stays cheap.  A witness is a tuple of 0-indexed
 image tuples; ``Permutation`` wraps each entry for printing or arithmetic.

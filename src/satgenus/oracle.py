@@ -13,9 +13,9 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The scan never visits tuples.  The character table of S_n counts them by
-the cycle type of their boundary product, one exact integer power per
-character at any genus (``_boundary_histogram``).  Rows (s, all q) of
+The scan never visits tuples.  Hook lengths and contents count them by
+boundary circles at any genus, one exact integer power per partition of n,
+with no character table (``_boundary_histogram``).  Rows (s, all q) of
 S_n x S_n for the first permutations s of the cycle types, walked in rank
 order until every cover shape has its first pair, give the witnesses
 (``_CountRows``): 5 of the 40320 rows of S_8.
@@ -28,13 +28,13 @@ asserts that the pairs show every such shape.
 
 The exponential formula turns the histograms of degrees 1..n into the count
 of every shape, whose support must be the shapes of the pairs; that checks
-the character counts against the witness walk at run time in every
+the tuple counts against the witness walk at run time in every
 enumeration.  The sharpness check and the realizability table read no
 histogram.
 
 Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
 tests cross-check the scan against brute force on small groups and against
-class products and the Frobenius-Mednykh count on larger ones.  Violations
+class products and Murnaghan-Nakayama characters on larger ones.  Violations
 and counterexamples (none are expected) are reported once per shape class,
 with the lexicographically first witness tuple.  A witness is a tuple of
 0-indexed image tuples, shared wherever entries repeat; wrap an entry in
@@ -51,9 +51,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections import Counter
 from functools import lru_cache
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Iterator
 
 from . import MAX_TABLE_DEGREE, BudgetExceededError, _Record, _cycle_notation
@@ -85,8 +84,10 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
       under 1 us, but about 90 bytes at the peak of a report's JSON, so the
       weight keeps the default's deepest witnesses near 370 MB;
     - 1 per 8 bits of the character counts: for each degree j <= n, p(j)
-      powers and p(j)^2 products of about (2g - 1) log2 j! bits, which the
-      exponential formula then multiplies by shape;
+      + p(j)^2 numbers of about (2g - 1) log2 j! bits, which the exponential
+      formula then multiplies by shape.  The content route forms p(j) powers
+      and about p(j) (j + 1) products, but the weights of the character
+      table it replaced are kept, so that no refusal moves;
     - d^2 / 1024 for each of the tuple count and the at most (n + 1) // 2
       histogram counts, of up to d = 2g log10 n! + 1 digits: Python turns
       an int into decimal text in quadratic time, and a report is printed
@@ -285,53 +286,32 @@ def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
     ]
 
 
-def _characters(n: int) -> list[list[int]]:
-    """The character table of S_n: ``chi[i][j]`` is the irreducible
-    character of the i-th partition of n on the class of the j-th.
+def _boundary_histogram(g: int, n: int) -> list[int]:
+    """How many tuples of S_n^(2g) have k boundary circles, the cycles of
+    their boundary product, as a list indexed by k = 0..n.
 
-    Murnaghan-Nakayama on beta numbers: the partition lam puts n beads at
-    lam_i + n - i, and removing a rim hook of length r moves one bead from
-    b to an empty b - r, with sign -1 for each bead passed over.  The cycles
-    of the class are removed longest first, down to the empty partition.
+    By Frobenius and Mednykh a tuple count is a sum over the characters of
+    S_n, and summing a character over the permutations with k cycles takes
+    the coefficient of x^k in d_lam * prod (x + col - row) over the boxes
+    (row, col) of lam (Jucys 1974; Murphy 1981).  With the hook length
+    formula n!/d_lam = H_lam, the product of the hook lengths of lam, each
+    partition adds H_lam^(2g - 1) * (n!/H_lam) times those coefficients.
     """
-    memo: dict[tuple[frozenset[int], tuple[int, ...]], int] = {}
-
-    def chi(beads: frozenset[int], hooks: tuple[int, ...]) -> int:
-        if not hooks:
-            return 1
-        if (beads, hooks) not in memo:
-            r, rest = hooks[0], hooks[1:]
-            memo[beads, hooks] = sum(
-                (-1) ** sum(b - r < c < b for c in beads) * chi(beads - {b} | {b - r}, rest)
-                for b in beads
-                if b >= r and b - r not in beads
-            )
-        return memo[beads, hooks]
-
-    types = _partitions(n)
-    table = []
-    for lam in types:
-        beads = frozenset(part + n - 1 - i for i, part in enumerate(lam + (0,) * (n - len(lam))))
-        table.append([chi(beads, mu) for mu in types])
-    return table
-
-
-def _boundary_histogram(g: int, n: int) -> dict[tuple[int, ...], int]:
-    """How many tuples of S_n^(2g) have a boundary product of each cycle
-    type u: |C_u| sum over lam of chi_lam(u) (n!/d_lam)^(2g - 1), d_lam the
-    degree chi_lam(1^n), which divides n! (Frobenius 1896; Mednykh 1978).
-    The cycles of the boundary product are the boundary circles."""
     order = math.factorial(n)
-    chars = _characters(n)
-    # the last class is 1^n, where each character takes its degree
-    powers = [(order // row[-1]) ** (2 * g - 1) for row in chars]
-    counts = {}
-    for mu, column in zip(_partitions(n), zip(*chars)):
-        centralizer = math.prod(length**m * math.factorial(m) for length, m in Counter(mu).items())
-        counts[mu] = order // centralizer * sum(map(mul, column, powers))
-    if sum(counts.values()) != order ** (2 * g):
+    hist = [0] * (n + 1)
+    for lam in _partitions(n):
+        heights = [sum(part > col for part in lam) for col in range(lam[0])]
+        hooks = 1
+        poly = [1] + [0] * n  # prod (x + content), lowest power first
+        for row, part in enumerate(lam):
+            for col in range(part):
+                hooks *= part - col + heights[col] - row - 1
+                poly = [(col - row) * c + lower for c, lower in zip(poly, [0, *poly])]
+        weight = hooks ** (2 * g - 1) * (order // hooks)
+        hist = [total + weight * c for total, c in zip(hist, poly)]
+    if sum(hist) != order ** (2 * g):
         raise AssertionError("scan lost tuples; this is a bug")
-    return counts
+    return hist
 
 
 def _report_histogram(g: int, n: int) -> list[int]:
@@ -360,9 +340,7 @@ def _shape_histogram(g: int, n: int) -> dict[tuple[int, int], int]:
     transitive: list[dict[int, int]] = []
     for size in range(1, n + 1):
         shapes: dict[tuple[int, int], int] = {}
-        connected = Counter()
-        for cycle_type, count in _boundary_histogram(g, size).items():
-            connected[len(cycle_type)] += count
+        connected = _boundary_histogram(g, size)
         for j, counts in enumerate(transitive, 1):
             ways = math.comb(size - 1, j - 1)
             for k, count in counts.items():
@@ -370,7 +348,7 @@ def _shape_histogram(g: int, n: int) -> dict[tuple[int, int], int]:
                     tuples = ways * count * other
                     shapes[m + 1, k + rest] = shapes.get((m + 1, k + rest), 0) + tuples
                     connected[k + rest] -= tuples
-        transitive.append({k: count for k, count in connected.items() if count})
+        transitive.append({k: count for k, count in enumerate(connected) if count})
         shapes.update(((1, k), count) for k, count in transitive[-1].items())
         full.append(shapes)
     return {shape: count for shape, count in full[n].items() if count}
@@ -446,6 +424,10 @@ class EnumerationReport(_Record):
     boundary_k_histogram: dict[int, int]
 
     def to_json(self) -> dict:
+        overall = _witness_json(self.min_overall_witness)
+        connected = self.connected_boundary_witness
+        if connected is not None:  # at degree 1 both minima share one witness: render it once
+            connected = overall if connected is self.min_overall_witness else _witness_json(connected)
         return {
             "base_genus": self.base_genus,
             "degree": self.degree,
@@ -453,13 +435,9 @@ class EnumerationReport(_Record):
             "budget": self.budget,
             "violations": [_finding_json(v) for v in self.violations],
             "min_genus_overall": self.min_genus_overall,
-            "min_overall_witness": _witness_json(self.min_overall_witness),
+            "min_overall_witness": overall,
             "min_genus_connected_boundary": self.min_genus_connected_boundary,
-            "connected_boundary_witness": (
-                None
-                if self.connected_boundary_witness is None
-                else _witness_json(self.connected_boundary_witness)
-            ),
+            "connected_boundary_witness": connected,
             "boundary_k_histogram": {
                 str(k): v for k, v in sorted(self.boundary_k_histogram.items())
             },

@@ -10,11 +10,14 @@ symmetric group the characters come from the Murnaghan-Nakayama rule.  The
 count is a class function, so it gives the boundary-circle histogram of the
 oracle for any genus without enumerating a single tuple.
 
-The oracle counts by this same formula, so this module restates its method
-rather than taking another route: in ``Fraction`` arithmetic, on
-partitions rather than beta numbers, without touching the package.  The
-independent routes are brute force and the class products and genus levels
-of ``_naive.naive_class_product_counts``.
+This is an independent route to the oracle's counts.  The oracle builds no
+character: it sums each character over the permutations with k cycles at
+once, as the degree times a polynomial in the contents of the partition,
+and takes the degree from the hook lengths.  This module evaluates every
+character on every class by the Murnaghan-Nakayama rule, in ``Fraction``
+arithmetic, without touching the package, and counts class by class.  The
+other routes are brute force and the class products and genus levels of
+``_naive.naive_class_product_counts``.
 """
 
 from fractions import Fraction

@@ -4,8 +4,8 @@ Everything here favors directness over speed and deliberately takes a
 different route than the package: orbits by breadth-first search instead of
 union-find, boundary permutations by pointwise application instead of table
 products, braid permutations by composing transposition maps, and tuple
-counts by class products and one genus level per handle instead of
-characters.
+counts by class products and one genus level per handle instead of hook
+lengths and contents.
 """
 
 import itertools

@@ -18,7 +18,14 @@ from satgenus.oracle import (
 from satgenus import perms as perms_module
 from satgenus.perms import Permutation, cycles_str
 
-from _frobenius import boundary_histogram, connected_boundary_histogram
+from _frobenius import (
+    boundary_histogram,
+    character,
+    class_size,
+    commutator_product_count,
+    connected_boundary_histogram,
+    partitions,
+)
 from _naive import (
     naive_class_product_counts,
     naive_cover_shape,
@@ -372,24 +379,71 @@ def test_frobenius_connected_rows_match_naive_exhaustion():
         assert connected_boundary_histogram(g, n) == hist
 
 
+def _frobenius_by_type(g, n):
+    return {mu: class_size(mu) * commutator_product_count(g, mu) for mu in partitions(n)}
+
+
+def _by_boundary_circles(counts, n):
+    """Counts by cycle type, summed by the number of cycles k = 0..n."""
+    hist = [0] * (n + 1)
+    for kind, count in counts.items():
+        hist[len(kind)] += count
+    return hist
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pair_classes_match_naive_double_loop(n):
-    # the pairs by the cycle type of their commutator, from characters
+    # the pairs by the cycle type of their commutator: the double loop
+    # against Murnaghan-Nakayama characters type by type, and the oracle's
+    # content count against it cycle count by cycle count
     naive = {}
     for (c, _), count, _ in naive_pair_classes(n):
         kind = perms_module.cycle_type(Permutation(c))
         naive[kind] = naive.get(kind, 0) + count
-    counts = oracle._boundary_histogram(1, n)
-    assert {kind: count for kind, count in counts.items() if count} == naive
+    assert {kind: count for kind, count in _frobenius_by_type(1, n).items() if count} == naive
+    assert oracle._boundary_histogram(1, n) == _by_boundary_circles(naive, n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_boundary_histograms_match_class_products_and_genus_levels(n):
-    # every cycle type, odd ones at 0, against the route of one genus level
-    # per handle
+    # every cycle type, odd ones at 0, by the route of one genus level per
+    # handle against the characters, and the oracle's counts against both
+    # summed by cycle count
     genera = (1, 2, 3, 20) if n <= 6 else (1, 2, 3)
     for g, counts in naive_class_product_counts(n, genera).items():
-        assert oracle._boundary_histogram(g, n) == counts
+        assert _frobenius_by_type(g, n) == counts
+        assert oracle._boundary_histogram(g, n) == _by_boundary_circles(counts, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_characters_summed_by_cycles_are_the_degree_times_the_contents(n):
+    # the two identities the oracle counts by: sum over mu of |C_mu|
+    # chi_lam(mu) x^len(mu) = d_lam prod (x + col - row) over the boxes of
+    # lam (Jucys-Murphy), and n!/d_lam = the product of the hook lengths
+    for lam in partitions(n):
+        by_cycles = [0] * (n + 1)
+        for mu in partitions(n):
+            by_cycles[len(mu)] += class_size(mu) * character(lam, mu)
+        degree = character(lam, (1,) * n)
+        product, hooks = [degree], 1
+        for row, part in enumerate(lam):
+            for col in range(part):
+                product = [lower + (col - row) * c for lower, c in zip([0] + product, product + [0])]
+                hooks *= part - col + sum(below > col for below in lam[row + 1:])
+        assert by_cycles == product
+        assert hooks * degree == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_counts_past_the_degree_ceiling_match_frobenius(cold_tables, n):
+    # the counts build no S_n table, so they reach degrees the witness walk
+    # does not serve yet
+    for g in (1, 2, 5):
+        hist = oracle._boundary_histogram(g, n)
+        assert {k: count for k, count in enumerate(hist) if count} == boundary_histogram(g, n)
+        connected = {k: count for (m, k), count in oracle._shape_histogram(g, n).items() if m == 1}
+        assert connected == connected_boundary_histogram(g, n)
+    assert oracle._classes.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
