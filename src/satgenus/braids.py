@@ -43,6 +43,13 @@ def _check_length(length: int, what: str) -> None:
         raise ValueError(f"{what} has {length} letters, over the limit of {MAX_WORD_LENGTH}")
 
 
+def _index_range(strands: int) -> str:
+    """The end of an error for a generator index outside 1..strands-1."""
+    if strands == 1:
+        return ": a braid on 1 strand has no generators"
+    return f" for {strands} strands (valid: 1..{strands - 1})"
+
+
 class BraidWord(_Record):
     """A word in the braid group on ``strands`` strands."""
 
@@ -57,7 +64,7 @@ class BraidWord(_Record):
             if letter == 0 or not -self.strands < letter < self.strands:
                 raise ValueError(
                     f"letter {letter} at position {pos} is not a generator "
-                    f"index for {self.strands} strands (valid: 1..{self.strands - 1})"
+                    f"index{_index_range(self.strands)}"
                 )
 
     def __len__(self) -> int:
@@ -69,8 +76,11 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
     Each token is a nonzero integer, optionally followed by ``^e``; the token
     is then repeated |e| times with its sign multiplied by the sign of e, so
-    ``1^-3`` means ``-1 -1 -1`` and ``2^0`` contributes nothing.
+    ``1^-3`` means ``-1 -1 -1`` and ``2^0`` contributes nothing.  A strand
+    count below one is refused before any token is read.
     """
+    if strands < 1:
+        raise ValueError("a braid needs at least one strand")
     letters: list[int] = []
     length = 0
     for pos, token in enumerate(text.split(), start=1):
@@ -84,8 +94,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             raise ValueError(f"token {pos} ({token!r}): generator index must be nonzero")
         if abs(base) >= strands:
             raise ValueError(
-                f"token {pos} ({token!r}): index {abs(base)} out of range "
-                f"for {strands} strands (valid: 1..{strands - 1})"
+                f"token {pos} ({token!r}): index {abs(base)} out of range{_index_range(strands)}"
             )
         length += abs(exp)
         if length > MAX_WORD_LENGTH:

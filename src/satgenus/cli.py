@@ -10,9 +10,12 @@ indent, sorted keys) under ``--json``, and written atomically to a file with
 stdout included), 3 budget or degree ceiling exceeded or out of memory, 4
 internal invariant violation found by the enumeration oracle.
 
-A process compiles and builds only what its request runs.  ``main`` builds
-the argparse arguments of the one subcommand its command line names (see
-``build_parser``) and then imports that command group's handler module:
+A process compiles and builds only what its request runs.  ``main`` reads
+a well-formed command line straight off the option table ``_COMMANDS`` (see
+``_parse_by_table``) and imports no argparse; only a command line that the
+table parse leaves alone, such as ``-h``, an abbreviation or an error, gets
+the argparse tree of ``build_parser``, which prints the help and usage
+errors.  ``main`` then imports the command group's handler module:
 :mod:`satgenus.cmd_braid`, :mod:`satgenus.cmd_bounds` (``bounds`` and
 ``examples``), :mod:`satgenus.cmd_cover` or :mod:`satgenus.cmd_perm`.  A
 handler imports the library layers it calls when it runs and returns its exit
@@ -36,11 +39,11 @@ lost.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 # the exit codes live in the package, where the handler modules read them
 from . import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, BudgetExceededError
@@ -90,43 +93,74 @@ def _json_text(value) -> str:
 
     With an indent ``json.dumps`` runs its pure-Python encoder, and importing
     the ``json`` package, with its decoder, scanner and their regexes, costs
-    a short request more than the encoding does.  Strings are quoted by the
-    C function that encoder uses, once per distinct string, so the entries
-    of a deep witness share one quoted text.
+    a short request more than the encoding does.  Every piece of the text
+    goes into one flat list, joined once at the end, so the text exists in
+    one copy.  Strings are quoted by the C function that encoder uses, once
+    per distinct string, and a list's string item after the first is one
+    piece with the separator before it, made once per distinct item, so
+    each entry of a deep witness adds one reference to the list.
     """
     from _json import encode_basestring_ascii  # a local import: human output loads nothing
 
     quoted: dict[str, str] = {}
+    # a list's separator and a quoted string in one piece
+    separated: dict[tuple[str, str], str] = {}
+    pieces: list[str] = []
+    put = pieces.append
 
-    def text(value, indent: str) -> str:
+    def write(value, indent: str) -> None:
         if isinstance(value, str):
             if value not in quoted:
                 quoted[value] = encode_basestring_ascii(value)
-            return quoted[value]
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        inner = indent + "  "
-        if isinstance(value, dict):
+            put(quoted[value])
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, dict):
             if not all(isinstance(key, str) for key in value):
                 raise TypeError("keys must be str")
-            items = [f"{text(key, inner)}: {text(value[key], inner)}" for key in sorted(value)]
-            brackets = "{}"
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            separator = "{\n" + inner
+            for key in sorted(value):
+                put(separator)
+                write(key, inner)
+                put(": ")
+                write(value[key], inner)
+                separator = ",\n" + inner
+            put("\n" + indent + "}")
         elif isinstance(value, (list, tuple)):
-            items = [text(item, inner) for item in value]
-            brackets = "[]"
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            put("[\n" + inner)
+            items = iter(value)
+            write(next(items), inner)
+            separator = ",\n" + inner
+            for item in items:
+                if isinstance(item, str):
+                    key = (separator, item)
+                    if key not in separated:
+                        write(item, inner)
+                        separated[key] = separator + pieces.pop()
+                    put(separated[key])
+                else:
+                    put(separator)
+                    write(item, inner)
+            put("\n" + indent + "]")
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if not items:
-            return brackets
-        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
-    return text(value, "")
+    write(value, "")
+    return "".join(pieces)
 
 
 def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> None:
@@ -150,98 +184,81 @@ def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> 
             print(line)
 
 
-def _braid_analyze(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--word", required=True, help="letters like '1 -2 1' or '1^3 2^-2'")
-    p.add_argument("--strands", type=int, required=True)
-
-
-def _braid_halftwist(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strands", type=int, required=True)
-
-
-def _braid_orevkov(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["k1", "k2"], required=True)
-    p.add_argument("--n", type=int, required=True, help="family parameter (k1 has n strands, k2 has 2n)")
-    p.add_argument("--twists", type=int, help="negative kink count for k2 (default: suggested odd value)")
-
-
-def _bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g4k", type=int, required=True, help="4-genus of the companion")
-    p.add_argument("--winding", type=int, required=True)
-    p.add_argument("--pattern-genus", type=int, help="pattern genus for the refined Seifert bound")
-    p.add_argument("--csv", action="store_true", help="print the table as CSV")
-
-
-def _examples_orevkov(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--twists", type=int, help="odd kink count (default: suggested value near 8n^2/3)")
-
-
-def _cover_cyclic(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=int, required=True, help="genus of the one-holed base")
-    p.add_argument("--degree", type=int, required=True)
-
-
-def _cover_from_hom(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument(
-        "--images", required=True,
-        help="semicolon-separated cycle notations, 2*genus of them, e.g. '(1 2 3);()'",
-    )
-
-
-def _cover_enumerate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--budget", type=int, help="work budget (default 10^9)")
-    p.add_argument("--sharpness", action="store_true", help="also run the equality analysis")
-
-
-def _perm_commutator(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", required=True, help="cycle notation, e.g. '(2 3)(4 5)'")
-    p.add_argument("--b", required=True)
-    p.add_argument("--degree", type=int, required=True)
-
-
-def _perm_examples(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--type", choices=["odd", "even"], required=True,
-                   help="odd: full cycle on 2m+1 points; even: two m-cycles on 2m points")
-    p.add_argument("--m", type=int, required=True)
-
-
-def _perm_ore(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", required=True, help="cycle notation")
-    p.add_argument("--degree", type=int, required=True)
-
-
 # command: (help, handler module, leaves); a leaf is (subcommand or None for
-# a command without subcommands, help, the function adding its arguments).
-# Each leaf also gets --json and --out, and its handler is the function of
+# a command without subcommands, help, options), and an option is (flag,
+# kind, required, help), its kind int or str for a value read by that type,
+# a tuple of the values allowed, or bool for a flag that takes no value.
+# Every leaf also takes _OUTPUT_OPTIONS, and its handler is the function of
 # the handler module named after its path, such as cmd_cover.cover_from_hom.
 _COMMANDS = {
     "braid": ("braid word constructions and invariants", "cmd_braid", [
-        ("analyze", "invariants of a given word", _braid_analyze),
-        ("halftwist", "the positive half twist", _braid_halftwist),
-        ("orevkov", "the quasipositive gap families", _braid_orevkov),
+        ("analyze", "invariants of a given word", [
+            ("--word", str, True, "letters like '1 -2 1' or '1^3 2^-2'"),
+            ("--strands", int, True, None),
+        ]),
+        ("halftwist", "the positive half twist", [
+            ("--strands", int, True, None),
+        ]),
+        ("orevkov", "the quasipositive gap families", [
+            ("--family", ("k1", "k2"), True, None),
+            ("--n", int, True, "family parameter (k1 has n strands, k2 has 2n)"),
+            ("--twists", int, False, "negative kink count for k2 (default: suggested odd value)"),
+        ]),
     ]),
     "bounds": ("evaluate the satellite genus bounds", "cmd_bounds", [
-        (None, None, _bounds),
+        (None, None, [
+            ("--g4k", int, True, "4-genus of the companion"),
+            ("--winding", int, True, None),
+            ("--pattern-genus", int, False, "pattern genus for the refined Seifert bound"),
+            ("--csv", bool, False, "print the table as CSV"),
+        ]),
     ]),
     "examples": ("worked end-to-end examples", "cmd_bounds", [
-        ("orevkov", "the cabled family versus the satellite bound", _examples_orevkov),
+        ("orevkov", "the cabled family versus the satellite bound", [
+            ("--n", int, True, None),
+            ("--twists", int, False, "odd kink count (default: suggested value near 8n^2/3)"),
+        ]),
     ]),
     "cover": ("covering-surface bookkeeping", "cmd_cover", [
-        ("cyclic", "the connected cyclic unramified cover", _cover_cyclic),
-        ("from-hom", "cover shape from monodromy images", _cover_from_hom),
-        ("enumerate", "exhaustive scan of all monodromy tuples", _cover_enumerate),
+        ("cyclic", "the connected cyclic unramified cover", [
+            ("--genus", int, True, "genus of the one-holed base"),
+            ("--degree", int, True, None),
+        ]),
+        ("from-hom", "cover shape from monodromy images", [
+            ("--genus", int, True, None),
+            ("--degree", int, True, None),
+            ("--images", str, True,
+             "semicolon-separated cycle notations, 2*genus of them, e.g. '(1 2 3);()'"),
+        ]),
+        ("enumerate", "exhaustive scan of all monodromy tuples", [
+            ("--genus", int, True, None),
+            ("--degree", int, True, None),
+            ("--budget", int, False, "work budget (default 10^9)"),
+            ("--sharpness", bool, False, "also run the equality analysis"),
+        ]),
     ]),
     "perm": ("permutation commutator tools", "cmd_perm", [
-        ("commutator", "commutator of two permutations", _perm_commutator),
-        ("examples", "the transitive involution pairs", _perm_examples),
-        ("ore", "write an even permutation as a commutator", _perm_ore),
+        ("commutator", "commutator of two permutations", [
+            ("--a", str, True, "cycle notation, e.g. '(2 3)(4 5)'"),
+            ("--b", str, True, None),
+            ("--degree", int, True, None),
+        ]),
+        ("examples", "the transitive involution pairs", [
+            ("--type", ("odd", "even"), True,
+             "odd: full cycle on 2m+1 points; even: two m-cycles on 2m points"),
+            ("--m", int, True, None),
+        ]),
+        ("ore", "write an even permutation as a commutator", [
+            ("--target", str, True, "cycle notation"),
+            ("--degree", int, True, None),
+        ]),
     ]),
 }
+
+_OUTPUT_OPTIONS = [
+    ("--json", bool, False, "print the JSON envelope"),
+    ("--out", str, False, "also write the JSON envelope to FILE"),
+]
 
 
 def _leaf_of(argv: list[str]) -> tuple[str, str | None] | None:
@@ -257,47 +274,105 @@ def _leaf_of(argv: list[str]) -> tuple[str, str | None] | None:
     return None
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        # argparse ignores a failed write; help written to a closed stdout
-        # must fail like every other write there
-        if file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+def _run_of(command: str, name: str | None) -> tuple[str, str]:
+    """The (handler module, handler function) of a leaf."""
+    handler = command if name is None else f"{command}_{name}"
+    return _COMMANDS[command][1], handler.replace("-", "_")
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The satgenus parser: the full tree, or, when ``argv`` names a command
-    and its subcommand, one that builds arguments for that leaf only.
+def _parse_by_table(argv: list[str]):
+    """The namespace argparse builds for argv, read off ``_COMMANDS``, when
+    argv is in a form argparse is known to read that way; None otherwise.
 
-    argparse parses a command line the same way with either; the pruned one
-    still registers every command, whose names its "unrecognized arguments"
-    usage line lists.  Anything else, such as no command, ``-h`` first, an
-    unknown command or a missing or unknown subcommand, gets the full tree,
-    whose help and errors list every choice.
+    The form: the command and subcommand (see ``_leaf_of``), then options by
+    their exact full flags, each at most once, a value given as ``--flag
+    value`` with a value that does not start with ``-``, or as
+    ``--flag=value``, a bool flag alone; every required option present,
+    every int value read by ``int`` and every choice allowed.  Anything else
+    (help, abbreviations, repeats, ``--``, a value starting with ``-``, a bad
+    value, a missing option, a stray word) is left to argparse, which reads
+    it or prints its help or usage error.
     """
-    leaf = None if argv is None else _leaf_of(argv)
-    parser = _Parser(
+    leaf = _leaf_of(argv)
+    if leaf is None:
+        return None
+    command, name = leaf
+    options = next(opts for sub, _, opts in _COMMANDS[command][2] if sub == name) + _OUTPUT_OPTIONS
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values: dict[str, object] = {}
+    words = iter(argv[1 if name is None else 2:])
+    for word in words:
+        flag, equals, value = word.partition("=")
+        kind = kinds.get(flag)
+        if kind is None or flag in values:
+            return None
+        if kind is bool:
+            if equals:
+                return None
+            value = True
+        elif not equals:
+            value = next(words, "-")  # a missing value fails like a flag
+            if value.startswith("-"):
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        values[flag] = value
+    if not all(flag in values for flag, _, required, _ in options if required):
+        return None
+    namespace = {"command": command}
+    if name is not None:
+        namespace["subcommand"] = name
+    for flag, kind, _, _ in options:
+        namespace[flag[2:].replace("-", "_")] = values.get(flag, False if kind is bool else None)
+    namespace["run"] = _run_of(command, name)
+    return SimpleNamespace(**namespace)
+
+
+def build_parser():
+    """The satgenus argparse parser, the full tree of ``_COMMANDS``.
+
+    ``main`` runs it only on a command line that ``_parse_by_table`` leaves
+    to it, so argparse, imported here and nowhere else, loads only for help,
+    usage errors and the rarer forms it reads, such as abbreviations.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse ignores a failed write; help written to a closed stdout
+            # must fail like every other write there
+            if file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(
         prog="satgenus",
         description="Genus bounds for braided satellite links and their covering-surface arithmetic.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, module, leaves) in _COMMANDS.items():
+    for command, (command_help, _, leaves) in _COMMANDS.items():
         command_parser = top.add_parser(command, help=command_help)
-        if leaf is not None and leaf[0] != command:
-            continue
         if leaves[0][0] is not None:
             sub = command_parser.add_subparsers(dest="subcommand", required=True)
-        for name, leaf_help, add_arguments in leaves:
-            if leaf is not None and leaf[1] != name:
-                continue
+        for name, leaf_help, options in leaves:
             p = command_parser if name is None else sub.add_parser(name, help=leaf_help)
-            add_arguments(p)
-            p.add_argument("--json", action="store_true", help="print the JSON envelope")
-            p.add_argument("--out", metavar="FILE", help="also write the JSON envelope to FILE")
-            handler = command if name is None else f"{command}_{name}"
-            p.set_defaults(run=(module, handler.replace("-", "_")))
+            for flag, kind, required, option_help in options + _OUTPUT_OPTIONS:
+                if kind is bool:
+                    p.add_argument(flag, action="store_true", help=option_help)
+                else:
+                    p.add_argument(
+                        flag, required=required, help=option_help,
+                        type=int if kind is int else None,
+                        choices=kind if isinstance(kind, tuple) else None,
+                        metavar="FILE" if flag == "--out" else None,  # as help shows it
+                    )
+            p.set_defaults(run=_run_of(command, name))
     return parser
 
 
@@ -311,7 +386,9 @@ def _print_error(message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_by_table(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     module, name = args.run
     # the import statement's machinery, unlike importlib.import_module, is
     # what -X importtime reports

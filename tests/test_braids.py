@@ -71,6 +71,24 @@ def test_parse_errors_name_the_token():
         parse_braid("1", 1)
 
 
+@pytest.mark.parametrize("text", ["", "1", "2 -1", "0", "x"])
+@pytest.mark.parametrize("strands", [0, -1])
+def test_parse_checks_the_strand_count_before_the_word(text, strands):
+    with pytest.raises(ValueError, match="^a braid needs at least one strand$"):
+        parse_braid(text, strands)
+
+
+def test_one_strand_errors_name_no_empty_range():
+    with pytest.raises(ValueError) as parsed:
+        parse_braid("1", 1)
+    with pytest.raises(ValueError) as built:
+        BraidWord(1, (-1,))
+    assert str(parsed.value) == "token 1 ('1'): index 1 out of range: a braid on 1 strand has no generators"
+    assert str(built.value) == "letter -1 at position 0 is not a generator index: a braid on 1 strand has no generators"
+    with pytest.raises(ValueError, match=r"index 3 out of range for 3 strands \(valid: 1\.\.2\)$"):
+        parse_braid("3", 3)
+
+
 @given(words())
 def test_text_round_trip(w):
     assert parse_braid(braid_text(w), w.strands) == w

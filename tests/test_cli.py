@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satgenus.cli as cli
@@ -104,6 +105,12 @@ def test_braid_parse_error_names_token(capsys):
     err = capsys.readouterr().err
     assert "token 2" in err
     assert "'x'" in err
+
+
+@pytest.mark.parametrize("word", ["--word=", "--word=1", "--word=-3 2^4"])
+def test_braid_analyze_checks_the_strands_before_the_word(capsys, word):
+    assert main(["braid", "analyze", word, "--strands", "0"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: a braid needs at least one strand\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,14 +453,14 @@ SUBCOMMAND_MODULES = {
 }
 
 # prints the exit code, the satgenus modules loaded by one cli.main call, or
-# by build_parser alone when the argument is null, and every module that call
-# itself loaded
+# by build_parser alone when the argument is null, and every module that
+# importing cli and that call loaded
 LOADED_MODULES = """
 import contextlib, io, json, sys
-import satgenus.cli as cli
 argv = json.loads(sys.argv[1])
 code = None
 before = set(sys.modules)
+import satgenus.cli as cli
 if argv is None:
     cli.build_parser()
 else:
@@ -463,9 +470,10 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sat
                   sorted(set(sys.modules) - before)]))
 """
 
-# heavy standard modules no request loads: dataclasses imports inspect, ast,
-# dis and tokenize, and csv is imported only under --csv
-UNLOADED_STDLIB = {"dataclasses", "inspect", "csv"}
+# standard modules no request loads: dataclasses imports inspect, ast, dis
+# and tokenize, csv is imported only under --csv, and argparse, with the
+# gettext and locale it imports, only for help and usage errors
+UNLOADED_STDLIB = {"dataclasses", "inspect", "csv", "argparse", "gettext", "locale"}
 
 
 def _loaded_modules(argv):
@@ -499,10 +507,10 @@ def test_building_the_parser_loads_no_layer():
 def test_subcommand_loads_only_its_layers(argv):
     expected = {"satgenus", "satgenus.cli"}
     expected |= {f"satgenus.{name}" for name in SUBCOMMAND_MODULES[_subcommand(argv)]}
-    code, layers, loaded_by_main = _loaded_modules(argv)
+    code, layers, loaded = _loaded_modules(argv)
     assert [code, layers] == [EXIT_OK, sorted(expected)]
     assert "--csv" not in argv
-    assert UNLOADED_STDLIB.isdisjoint(loaded_by_main)
+    assert UNLOADED_STDLIB.isdisjoint(loaded)
 
 
 def test_braid_halftwist_needs_a_strand(capsys):
@@ -876,8 +884,8 @@ def test_out_empty_path_is_usage_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# command lines that argparse refuses or answers with help, for the parity of
-# the pruned parser with the full tree
+# command lines that argparse refuses or answers with help, which the table
+# parse must leave to it
 MALFORMED_COMMANDS = [
     [],
     ["bogus"],
@@ -915,30 +923,114 @@ def _parse(parser, argv):
     return namespace, code, out.getvalue(), err.getvalue()
 
 
-def _leaves_with_arguments(parser, path=()):
-    """The subcommand paths whose parsers hold arguments besides -h."""
-    leaves, options = set(), False
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                leaves |= _leaves_with_arguments(sub, path + (name,))
-        elif not isinstance(action, argparse._HelpAction):
-            options = True
-    return leaves | ({path} if options else set())
+@functools.lru_cache(maxsize=None)
+def _full_tree():
+    return cli.build_parser()
+
+
+def _parses_like_the_full_tree(argv):
+    """The table parse of argv; a namespace it gives must be the one that
+    argparse's full tree gives, with no output."""
+    namespace = cli._parse_by_table(argv)
+    if namespace is not None:
+        assert _parse(_full_tree(), argv) == (vars(namespace), None, "", "")
+    return namespace
 
 
 @pytest.mark.parametrize("argv", VALID_COMMANDS + MALFORMED_COMMANDS, ids=" ".join)
-def test_the_pruned_parser_parses_like_the_full_tree(argv):
-    pruned = cli.build_parser(argv)
-    assert _parse(pruned, argv) == _parse(cli.build_parser(), argv)
-    top = next(a for a in pruned._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(top.choices) == ["braid", "bounds", "examples", "cover", "perm"]
-    # a command line whose first words name a subcommand builds that leaf
-    # alone, valid or not; any other builds them all
-    named = [tuple(argv[:size]) for size in (1, 2) if tuple(argv[:size]) in SUBCOMMAND_MODULES]
-    assert _leaves_with_arguments(pruned) == set(named or SUBCOMMAND_MODULES)
-    if argv in VALID_COMMANDS:
-        assert named == [_subcommand(argv)]
+def test_the_table_parse_reads_like_the_full_tree(argv):
+    namespace = _parses_like_the_full_tree(argv)
+    assert (namespace is not None) == (argv in VALID_COMMANDS)
+
+
+def _equals_form(argv):
+    """argv with every ``--flag value`` pair written as ``--flag=value``."""
+    joined = []
+    for word in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and not word.startswith("--"):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--out", "report.json"], ["--out=r", "--json"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
+def test_the_table_parse_reads_every_valid_command_line(argv, mode):
+    path = list(_subcommand(argv))
+    for words in (argv + mode, path + mode + argv[len(path):], _equals_form(argv + mode)):
+        assert _parses_like_the_full_tree(words) is not None, words
+
+
+def _table_words():
+    """Words a command line of some leaf may hold: its flags whole, cut
+    short, with = and a value or followed by one, values of every kind, help
+    and stray words."""
+    leaves = [
+        ([command] + ([] if name is None else [name]), options + cli._OUTPUT_OPTIONS)
+        for command, (_, _, subs) in cli._COMMANDS.items() for name, _, options in subs
+    ]
+
+    def words(leaf):
+        path, options = leaf
+        flags = [flag for flag, _, _, _ in options]
+        flag = st.sampled_from(flags)
+        short = flag.map(lambda f: f[:-1]).filter(len)
+        value = (st.integers(-3, 12).map(str) | st.text(max_size=3)
+                 | st.sampled_from(["", "x", " 2", "+3", "1 2", "-1 2", "--", "-h", "1_0",
+                                    "k1", "k2", "odd", "even"]))
+        group = st.one_of(
+            st.tuples(flag, value).map(list),
+            st.tuples(flag, value).map(lambda pair: ["=".join(pair)]),
+            flag.map(lambda f: [f]),
+            st.tuples(short, value).map(list),
+            st.sampled_from([["-h"], ["--help"], ["--"], ["stray"], [path[-1]]]),
+        )
+        # each required option once with a valid value, most of the time,
+        # so that many lines are valid
+        required = st.tuples(*[
+            st.one_of(st.just([flag, good]), st.just([flag, good]), st.just([]),
+                      st.tuples(st.just(flag), value).map(list))
+            for flag, kind, needed, _ in options if needed
+            for good in ["2" if kind is int else kind[-1] if isinstance(kind, tuple) else "w"]
+        ]).flatmap(lambda groups: st.permutations(list(groups)))
+        return st.tuples(st.just(path), required, st.lists(group, max_size=3))
+
+    return st.sampled_from(leaves).flatmap(words).map(
+        lambda parts: parts[0] + [w for group in parts[1] + parts[2] for w in group])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_table_words())
+def test_the_table_parse_never_reads_a_line_differently(argv):
+    _parses_like_the_full_tree(argv)
+
+
+# command lines that argparse reads and the table parse leaves to it, each
+# with a twin in the table form that asks for the same thing
+FALLBACK_COMMANDS = [
+    (["cover", "cyclic", "--genus", "-1", "--degree", "3"],
+     ["cover", "cyclic", "--genus=-1", "--degree", "3"]),
+    (["cover", "cyclic", "--gen", "2", "--degree", "3"],
+     ["cover", "cyclic", "--genus", "2", "--degree", "3"]),
+    (["cover", "cyclic", "--genus", "1", "--degree", "2", "--degree", "3"],
+     ["cover", "cyclic", "--genus", "1", "--degree", "3"]),
+    (["braid", "analyze", "--word", "-1 2", "--strands", "3"],
+     ["braid", "analyze", "--word=-1 2", "--strands", "3"]),
+]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=" ".join)
+@pytest.mark.parametrize("argv, twin", FALLBACK_COMMANDS, ids=lambda argv: " ".join(argv))
+def test_main_answers_what_argparse_reads_like_its_table_form(capsys, argv, twin, mode):
+    assert cli._parse_by_table(argv + mode) is None
+    assert cli._parse_by_table(twin + mode) is not None
+    answers = []
+    for words in (argv + mode, twin + mode):
+        code = main(words)
+        answers.append((code, *capsys.readouterr()))
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
