@@ -18,10 +18,10 @@ What more than one layer needs lives here, where no layer has to be loaded
 for it: ``_Record``, the frozen-value base of every record class; the
 command line's exit codes and ``BudgetExceededError``, which
 ``satgenus.cli``, its handler modules and the oracle share; and
-``MAX_TABLE_DEGREE`` and ``_cycle_notation``, which the oracle shares with
-:mod:`satgenus.perms`.  Without a bytecode cache each module a process
-imports is compiled from source, so a layer loaded only for a base class or
-a constant would cost its whole compile.
+``_cycle_notation``, which the oracle shares with :mod:`satgenus.perms`.
+Without a bytecode cache each module a process imports is compiled from
+source, so a layer loaded only for a base class or a function would cost
+its whole compile.
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ EXIT_INVARIANT = 4
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration over the budget or the degree ceiling (EXIT_BUDGET)."""
-
-
-# The largest degree whose S_n tables the oracle's witness walk builds: at
-# degree 9 the tables alone take about 110 MB, and the walk brings the peak
-# to about 200 MB; the enumeration budget's weights are not measured at
-# degree 9 yet.  The commutator search of satgenus.perms builds no table but
-# keeps the ceiling.
-MAX_TABLE_DEGREE = 8
+    """An enumeration over its work budget or its print limit (EXIT_BUDGET)."""
 
 
 def _cycle_notation(images: tuple[int, ...]) -> str:

@@ -7,7 +7,7 @@ Every subcommand assembles an output envelope
 printed as human-readable lines by default, as canonical JSON (two-space
 indent, sorted keys) under ``--json``, and written atomically to a file with
 ``--out``.  Exit codes: 0 success, 2 bad usage or validation error (a closed
-stdout included), 3 budget or degree ceiling exceeded or out of memory, 4
+stdout included), 3 budget or print limit exceeded or out of memory, 4
 internal invariant violation found by the enumeration oracle.
 
 A process compiles and builds only what its request runs.  ``main`` reads

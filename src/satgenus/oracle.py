@@ -15,47 +15,48 @@ reports serialize to byte-identical JSON across runs.
 
 The scan never visits tuples.  Hook lengths and contents count them by
 boundary circles at any genus, one exact integer power per partition of n,
-with no character table (``_boundary_histogram``).  Rows (s, all q) of
-S_n x S_n for the first permutations s of the cycle types, walked in rank
-order until every cover shape has its first pair, give the witnesses
-(``_CountRows``): 5 of the 40320 rows of S_8.
+with no character table (``_boundary_histogram``), and the exponential
+formula turns the counts of degrees 1..n into those of every cover shape (m
+components, k boundary circles).  Each orbit carries an even boundary
+product, so every tuple has k = n mod 2 and m <= k.  The sharpness check
+and the realizability table read no counts.
 
-The shapes at genus g are exactly those of the pairs.  Padding a pair with
-identities keeps its shape, so a shape's first tuple at genus g is 2g - 2
-identities and its first pair.  Each orbit carries an even boundary
-product, so every tuple has k = n mod 2 and m <= k, and the witness walk
-asserts that the pairs show every such shape.
+The witnesses are built by a rule (``_first_pairs``), with no table of S_n.
+Padding a pair with identities keeps its shape, so a shape's first tuple at
+genus g is 2g - 2 identities and its first pair (s, q).  For k = n - 2j and
+a = k - m + 1, on the points 1..n, s is the (j + 1)-cycle (n-j ... n), and
+q fixes the first m - 1 points and is, on the a + 2j after them numbered
+from 1, (1 ... a, a+j)(a+1, a+1+j) ... (a+j-1, a+2j-1), or the a-cycle
+(1 ... a) at j = 0: at degree 8 the shape (1, 2) has s = (5 6 7 8) and
+q = (1 2 5)(3 6)(4 7).  Every pair built is checked to have its shape, and
+every enumeration checks that its counts have the rule's shapes.
 
-The exponential formula turns the histograms of degrees 1..n into the count
-of every shape, whose support must be the shapes of the pairs; that checks
-the tuple counts against the witness walk at run time in every
-enumeration.  The sharpness check and the realizability table read no
-histogram.
+Why s is first: a permutation ranked before (n-j ... n) fixes the first
+n - j points, so its length, n minus its cycle count, is below j.  [s, q]
+is s times q s^-1 q^-1, a conjugate of s^-1, and length is subadditive and
+constant on classes, so for such an s the commutator has more than k
+cycles: no earlier row (s, all q) reaches k, and the row of (n-j ... n)
+reaches every (m, k).  That q is then the first of its row is not proved;
+it is checked against exhaustion of S_n x S_n through n = 10.
 
-Shapes agree with ``covering.cover_from_homomorphism`` by construction; the
-tests cross-check the scan against brute force on small groups and against
-class products and Murnaghan-Nakayama characters on larger ones.  Violations
-and counterexamples (none are expected) are reported once per shape class,
-with the lexicographically first witness tuple.  A witness is a tuple of
-0-indexed image tuples, shared wherever entries repeat; wrap an entry in
-``perms.Permutation`` for arithmetic.  The oracle imports no other layer.
-
-Every refusal is decided by ``_check_budget`` before any table is built;
-degrees above ``satgenus.MAX_TABLE_DEGREE`` (8) are refused whatever the
-budget.  The walk's S_n tables are local to it and freed when it ends; the
-caches hold only its witnesses, constants of the degree.
+Violations and counterexamples (none are expected) are reported once per
+shape class, with the lexicographically first witness tuple.  A witness is
+a tuple of 0-indexed image tuples, shared wherever entries repeat; wrap an
+entry in ``perms.Permutation`` for arithmetic.  Shapes agree with
+``covering.cover_from_homomorphism`` by construction; the tests cross-check
+the scan against brute force on small groups and against class products and
+Murnaghan-Nakayama characters on larger ones.  The oracle imports no other
+layer and keeps no cache.  ``_check_budget`` decides every refusal before
+any work, and the budget alone sets how far the degree reaches: at the
+default 10^9, degree 29 at genus 1 and 27 at genus 2.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-from functools import lru_cache
-from operator import add, itemgetter
-from typing import Iterator
 
-from . import MAX_TABLE_DEGREE, BudgetExceededError, _Record, _cycle_notation
+from . import BudgetExceededError, _Record, _cycle_notation
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -72,26 +73,28 @@ DEFAULT_BUDGET = 10**9
 
 def _check_budget(g: int, n: int, budget: int | None) -> int:
     """Validate the request and return the work limit, refusing it before
-    any table is built.
+    any work.
 
     The estimate counts what the request builds, in units of about 30 ns on
     a 2-CPU host, so that the default 10^9 is about half a minute:
 
-    - 16 per entry of p(n) rows of n!: the S_n tables and at most p(n) - 1
-      witness rows, with p(n) the number of cycle types;
+    - 1 per 8 bits of the character counts: for each degree j <= n, p(j)
+      + p(j)^2 numbers of about (2g - 1) log2 j! bits, p(j) the partitions
+      of j: the weights of the character table that the content route, p(j)
+      powers and about p(j) (j + 1) products, replaced;
     - 256 per witness entry: 2g for each cover shape (m, k), m <= k <= n and
       k = n mod 2, of which there are floor((n + 1)^2 / 4).  An entry takes
       under 1 us, but about 90 bytes at the peak of a report's JSON, so the
       weight keeps the default's deepest witnesses near 370 MB;
-    - 1 per 8 bits of the character counts: for each degree j <= n, p(j)
-      + p(j)^2 numbers of about (2g - 1) log2 j! bits, which the exponential
-      formula then multiplies by shape.  The content route forms p(j) powers
-      and about p(j) (j + 1) products, but the weights of the character
-      table it replaced are kept, so that no refusal moves;
     - d^2 / 1024 for each of the tuple count and the at most (n + 1) // 2
       histogram counts, of up to d = 2g log10 n! + 1 digits: Python turns
       an int into decimal text in quadratic time, and a report is printed
       as text and as JSON.
+
+    The character counts come first, also at the weights of genus 1, which
+    no genus undercuts: a degree past the budget's reach is refused at the
+    first j where they pass it, before n! or a partition of n is formed.
+    The print limit comes next, so a huge genus is refused for its digits.
     """
     if g < 1:
         raise ValueError("the base surface needs genus at least 1")
@@ -100,47 +103,62 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
     limit = DEFAULT_BUDGET if budget is None else budget
     if limit < 1:
         raise ValueError("budget must be positive")
-    if n > MAX_TABLE_DEGREE:
-        raise BudgetExceededError(
-            f"degree {n} exceeds the enumeration limit {MAX_TABLE_DEGREE}, "
-            "the largest degree whose S_n tables fit in memory"
-        )
-    _check_printable(g, n)
-    work = 16 * len(_partitions(n)) * math.factorial(n) + 256 * 2 * g * ((n + 1) ** 2 // 4)
-    # exact rational arithmetic on the float logs, so no genus overflows them
+    counts = [1, 1]  # p(0), p(1)
+    order, reach, work = 1, 0, 256 * 2 * g * ((n + 1) ** 2 // 4)
     for j in range(2, n + 1):
-        types = len(_partitions(j))
-        num, den = math.log2(math.factorial(j)).as_integer_ratio()
+        order *= j
+        types = _next_partition_count(counts)
+        # exact rational arithmetic on the float logs, so no genus overflows them
+        num, den = math.log2(order).as_integer_ratio()
+        reach += (types + types**2) * num // (8 * den)
         work += (types + types**2) * (2 * g - 1) * num // (8 * den)
-    num, den = math.log10(math.factorial(n)).as_integer_ratio()
+        if reach > limit:
+            raise BudgetExceededError(
+                f"enumerating {_power(n, 2 * g)} needs an estimated {_rough(reach)} work units "
+                f"for the character counts of degrees up to {j} alone, over the budget of {limit}"
+            )
+    _check_printable(g, n, order)
+    num, den = math.log10(order).as_integer_ratio()
     work += ((n + 1) // 2 + 1) * (2 * g * num // den + 1) ** 2 // 1024
     if work > limit:
         raise BudgetExceededError(
             f"enumerating {_power(n, 2 * g)} needs an estimated {_rough(work)} work units "
-            f"(witness rows, witnesses and character counts), over the budget of {limit}"
+            f"(witnesses and character counts), over the budget of {limit}"
         )
     return limit
 
 
-def _check_printable(base_genus: int, degree: int) -> None:
-    """Refuse a tuple count (n!)^(2g) with more decimal digits than the
-    interpreter converts to text (``sys.get_int_max_str_digits``, 0 for no
-    limit).  The histogram counts never exceed that total.
+def _next_partition_count(counts: list[int]) -> int:
+    """Append p(j), the number of partitions of j = len(counts), to the
+    counts p(0), ..., p(j - 1), and return it.  Euler's pentagonal number
+    recurrence lists no partition."""
+    j = len(counts)
+    total, k = 0, 1
+    while (pentagonal := k * (3 * k - 1) // 2) <= j:
+        pair = counts[j - pentagonal] + (counts[j - pentagonal - k] if pentagonal + k <= j else 0)
+        total += pair if k % 2 else -pair
+        k += 1
+    counts.append(total)
+    return total
 
-    The digit count floor(2g log10 n!) + 1 comes from a log estimate; the
-    power is formed only near the limit, where the estimate may be one off.
-    """
+
+def _check_printable(base_genus: int, degree: int, order: int) -> None:
+    """Refuse a tuple count (n!)^(2g), n! = order, with more decimal digits
+    than the interpreter converts to text (``sys.get_int_max_str_digits``,
+    0 for no limit); the histogram counts never exceed that total.  The
+    digit count floor(2g log10 n!) + 1 comes from a log estimate; the power
+    is formed only near the limit, where the estimate may be one off."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
     exponent = 2 * base_genus
     # exact rational arithmetic on the float log, so no genus overflows it
-    num, den = math.log10(math.factorial(degree)).as_integer_ratio()
+    num, den = math.log10(order).as_integer_ratio()
     digits = exponent * num // den + 1
     if digits < limit - 1:
         return
     if digits <= limit + 2:
-        total = math.factorial(degree) ** exponent
+        total = order**exponent
         while total >= 10**digits:
             digits += 1
         while total < 10 ** (digits - 1):
@@ -167,110 +185,56 @@ def _rough(x: int) -> str:
     return f"about 10^{math.floor(math.log10(x))}"
 
 
-def _join(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The join of the set partition a, given as labels (each point labelled
-    by the least point of its block), with the links x ~ b[x], as labels: the
-    join of a and b when b is labels too, the cycle partition of b when a is
-    discrete and b a permutation.  A plain union-find whose roots stay the
-    least points of their blocks, so one pass in point order flattens it."""
-    root = list(a)
-    for x, y in enumerate(b):
-        while root[x] != x:
-            x = root[x]
-        while root[y] != y:
-            y = root[y]
-        if x < y:
-            root[y] = x
-        elif y < x:
-            root[x] = y
-    for x, up in enumerate(root):
-        root[x] = root[up]
-    return root
+def _orbit_count(n: int, *perms) -> int:
+    """The number of orbits of 0..n-1 under the image tuples: a union-find
+    whose roots stay the least points of their blocks."""
+    root = list(range(n))
+    for p in perms:
+        for x, y in enumerate(p):
+            while root[x] != x:
+                x = root[x]
+            while root[y] != y:
+                y = root[y]
+            root[max(x, y)] = min(x, y)
+    return sum(x == up for x, up in enumerate(root))
 
 
-def _commutator_row(s: int, perms: list, inverses: list, composers: list) -> Iterator[tuple[int, ...]]:
-    """The commutator [s, q] of every q, in rank order of q, one at a time:
-    ``perms`` is S_n in rank order, ``inverses`` their inverses, and
-    ``composers[r]`` maps q to "apply perms[r], then q"."""
-    then_s, then_s_inv = composers[s], composers[perms.index(inverses[s])]
-    # [s, q] applies s, q, s^-1, q^-1 in turn
-    return (then_s(then_q(then_s_inv(q_inv))) for then_q, q_inv in zip(composers, inverses))
-
-
-class _CountRows:
-    """The witness walk of S_n x S_n: the first pair of every cover shape.
-
-    Permutations are ranked in lexicographic order of their image tuples,
-    and cycle types are numbered in the order of their first permutations:
-    ``firsts[t]`` is the rank of the first permutation of type t.
-    ``witnesses`` maps every cover shape (m, k), the orbits of the pair and
-    the cycles of its commutator, to its lexicographically first pair (s, q)
-    as image tuples.
-
-    The witnesses come from rows (s, all q).  Conjugating by h maps the pair
-    (s, q) to (s^h, q^h), keeps its shape and conjugates its commutator, so
-    row s^h holds the shapes of row s, and the first row holding a shape is
-    the first permutation of some type.  Those rows are walked in rank
-    order until every shape (m, k), 1 <= m <= k <= n and k = n mod 2 (the
-    commutator is even), has its first pair; the orbits of <s, q> join the
-    cycle partitions of s and q, one join per partition.  The tables of
-    S_n, n! permutations with their inverses and composers, live only while
-    the walk runs.
-    """
-
-    def __init__(self, n: int):
-        perms = list(itertools.permutations(range(n)))
-        inverses = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
-        # itemgetter with a single index returns a bare item; the one
-        # permutation of S_1 composes to itself
-        composers = [itemgetter(*p) for p in perms] if n > 1 else [tuple]
-        discrete = tuple(range(n))
-        partitions: dict[tuple[int, ...], int] = {}  # cycle partitions, in order of first permutation
-        part_of = [partitions.setdefault(tuple(_join(discrete, p)), len(partitions)) for p in perms]
-        first_part = {}  # the first cycle partition of each cycle type
-        for part, labs in enumerate(partitions):
-            first_part.setdefault(tuple(sorted(map(labs.count, set(labs)))), part)
-        self.firsts = firsts = list(map(part_of.index, first_part.values()))
-        cycles = [len(set(labs)) for labs in partitions]
-        cycles_of = dict(zip(perms, map(cycles.__getitem__, part_of)))
-
-        shapes = {(m, k) for k in range(2 - n % 2, n + 1, 2) for m in range(1, k + 1)}
-        self.witnesses = witnesses = {}
-        labels = list(partitions)
-        for s in firsts:
-            # a pair is coded as one integer, orbits * (n + 1) + commutator cycles
-            orbit_keys = [(n + 1) * len(set(_join(labels[part_of[s]], part))) for part in labels]
-            comms = map(cycles_of.__getitem__, _commutator_row(s, perms, inverses, composers))
-            row = list(map(add, map(orbit_keys.__getitem__, part_of), comms))
-            for key in dict.fromkeys(row):
-                shape = divmod(key, n + 1)
-                if shape not in witnesses:
-                    if shape not in shapes:
-                        raise AssertionError(f"the pairs show a cover shape {shape} out of range; this is a bug")
-                    witnesses[shape] = (perms[s], perms[row.index(key)])
-            if len(witnesses) == len(shapes):
-                break
-        else:
-            raise AssertionError("the witness rows end before every cover shape has a pair; this is a bug")
-
-
-@lru_cache(maxsize=None)
-def _classes(n: int) -> _CountRows:
-    return _CountRows(n)
+def _first_pairs(n: int) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first pair (s, q) of every cover shape (m, k), 1 <= m <= k <= n
+    and k = n mod 2, as image tuples, by the rule of the module docstring:
+    in 0-indexed points s is the cycle (k+j-1 ... n-1), and q the cycle
+    (m-1 ... k-1, k+j-1) and the swaps (x, x+j), k <= x < k+j-1."""
+    pairs = {}
+    for k in range(2 - n % 2, n + 1, 2):
+        j = (n - k) // 2
+        s = (*range(k + j - 1), *range(k + j, n), k + j - 1)
+        s_inv = sorted(range(n), key=s.__getitem__)
+        for m in range(1, k + 1):
+            images = list(range(n))
+            cycle = [*range(m - 1, k), k + j - 1] if j else [*range(m - 1, k)]
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                images[x] = y
+            for x in range(k, k + j - 1):
+                images[x], images[x + j] = x + j, x
+            q = tuple(images)
+            q_inv = sorted(range(n), key=q.__getitem__)
+            # [s, q] applies s, q, s^-1, q^-1 in turn
+            commutator = [q_inv[s_inv[q[s[x]]]] for x in range(n)]
+            if (_orbit_count(n, s, q), _orbit_count(n, commutator)) != (m, k):
+                raise AssertionError(f"the pair built for the shape {(m, k)} has another shape; this is a bug")
+            pairs[m, k] = (s, q)
+    return pairs
 
 
 def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[tuple[int, ...], ...]]:
-    """Every cover shape (components, boundary circles, genus) with its
-    first tuple as image tuples: 2g - 2 identities and its first pair.
-    These are all the shapes at genus g: every tuple has k = n mod 2 and
-    m <= k, one even boundary product per orbit, and the pairs show every
-    such shape."""
-    pc = _classes(n)
+    """Every cover shape (components, boundary circles, genus) at genus g
+    with its first tuple as image tuples: 2g - 2 identities and its first
+    pair."""
     base_odd = n * (2 * g - 1)
     identities = (tuple(range(n)),) * (2 * g - 2)
     return {
         (m, k, (base_odd + 2 * m - k) >> 1): identities + pair
-        for (m, k), pair in pc.witnesses.items()
+        for (m, k), pair in _first_pairs(n).items()
     }
 
 
@@ -314,11 +278,11 @@ def _boundary_histogram(g: int, n: int) -> list[int]:
     return hist
 
 
-def _report_histogram(g: int, n: int) -> list[int]:
-    """The boundary histogram of an enumeration: the sum over components
-    of the shape counts, whose support must be the shapes of the pairs."""
+def _report_histogram(g: int, n: int, rows: dict) -> list[int]:
+    """The boundary histogram of an enumeration: the shape counts summed
+    over components, whose support must be the shapes of ``rows``."""
     shapes = _shape_histogram(g, n)
-    if shapes.keys() != _classes(n).witnesses.keys():
+    if shapes.keys() != {(m, k) for m, k, _ in rows}:
         raise AssertionError(f"the shapes at genus {g} are not those of the pairs; this is a bug")
     khist = [0] * (n + 1)
     for (_, k), count in shapes.items():
@@ -449,11 +413,12 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     violations of the two genus floors (there should never be any).
 
     ``budget`` caps the work units that ``_check_budget`` estimates (default
-    10^9); degrees above ``MAX_TABLE_DEGREE`` are refused whatever it is.
+    10^9).
     """
     limit = _check_budget(base_genus, degree, budget)
-    a = _analyze(base_genus, degree, _shape_rows(base_genus, degree))
-    khist = _report_histogram(base_genus, degree)
+    rows = _shape_rows(base_genus, degree)
+    a = _analyze(base_genus, degree, rows)
+    khist = _report_histogram(base_genus, degree, rows)
     min_k1 = a["min_k1"]
     return EnumerationReport(
         base_genus=base_genus,

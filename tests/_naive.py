@@ -164,40 +164,6 @@ def naive_orbits(images, degree):
     return orbits
 
 
-def naive_join(a, b):
-    """The join of two set partitions of 0..n-1 given as label tuples (each
-    point labelled by the least point of its block): the blocks of the union
-    of their relations, found by BFS and relabelled by the least point of
-    each block."""
-    n = len(a)
-    neighbours = [set() for _ in range(n)]
-    for labels in (a, b):
-        for x, least in enumerate(labels):
-            neighbours[x].add(least)
-            neighbours[least].add(x)
-    joined = [None] * n
-    for start in range(n):
-        if joined[start] is None:
-            joined[start] = start
-            queue = deque([start])
-            while queue:
-                for y in neighbours[queue.popleft()]:
-                    if joined[y] is None:
-                        joined[y] = start
-                        queue.append(y)
-    return tuple(joined)
-
-
-def naive_set_partitions(n):
-    """Every set partition of 0..n-1 as a label tuple (each point labelled
-    by the least point of its block): point x joins a block of a partition
-    of 0..x-1 or starts its own."""
-    parts = [()]
-    for x in range(n):
-        parts = [labels + (label,) for labels in parts for label in [*sorted(set(labels)), x]]
-    return parts
-
-
 def naive_boundary_map(genus, images):
     """Boundary image of x computed by walking the commutator word of every
     handle pair, one application at a time."""

@@ -4,6 +4,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import subprocess
@@ -19,8 +20,6 @@ from hypothesis import strategies as st
 import satgenus.cli as cli
 from satgenus import oracle
 from satgenus.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
-
-from _frobenius import boundary_histogram
 
 
 def load_schema():
@@ -332,29 +331,36 @@ def test_oversized_integers_keep_the_exit_code_contract(argv):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-def _ceiling_error(degree):
-    return (f"error: degree {degree} exceeds the enumeration limit 8, "
-            "the largest degree whose S_n tables fit in memory\n")
+def _reach_error(degree, budget=10**9):
+    """The refusal of a genus-1 enumeration whose degree is past the reach
+    of the budget, 10^9 or 10^20: the character counts alone pass it at
+    degree 30 or 110."""
+    estimate, reach = {10**9: ("1131215305", 30), 10**20: ("about 10^20", 110)}[budget]
+    return (f"error: enumerating S_{degree}^2 needs an estimated {estimate} work units "
+            f"for the character counts of degrees up to {reach} alone, over the budget of {budget}\n")
 
 
-@pytest.mark.parametrize("degree", ["9", "10"])
-def test_cover_enumerate_refuses_degrees_over_the_ceiling_whatever_the_budget(degree):
-    # a budget this large admits the (n!)^2 pair pass, whose tables do not
-    # fit in memory
-    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree,
-                        "--budget", str(10**20)])
+@pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
+@pytest.mark.parametrize("budget", [None, 10**20])
+def test_cover_enumerate_refuses_huge_degrees_at_any_budget(degree, budget):
+    # the budget alone sets the degree's reach, and a huge degree is refused
+    # at once, in 128 MB, without forming n!
+    argv = ["cover", "enumerate", "--genus", "1", "--degree", degree]
+    proc = _run_capped(argv + (["--budget", str(budget)] if budget else []), megabytes=128)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == _ceiling_error(degree)
+    assert proc.stderr == _reach_error(degree, budget or 10**9)
 
 
-def test_enumeration_at_the_degree_ceiling_fits_in_128_mb():
-    # the witness walk holds one commutator row at a time and no join table
-    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=128)
+def test_enumeration_at_the_default_reach_fits_in_128_mb():
+    # degree 29 is the deepest the default budget admits at genus 1; its
+    # counts hold p(29) = 4565 partitions and its witnesses no table
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "29"], megabytes=128)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
-    histogram = json.loads(proc.stdout)["results"]["boundary_k_histogram"]
-    assert histogram == {str(k): v for k, v in boundary_histogram(1, 8).items()}
+    results = json.loads(proc.stdout)["results"]
+    assert sum(results["boundary_k_histogram"].values()) == results["total_tuples"] == math.factorial(29) ** 2
+    assert results["min_genus_overall"] == results["min_genus_connected_boundary"] - 14 == 1
 
 
 def test_a_deep_genus_witness_shares_its_entries():
@@ -367,28 +373,29 @@ def test_a_deep_genus_witness_shares_its_entries():
 
 
 def test_running_out_of_memory_is_the_budget_exit():
-    # the S_8 tables and witness walk fit in 48 MB but not in 32
-    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", "8"], megabytes=32)
+    # the 400000-entry witness above fits in 128 MB but not in 32
+    proc = _run_capped(["cover", "enumerate", "--genus", "200000", "--degree", "1"], megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("genus,budget,env,estimate", [
-    ("2", ["--budget", "10000000"], None, "14217808"),
-    ("36000", [], {"PYTHONINTMAXSTRDIGITS": "0"}, "1032299020"),
+@pytest.mark.parametrize("genus,degree,budget,env,estimate", [
+    ("1000000", "1", ["--budget", "10000000"], None, "512000000"),
+    ("36000", "8", [], {"PYTHONINTMAXSTRDIGITS": "0"}, "1018106380"),
 ])
-def test_an_over_budget_genus_is_refused_before_the_class_pass(genus, budget, env, estimate):
+def test_an_over_budget_genus_is_refused_before_any_work(genus, degree, budget, env, estimate):
     # a small explicit budget, or the default one with the print limit off;
-    # the S_8 witness walk, which does not fit in 32 MB, must not start
-    proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", "8", *budget],
+    # the witness of a million handles, which does not fit in 32 MB, and the
+    # counts of 72000 must not be started
+    proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", degree, *budget],
                        env=env, megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        f"error: enumerating S_8^{2 * int(genus)} needs an estimated {estimate} work units "
-        "(witness rows, witnesses and character counts), "
+        f"error: enumerating S_{degree}^{2 * int(genus)} needs an estimated {estimate} work units "
+        "(witnesses and character counts), "
         f"over the budget of {budget[1] if budget else 10**9}\n"
     )
 
@@ -410,13 +417,13 @@ def test_a_deep_genus_is_refused_by_its_estimate(genus, degree, env):
 
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
 def test_huge_degrees_are_refused_without_a_print_limit(degree):
-    # with the print limit off only the degree ceiling guards the pair pass,
-    # and it must be decided without forming n!, which does not finish at 10^12
+    # with the print limit off only the budget guards the counts, and it
+    # must be decided without forming n!, which does not finish at 10^12
     proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree],
-                       env={"PYTHONINTMAXSTRDIGITS": "0"})
+                       env={"PYTHONINTMAXSTRDIGITS": "0"}, megabytes=128)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == _ceiling_error(degree)
+    assert proc.stderr == _reach_error(degree)
 
 
 @pytest.mark.parametrize("argv", list(_boundary_cases()), ids=" ".join)
@@ -556,18 +563,15 @@ def test_cover_enumerate_sharpness(capsys):
     assert env["results"]["sharpness"]["ok"] is True
 
 
-def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch, cold_tables):
-    # one witness walk, of degree 4, for both reports; the enumeration counts
-    # degrees 1..4 at genus 2 for its shape check, and the sharpness check
-    # counts nothing
-    walks, histograms = [], []
-    walk, histogram = oracle._CountRows, oracle._boundary_histogram
-    monkeypatch.setattr(oracle, "_CountRows", lambda n: walks.append(n) or walk(n))
+def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
+    # the enumeration counts degrees 1..4 at genus 2 for its shape check,
+    # and the sharpness check counts nothing
+    histograms = []
+    histogram = oracle._boundary_histogram
     monkeypatch.setattr(oracle, "_boundary_histogram",
                         lambda g, n: histograms.append((g, n)) or histogram(g, n))
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
-    assert walks == [4]
     assert histograms == [(2, 1), (2, 2), (2, 3), (2, 4)]
 
 
@@ -586,7 +590,7 @@ def test_cover_enumerate_budget(capsys):
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "5", "--budget", "100"])
     assert code == EXIT_BUDGET
     err = capsys.readouterr().err
-    assert "18116" in err
+    assert "4676" in err
 
 
 def test_cover_enumerate_ignores_the_env_budget(capsys, monkeypatch):
@@ -704,7 +708,7 @@ def test_cover_enumerate_refuses_degrees_past_the_float_range(capsys, default_in
     captured = capsys.readouterr()
     assert code == EXIT_BUDGET
     assert captured.out == ""
-    assert captured.err == _ceiling_error(degree)
+    assert captured.err == _reach_error(degree)
 
 
 @pytest.fixture
@@ -715,17 +719,19 @@ def no_int_digit_limit():
     sys.set_int_max_str_digits(saved)
 
 
-def test_budget_refusal_forms_no_factorial_above_the_degree_ceiling(capsys, no_int_digit_limit):
-    # up to the ceiling the message states the exact estimate, as it always has
+def test_budget_refusal_forms_no_factorial_of_a_huge_degree(capsys, monkeypatch, no_int_digit_limit):
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: factorial(n) if n <= 1000 else pytest.fail("formed n!"))
+    # within the reach of the budget the message states the whole estimate
     assert main(["cover", "enumerate", "--genus", "36000", "--degree", "8"]) == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        "error: enumerating S_8^72000 needs an estimated 1032299020 work units "
-        "(witness rows, witnesses and character counts), "
+        "error: enumerating S_8^72000 needs an estimated 1018106380 work units "
+        "(witnesses and character counts), "
         f"over the budget of {10**9}\n"
     )
-    # above it the degree alone decides
-    assert main(["cover", "enumerate", "--genus", "1", "--degree", "9"]) == EXIT_BUDGET
-    assert capsys.readouterr().err == _ceiling_error(9)
+    # past it, the character counts of the degrees up to the reach alone
+    assert main(["cover", "enumerate", "--genus", "1", "--degree", OVERSIZED]) == EXIT_BUDGET
+    assert capsys.readouterr().err == _reach_error(OVERSIZED)
 
 
 def test_perm_commutator(capsys):
@@ -778,8 +784,7 @@ def test_perm_ore_degree_limit(capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err == (
-        "error: degree 9 exceeds the search limit 8, "
-        "the degree ceiling it shares with the enumeration oracle\n"
+        "error: degree 9 exceeds the search limit 8 of the exhaustive commutator search\n"
     )
 
 
@@ -1047,17 +1052,12 @@ def test_a_request_compiles_cli_once(argv):
     assert "satgenus.cli" not in imported
 
 
-def test_json_output_is_deterministic(capsys, cold_tables):
+def test_json_output_is_deterministic(capsys):
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     first = capsys.readouterr().out
     main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
     repeat = capsys.readouterr().out
     assert first == repeat
-    cold_tables()
-    main(["cover", "enumerate", "--genus", "1", "--degree", "3", "--json"])
-    cold = capsys.readouterr().out
-    # a cold rebuild of the pair classes must not move a byte
-    assert cold == first
 
 
 def test_missing_subcommand_is_usage_error():
@@ -1142,7 +1142,7 @@ CLOSED_STDERR_CASES = [
     (["--help"], EXIT_OK, b"usage: satgenus [-h]"),
     (["bounds", "--winding", "2"], EXIT_USAGE, b""),
     (["bounds", "--g4k", "-1", "--winding", "2"], EXIT_USAGE, b""),
-    (["cover", "enumerate", "--genus", "1", "--degree", "9"], EXIT_BUDGET, b""),
+    (["cover", "enumerate", "--genus", "1", "--degree", "30"], EXIT_BUDGET, b""),
 ]
 
 

@@ -1,10 +1,10 @@
-import gc
 import itertools
 import json
 import math
-import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satgenus import oracle
 from satgenus.covering import HomomorphismCover, cover_from_homomorphism
@@ -16,7 +16,7 @@ from satgenus.oracle import (
     verify_sharpness,
 )
 from satgenus import perms as perms_module
-from satgenus.perms import Permutation, cycles_str
+from satgenus.perms import Permutation, commutator, cycle_count, cycles_str, orbits
 
 from _frobenius import (
     boundary_histogram,
@@ -29,11 +29,8 @@ from _frobenius import (
 from _naive import (
     naive_class_product_counts,
     naive_cover_shape,
-    naive_cycles,
     naive_first_shape_pairs,
-    naive_join,
     naive_pair_classes,
-    naive_set_partitions,
     naive_shape_sweep,
 )
 
@@ -52,15 +49,21 @@ def all_tuples(base_genus, degree):
     return itertools.product(perms, repeat=2 * base_genus)
 
 
+def _refuse_work(monkeypatch):
+    """Fail the test if a count or a pair is built: what follows must be
+    refused before any work."""
+    def refuse(*args):
+        raise AssertionError("work done for a refused request")
+
+    monkeypatch.setattr(oracle, "_shape_histogram", refuse)
+    monkeypatch.setattr(oracle, "_first_pairs", refuse)
+
+
 def test_budget_default(monkeypatch):
     assert enumerate_covers(1, 3).budget == DEFAULT_BUDGET
-
-    def refuse(n):
-        raise AssertionError("pair classes built over the default budget")
-
     # no budget means DEFAULT_BUDGET in every entry point: the 4 * 10^6
     # witness entries of two million handles at degree 1 are over it
-    monkeypatch.setattr(oracle, "_CountRows", refuse)
+    _refuse_work(monkeypatch)
     for run in (enumerate_covers, verify_sharpness, realizability_table):
         with pytest.raises(BudgetExceededError) as default:
             run(2 * 10**6, 1)
@@ -81,7 +84,7 @@ def test_budget_ignores_the_environment(monkeypatch):
 def test_budget_argument():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_covers(1, 5, budget=100)
-    assert "18116" in str(exc.value)
+    assert "4676" in str(exc.value)
     assert "100" in str(exc.value)
     with pytest.raises(BudgetExceededError):
         realizability_table(1, 5, budget=100)
@@ -194,28 +197,16 @@ def test_min_witnesses_reproduce_their_minima():
             assert cover.genus_total == r.min_genus_connected_boundary
 
 
-def test_json_deterministic_across_runs_and_cold_caches(cold_tables):
+def test_json_deterministic_across_runs():
     baseline = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
     again = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
-    cold_tables()
-    cold = json.dumps(enumerate_covers(2, 4).to_json(), sort_keys=True)
-    assert baseline == again == cold
+    assert baseline == again
 
 
-def test_cold_tables_clears_every_cache(cold_tables):
-    # every lru_cache of the two modules, so that no cache added later
-    # carries its tables from one test into the next
-    caches = {
-        id(obj): obj
-        for module in (oracle, perms_module)
-        for obj in vars(module).values()
-        if hasattr(obj, "cache_clear")
-    }.values()
-    enumerate_covers(2, 4)
-    perms_module.ore_commutator_search(Permutation((1, 2, 0)))
-    assert all(cache.cache_info().currsize for cache in caches)
-    cold_tables()
-    assert not any(cache.cache_info().currsize for cache in caches)
+def test_the_oracle_keeps_no_cache():
+    # every request builds its pairs and counts afresh, so no test carries
+    # state into the next
+    assert not [name for name, obj in vars(oracle).items() if hasattr(obj, "cache_clear")]
 
 
 def test_report_json_shape():
@@ -338,7 +329,7 @@ def test_shapes_below_the_floors_fail_their_checks(monkeypatch, n, extra, failin
 
 
 def test_enumeration_and_sharpness_share_one_class_table():
-    # all three entry points read one cached scan; make sure they agree on it
+    # all three entry points build the same pairs; make sure they agree on them
     direct = realizability_table(2, 4)
     r1 = enumerate_covers(2, 4)
     sharp = verify_sharpness(2, 4)
@@ -434,100 +425,76 @@ def test_characters_summed_by_cycles_are_the_degree_times_the_contents(n):
         assert hooks * degree == math.factorial(n)
 
 
-@pytest.mark.parametrize("n", [9, 10])
-def test_counts_past_the_degree_ceiling_match_frobenius(cold_tables, n):
-    # the counts build no S_n table, so they reach degrees the witness walk
-    # does not serve yet
+def _shape(g, n, wit):
+    """The shape of a witness by the covering layer, with the orbits and
+    commutator cycles of its pair counted again by perms: every entry before
+    the pair is the identity."""
+    cover = cover_from_homomorphism(_hom(g, n, wit)).cover
+    s, q = map(Permutation, wit[-2:])
+    assert set(wit[:-2]) <= {tuple(range(n))}
+    assert (len(orbits([s, q])), cycle_count(commutator(s, q))) == (cover.components, cover.boundary_components)
+    return cover.components, cover.boundary_components, cover.genus_total
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_enumerations_past_degree_eight_match_frobenius(n):
+    # neither the counts nor the witnesses build an S_n table, so degrees
+    # past 8 are served in full
     for g in (1, 2, 5):
         hist = oracle._boundary_histogram(g, n)
         assert {k: count for k, count in enumerate(hist) if count} == boundary_histogram(g, n)
         connected = {k: count for (m, k), count in oracle._shape_histogram(g, n).items() if m == 1}
         assert connected == connected_boundary_histogram(g, n)
-    assert oracle._classes.cache_info().currsize == 0
+    for g in (1, 2):
+        r = enumerate_covers(g, n)
+        assert r.boundary_k_histogram == boundary_histogram(g, n)
+        assert _shape(g, n, r.min_overall_witness)[2] == r.min_genus_overall
+        table = realizability_table(g, n)
+        assert len(table) == (n + 1) ** 2 // 4
+        for key, wit in table.items():
+            assert _shape(g, n, wit) == key
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_the_join_matches_naive_joins(n):
-    # up to n = 5 every pair of set partitions; at n = 6 the cycle partition
-    # of the first permutation of each of the 11 cycle types, which the
-    # count rows join with every partition, each also the join of the
-    # discrete partition with its permutation
-    parts = naive_set_partitions(n)
-    assert len(parts) == [1, 2, 5, 15, 52, 203][n - 1]  # the Bell numbers
-    lefts = parts
-    if n == 6:
-        firsts = {}
-        for p in itertools.permutations(range(n)):
-            firsts.setdefault(perms_module.cycle_type(Permutation(p)), p)
-        assert len(firsts) == 11
-        lefts = []
-        for p in firsts.values():
-            cycle_labels = [0] * n
-            for cycle in naive_cycles(p):
-                for x in cycle:
-                    cycle_labels[x - 1] = min(cycle) - 1
-            assert oracle._join(tuple(range(n)), p) == cycle_labels
-            lefts.append(tuple(cycle_labels))
-    for a in lefts:
-        assert [tuple(oracle._join(a, b)) for b in parts] == [naive_join(a, b) for b in parts]
+@given(g=st.integers(1, 3), n=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_every_built_witness_has_its_shape(g, n):
+    table = realizability_table(g, n, budget=10**20)
+    assert {(m, k) for m, k, _ in table} == {
+        (m, k) for k in range(1, n + 1) if (n - k) % 2 == 0 for m in range(1, k + 1)
+    }
+    for key, wit in table.items():
+        assert _shape(g, n, wit) == key
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_shape_witnesses_match_naive_double_loop(n):
-    assert oracle._CountRows(n).witnesses == naive_first_shape_pairs(n)
+    assert oracle._first_pairs(n) == naive_first_shape_pairs(n)
 
 
-def test_shape_sweep_stops_once_every_shape_is_found():
-    # the first pairs of all 12 shapes of S_6 lie in rows s <= 3; each lies
-    # in the row of the first permutation of a cycle type
-    assert len(oracle._classes(6).witnesses) == 12
+def test_each_witness_row_is_the_first_of_its_cycle_type():
+    # the proof sketch of the module docstring: s = (n-j ... n) is the first
+    # permutation of its cycle type, and the first pairs of all 12 shapes of
+    # S_6 lie in rows s <= 3
     for n, last in [(5, 3), (6, 3), (7, 9)]:
         perms = list(itertools.permutations(range(n)))
-        rows = [perms.index(s) for s, _ in oracle._classes(n).witnesses.values()]
+        rows = [perms.index(s) for s, _ in oracle._first_pairs(n).values()]
         assert max(rows) == last
         types = [perms_module.cycle_type(Permutation(p)) for p in perms]
         for s in rows:
             assert types.index(types[s]) == s
 
 
-@pytest.mark.parametrize("n,rows", [(6, 3), (7, 5)])
-def test_the_count_rows_build_only_the_witness_rows(monkeypatch, n, rows):
-    # the rows of the first 3 of the 11 cycle types of S_6, and 5 of the 15
-    # of S_7, hold every shape
-    built = []
-    row = oracle._commutator_row
-
-    def counted(s, *tables):
-        built.append(s)
-        return row(s, *tables)
-
-    monkeypatch.setattr(oracle, "_commutator_row", counted)
-    pc = oracle._CountRows(n)
-    assert len(pc.firsts) == [11, 15][n - 6]
-    assert built == pc.firsts[:rows]
+def test_a_built_pair_of_another_shape_is_a_bug(monkeypatch):
+    # count one orbit too many for every pair
+    count = oracle._orbit_count
+    monkeypatch.setattr(oracle, "_orbit_count", lambda n, *perms: count(n, *perms) + 1)
+    with pytest.raises(AssertionError, match=r"the pair built for the shape \(1, 1\) has another shape"):
+        enumerate_covers(1, 3)
 
 
-@pytest.mark.parametrize("odd,message", [
-    (False, "end before every cover shape"),
-    (True, r"shape \(1, 2\) out of range"),
-])
-def test_a_count_row_that_misses_or_invents_a_shape_is_a_bug(monkeypatch, odd, message):
-    # in S_3 only a 3-cycle commutator gives one boundary circle; make every
-    # such commutator the identity, or an odd permutation no commutator is
-    row = oracle._commutator_row
-    swap = (0, 2, 1) if odd else (0, 1, 2)
-
-    def patched(s, *tables):
-        return (swap if c in ((1, 2, 0), (2, 0, 1)) else c for c in row(s, *tables))
-
-    monkeypatch.setattr(oracle, "_commutator_row", patched)
-    with pytest.raises(AssertionError, match=message):
-        oracle._CountRows(3)
-
-
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 8])
 def test_shape_witnesses_match_a_naive_row_sweep(n):
-    witnesses = oracle._classes(n).witnesses
+    witnesses = oracle._first_pairs(n)
     first, rows = naive_shape_sweep(n, witnesses.keys())
     assert first == witnesses
     perms = list(itertools.permutations(range(n)))
@@ -565,7 +532,7 @@ def test_connected_rows_match_frobenius_count(g, n):
     assert connected == set(connected_boundary_histogram(g, n))
 
 
-def test_enumeration_at_the_degree_ceiling(cold_tables):
+def test_enumeration_at_degree_eight():
     r = enumerate_covers(1, 8)
     assert r.boundary_k_histogram == boundary_histogram(1, 8)
     assert r.total_tuples == math.factorial(8) ** 2
@@ -573,7 +540,7 @@ def test_enumeration_at_the_degree_ceiling(cold_tables):
     assert cover.genus_total == r.min_genus_overall == 1
     # even degree: no unbranched cover has connected boundary
     assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
-    # genus 2 on the same S_8 tables, and its shape check over degrees 1..8
+    # genus 2, and its shape check over degrees 1..8
     assert enumerate_covers(2, 8).boundary_k_histogram == boundary_histogram(2, 8)
     table = realizability_table(2, 8)
     assert len(table) == 20
@@ -582,15 +549,33 @@ def test_enumeration_at_the_degree_ceiling(cold_tables):
         assert (cover.components, cover.boundary_components, cover.genus_total) == key
 
 
-@pytest.mark.parametrize("degree", [9, 10])
-def test_degrees_over_the_ceiling_are_refused_before_any_table(monkeypatch, degree):
-    def refuse(*args):
-        raise AssertionError("tables built over the degree ceiling")
-
-    monkeypatch.setattr(oracle, "_CountRows", refuse)
+@pytest.mark.parametrize("degree", [10**12, 10**400])
+@pytest.mark.parametrize("budget,reach", [(None, 30), (10**20, 110)])
+def test_huge_degrees_are_refused_before_any_work(monkeypatch, degree, budget, reach):
+    # the character counts of degrees 2, 3, ... pass the budget within a
+    # few dozen terms, before n! or a partition of n is formed
+    _refuse_work(monkeypatch)
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: factorial(n) if n <= 1000 else pytest.fail("formed n!"))
     for run in (enumerate_covers, verify_sharpness, realizability_table):
-        with pytest.raises(BudgetExceededError, match=f"degree {degree} exceeds the enumeration limit 8"):
-            run(1, degree, budget=10**20)
+        with pytest.raises(BudgetExceededError, match=f"character counts of degrees up to {reach} alone"):
+            run(1, degree, budget=budget)
+
+
+def test_the_default_budget_reaches_degree_29_at_genus_1_and_27_at_genus_2():
+    assert oracle._check_budget(1, 29, None) == oracle._check_budget(2, 27, None) == DEFAULT_BUDGET
+    for g, n in ((1, 30), (2, 28)):
+        with pytest.raises(BudgetExceededError):
+            oracle._check_budget(g, n, None)
+
+
+@pytest.mark.parametrize("g,n", [(1, 20), (2, 27), (1, 29)])
+def test_sharpness_past_degree_eight(g, n):
+    # the witnesses reach as far as the budget: the floors hold and are
+    # attained where the paper says, at even and odd degree
+    report = verify_sharpness(g, n)
+    assert report.ok, (report.checks, report.counterexamples)
+    assert report.notes["min_genus_overall"] == n * g - (n - 1)
 
 
 def test_sharpness_at_degree_seven():
@@ -600,12 +585,18 @@ def test_sharpness_at_degree_seven():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_budget_counts_the_rows_and_shapes_the_pass_finds(n):
-    # the budget charges p(n) count rows and one witness tuple per shape
-    # (m, k), m <= k <= n, k = n mod 2, before any table exists
-    pc = oracle._classes(n)
-    assert len(oracle._partitions(n)) == len(pc.firsts)
-    assert len(pc.witnesses) == (n + 1) ** 2 // 4
+def test_budget_counts_the_shapes_the_rule_builds(n):
+    # the budget charges one witness tuple per shape (m, k), m <= k <= n,
+    # k = n mod 2, before any pair exists
+    assert len(oracle._first_pairs(n)) == (n + 1) ** 2 // 4
+
+
+def test_partition_counts_match_the_partitions():
+    # the budget counts p(j) by recurrence, the histogram lists partitions
+    counts = [1, 1]
+    for j in range(2, 30):
+        assert oracle._next_partition_count(counts) == len(oracle._partitions(j)) == len(partitions(j))
+    assert counts[-1] == 4565
 
 
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
@@ -633,41 +624,6 @@ def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
             enumerate_covers(g, 3)
 
 
-def test_an_enumeration_builds_tables_for_its_own_degree_only(monkeypatch, cold_tables):
-    # the histograms of degrees 1..4 behind the shape check come from
-    # characters, so no smaller S_j is built: one witness walk, whose rows
-    # all read tables of S_5
-    built = []
-    walk, row = oracle._CountRows, oracle._commutator_row
-
-    def counted(s, perms, *tables):
-        built.append(("row", len(perms), len(perms[s])))
-        return row(s, perms, *tables)
-
-    monkeypatch.setattr(oracle, "_CountRows", lambda n: built.append(("walk", n)) or walk(n))
-    monkeypatch.setattr(oracle, "_commutator_row", counted)
-    enumerate_covers(2, 5)
-    assert built[0] == ("walk", 5)
-    assert len(built) > 1 and set(built[1:]) == {("row", 120, 5)}
-
-
-def test_the_caches_keep_no_table_after_an_enumeration(cold_tables):
-    # the S_7 tables, about 1.4 MB, are freed when the witness walk ends;
-    # its cache keeps 16 witness pairs
-    enumerate_covers(1, 6)  # warm whatever the first enumeration allocates
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        enumerate_covers(1, 7)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert oracle._classes.cache_info().currsize == 2
-    assert retained < 100_000
-
-
 def test_sharpness_and_the_table_read_no_histogram(monkeypatch):
     # neither reads a histogram, so a deep genus costs them no count
     def refuse(g, n):
@@ -680,44 +636,36 @@ def test_sharpness_and_the_table_read_no_histogram(monkeypatch):
 
 def test_budget_counts_work_not_tuples():
     # (3, 5) has 120^6 tuples, far over the default budget, but the estimate
-    # charges 16 for each of the 7 * 120 count-row entries of degree 5, 256
-    # for each of nine shapes' six witness entries, and 1 per 8 bits of the
-    # character counts of each degree j = 2..5, p(j) + p(j)^2 numbers of
-    # 5 log2 j! bits; its 13-digit counts print for nothing
-    work = 16 * 7 * 120 + 256 * 54 + (3 + 19 + 85 + 241)
-    assert work == 27612
+    # charges 256 for each of nine shapes' six witness entries, and 1 per 8
+    # bits of the character counts of each degree j = 2..5, p(j) + p(j)^2
+    # numbers of 5 log2 j! bits; its 13-digit counts print for nothing
+    work = 256 * 54 + (3 + 19 + 85 + 241)
+    assert work == 14172
     assert enumerate_covers(3, 5, budget=work).total_tuples == 120**6 > DEFAULT_BUDGET
     with pytest.raises(BudgetExceededError):
         enumerate_covers(3, 5, budget=work - 1)
 
 
-def test_budget_at_genus_one_charges_the_rows_and_witnesses():
-    # 16 for each entry of p(n) rows of n!, 256 for each of two entries of
-    # a witness per shape, and 1 per 8 bits of p(j) + p(j)^2 character
-    # counts of log2 j! bits for each degree j <= n: 0, 3 and 3 + 17
-    for n, types, shapes, counts in ((2, 2, 2, 0), (3, 3, 4, 3), (4, 5, 6, 20)):
-        work = 16 * types * math.factorial(n) + 256 * 2 * shapes + counts
+def test_budget_at_genus_one_charges_the_witnesses_and_counts():
+    # 256 for each of two entries of a witness per shape, and 1 per 8 bits
+    # of p(j) + p(j)^2 character counts of log2 j! bits for each degree
+    # j <= n: 0, 3 and 3 + 17
+    for n, shapes, counts in ((2, 2, 0), (3, 4, 3), (4, 6, 20)):
+        work = 256 * 2 * shapes + counts
         assert enumerate_covers(1, n, budget=work).total_tuples == math.factorial(n) ** 2
         with pytest.raises(BudgetExceededError):
             enumerate_covers(1, n, budget=work - 1)
 
 
-def test_budget_checks_the_pair_pass_before_building_tables(monkeypatch, cold_tables):
-    def refuse(n):
-        raise AssertionError("pair classes built over budget")
-
-    monkeypatch.setattr(oracle, "_CountRows", refuse)
+def test_budget_is_checked_before_any_work(monkeypatch):
+    _refuse_work(monkeypatch)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(2, 5, budget=22864)
-    assert "estimated 22865 work units" in str(exc.value)
-    assert oracle._classes.cache_info().currsize == 0
+        enumerate_covers(2, 5, budget=9424)
+    assert "estimated 9425 work units" in str(exc.value)
 
 
-def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch, cold_tables):
-    def refuse(*args):
-        raise AssertionError("scanned an unprintable count")
-
-    monkeypatch.setattr(oracle, "_CountRows", refuse)
+def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch):
+    _refuse_work(monkeypatch)
     limit = 1000
     monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: limit)
     # 2^(2g) has 1000 digits up to g = 1660; this close to the limit the
@@ -731,27 +679,20 @@ def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch, cold_ta
         verify_sharpness(10**400, 6)
 
 
-def test_budget_refuses_one_more_handle_before_any_table(monkeypatch, cold_tables):
-    def refuse(*args):
-        raise AssertionError("a table built for a refused request")
-
-    # genus 2 (22865 units) fits, genus 3 does not: its estimate, nine
+def test_budget_refuses_one_more_handle_before_any_work(monkeypatch):
+    # genus 2 (9425 units) fits, genus 3 does not: its estimate, nine
     # witnesses two entries longer (4608 units) and character counts
-    # 2 log2 j! bits longer (139), is refused before the count rows or the
-    # S_5 tables exist
-    monkeypatch.setattr(oracle, "_CountRows", refuse)
+    # 2 log2 j! bits longer (139), is refused before any pair or count
+    _refuse_work(monkeypatch)
     with pytest.raises(BudgetExceededError) as exc:
-        enumerate_covers(3, 5, budget=22865)
-    assert f"estimated {22865 + 256 * 18 + 139} work units" in str(exc.value)
+        enumerate_covers(3, 5, budget=9425)
+    assert f"estimated {9425 + 256 * 18 + 139} work units" in str(exc.value)
 
 
-def test_a_deep_genus_is_refused_before_any_table(monkeypatch, cold_tables):
-    def refuse(*args):
-        raise AssertionError("a table built for a refused request")
-
+def test_a_deep_genus_is_refused_before_any_work(monkeypatch):
     # a billion handles at degree 1 and, with the print limit off, a genus
     # of a million or of 401 digits at degree 3
-    monkeypatch.setattr(oracle, "_CountRows", refuse)
+    _refuse_work(monkeypatch)
     monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
     for g, n in ((10**9, 1), (10**6, 3), (10**400, 3)):
         for run in (enumerate_covers, verify_sharpness, realizability_table):

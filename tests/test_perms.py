@@ -315,16 +315,14 @@ def test_ore_search_at_the_degree_ceiling():
     assert (a.images, b.images) == naive_first_commutator_pair(target.images)
 
 
-def test_ore_search_builds_no_pair_classes(monkeypatch, cold_tables):
+def test_ore_search_builds_no_oracle_pairs(monkeypatch):
     built = []
-    real = oracle._CountRows
-    monkeypatch.setattr(oracle, "_CountRows", lambda n: built.append(n) or real(n))
+    real = oracle._first_pairs
+    monkeypatch.setattr(oracle, "_first_pairs", lambda n: built.append(n) or real(n))
     ore_commutator_search(parse_cycles("(1 2 3 4 5)", 5))
     assert built == []
-    assert oracle._classes.cache_info().currsize == 0
     oracle.enumerate_covers(1, 5)
     assert built == [5]
-    assert oracle._classes.cache_info().misses == 1
 
 
 def test_ore_search_holds_no_table_at_the_degree_ceiling():
@@ -338,6 +336,15 @@ def test_ore_search_holds_no_table_at_the_degree_ceiling():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_the_search_limit_belongs_to_perms_alone():
+    # the oracle has no degree ceiling: its budget alone sets its reach
+    import satgenus
+
+    assert perms_module.MAX_TABLE_DEGREE == 8
+    assert not hasattr(satgenus, "MAX_TABLE_DEGREE")
+    assert not hasattr(oracle, "MAX_TABLE_DEGREE")
 
 
 def test_ore_search_degree_limit():
