@@ -11,30 +11,30 @@ stdout included), 3 budget or print limit exceeded or out of memory, 4
 internal invariant violation found by the enumeration oracle.
 
 A process compiles and builds only what its request runs.  ``main`` reads
-a well-formed command line straight off the option table ``_COMMANDS`` (see
-``_parse_by_table``) and imports no argparse; only a command line that the
-table parse leaves alone, such as ``-h``, an abbreviation or an error, gets
-the argparse tree of ``build_parser``, which prints the help and usage
-errors.  ``main`` then imports the command group's handler module:
+every command line off the option table ``_COMMANDS`` (see
+``_parse_by_table``).  Help and usage errors, the only lines that are not a
+request, are rendered from the same table by :mod:`satgenus.usage`, which
+only they load, through ``build_parser``; no module imports argparse.
+``main`` then imports the command group's handler module:
 :mod:`satgenus.cmd_braid`, :mod:`satgenus.cmd_bounds` (``bounds`` and
 ``examples``), :mod:`satgenus.cmd_cover` or :mod:`satgenus.cmd_perm`.  A
 handler imports the library layers it calls when it runs and returns its exit
 code and envelope parts, which ``main`` prints; a refused request raises
 ValueError or ``BudgetExceededError``, which ``main`` prints as one ``error:``
-line.  So building the parser loads no layer, only ``cover enumerate`` loads
-the oracle, and no request loads ``json``: ``--json`` and ``--out`` render
-the envelope with ``_json_text`` and load only the C module ``_json``.  The
-handler modules never import this module: run as ``python -m satgenus.cli``
-it is ``__main__``, and importing it again would compile it a second time.
+line.  So reading the command line loads no layer, only ``cover enumerate``
+loads the oracle, and no request loads ``json``: ``--json`` and ``--out``
+render the envelope with ``_json_text`` and load only the C module
+``_json``.  Neither the handler modules nor :mod:`satgenus.usage` import
+this module: run as ``python -m satgenus.cli`` it is ``__main__``, and
+importing it again would compile it a second time.
 
-``main`` returns the exit code and is what in-process callers use; argparse's
-help and usage errors still leave it through ``SystemExit``.  The process
-entry point ``run`` calls it, flushes stdout and stderr and ends the process
-with ``os._exit``, after argparse's exits too: once the last byte is written
-nothing is left to do, and tearing the interpreter down (module teardown, the
-final collection, freeing every object) would add 7-15 ms to each request on
-a 2-CPU machine.  ``--out`` closes its file before the rename, so nothing is
-lost.
+``main`` returns the exit code, for help and usage errors too, and is what
+in-process callers use.  The process entry point ``run`` calls it, flushes
+stdout and stderr and ends the process with ``os._exit``: once the last
+byte is written nothing is left to do, and tearing the interpreter down
+(module teardown, the final collection, freeing every object) would add
+7-15 ms to each request on a 2-CPU machine.  ``--out`` closes its file
+before the rename, so nothing is lost.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ _COMMANDS = {
         ("enumerate", "exhaustive scan of all monodromy tuples", [
             ("--genus", int, True, None),
             ("--degree", int, True, None),
-            ("--budget", int, False, "work budget (default 10^9)"),
+            ("--budget", int, False, "work budget (default 10^9, at most 10^100)"),
             ("--sharpness", bool, False, "also run the equality analysis"),
         ]),
     ]),
@@ -261,119 +261,103 @@ _OUTPUT_OPTIONS = [
 ]
 
 
-def _leaf_of(argv: list[str]) -> tuple[str, str | None] | None:
-    """The (command, subcommand) that argv names in its first words, the
-    subcommand None for a command without them; None for anything else."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    names = [name for name, _, _ in _COMMANDS[argv[0]][2]]
-    if names == [None]:
-        return argv[0], None
-    if len(argv) > 1 and argv[1] in names:
-        return argv[0], argv[1]
-    return None
+_HELP = ("-h", "--help")
 
 
-def _run_of(command: str, name: str | None) -> tuple[str, str]:
-    """The (handler module, handler function) of a leaf."""
-    handler = command if name is None else f"{command}_{name}"
-    return _COMMANDS[command][1], handler.replace("-", "_")
+def _takes(word: str) -> bool:
+    """Whether a flag takes word as its value.  argparse's rule, less its
+    reading of a word that starts with ``--``: a word that starts with ``-``
+    is a value when it is ``-`` alone, a negative number or holds a space,
+    and does not start with ``-h``."""
+    if not word.startswith("-") or word == "-":
+        return True
+    if word.startswith(("--", "-h")):
+        return False
+    whole, dot, fraction = word[1:].partition(".")
+    number = fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return number or " " in word
 
 
 def _parse_by_table(argv: list[str]):
-    """The namespace argparse builds for argv, read off ``_COMMANDS``, when
-    argv is in a form argparse is known to read that way; None otherwise.
+    """Read argv off ``_COMMANDS``: the handler's namespace, with the
+    attributes argparse would set, for a request; otherwise ``(path,
+    error)``, the words that name the level answering (the command and
+    subcommand, as far as argv names them) and the usage error, None for
+    ``-h`` or ``--help``.
 
-    The form: the command and subcommand (see ``_leaf_of``), then options by
-    their exact full flags, each at most once, a value given as ``--flag
-    value`` with a value that does not start with ``-``, or as
-    ``--flag=value``, a bool flag alone; every required option present,
-    every int value read by ``int`` and every choice allowed.  Anything else
-    (help, abbreviations, repeats, ``--``, a value starting with ``-``, a bad
-    value, a missing option, a stray word) is left to argparse, which reads
-    it or prints its help or usage error.
+    A request is the command and subcommand, then options by their exact
+    full flags, each at most once, a value given as ``--flag value`` (see
+    ``_takes``) or as ``--flag=value``, a bool flag alone; every required
+    option present, every int value read by ``int`` and every choice
+    allowed.  The words are read in order and the first that breaks this
+    form is the error, or the help request.
     """
-    leaf = _leaf_of(argv)
-    if leaf is None:
-        return None
-    command, name = leaf
-    options = next(opts for sub, _, opts in _COMMANDS[command][2] if sub == name) + _OUTPUT_OPTIONS
+    words = iter(argv)
+    path, names, what = [], list(_COMMANDS), "command"
+    while names:
+        word = next(words, None)
+        if word in _HELP:
+            return path, None
+        if word is None or word.startswith("-"):
+            return path, f"the following arguments are required: {what}"
+        if word not in names:
+            choices = ", ".join(map(repr, names))
+            return path, f"argument {what}: invalid choice: {word!r} (choose from {choices})"
+        path.append(word)
+        names = [] if len(path) == 2 else [sub for sub, _, _ in _COMMANDS[word][2] if sub]
+        what = "subcommand"
+    command, name = path[0], path[1] if len(path) == 2 else None
+    module, leaves = _COMMANDS[command][1:]
+    options = next(opts for sub, _, opts in leaves if sub == name) + _OUTPUT_OPTIONS
     kinds = {flag: kind for flag, kind, _, _ in options}
     values: dict[str, object] = {}
-    words = iter(argv[1 if name is None else 2:])
     for word in words:
+        if word in _HELP:
+            return path, None
         flag, equals, value = word.partition("=")
         kind = kinds.get(flag)
-        if kind is None or flag in values:
-            return None
+        if kind is None:
+            return path, f"unrecognized arguments: {word}"
+        if flag in values:
+            return path, f"argument {flag}: given more than once"
         if kind is bool:
             if equals:
-                return None
+                return path, f"argument {flag}: ignored explicit argument {value!r}"
             value = True
         elif not equals:
-            value = next(words, "-")  # a missing value fails like a flag
-            if value.startswith("-"):
-                return None
+            value = next(words, None)
+            if value is None or not _takes(value):
+                return path, f"argument {flag}: expected one argument"
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                return None
+                return path, f"argument {flag}: invalid int value: {value!r}"
         elif isinstance(kind, tuple) and value not in kind:
-            return None
+            choices = ", ".join(map(repr, kind))
+            return path, f"argument {flag}: invalid choice: {value!r} (choose from {choices})"
         values[flag] = value
-    if not all(flag in values for flag, _, required, _ in options if required):
-        return None
+    missing = [flag for flag, _, required, _ in options if required and flag not in values]
+    if missing:
+        return path, f"the following arguments are required: {', '.join(missing)}"
     namespace = {"command": command}
     if name is not None:
         namespace["subcommand"] = name
     for flag, kind, _, _ in options:
         namespace[flag[2:].replace("-", "_")] = values.get(flag, False if kind is bool else None)
-    namespace["run"] = _run_of(command, name)
+    handler = command if name is None else f"{command}_{name}"
+    namespace["run"] = (module, handler.replace("-", "_"))
     return SimpleNamespace(**namespace)
 
 
 def build_parser():
-    """The satgenus argparse parser, the full tree of ``_COMMANDS``.
+    """The help and usage errors of ``_COMMANDS``, a
+    :class:`satgenus.usage.Parser`; ``main`` builds it only when
+    ``_parse_by_table`` reads no request, so only help and usage errors load
+    :mod:`satgenus.usage`."""
+    from .usage import Parser
 
-    ``main`` runs it only on a command line that ``_parse_by_table`` leaves
-    to it, so argparse, imported here and nowhere else, loads only for help,
-    usage errors and the rarer forms it reads, such as abbreviations.
-    """
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def _print_message(self, message, file=None):
-            # argparse ignores a failed write; help written to a closed stdout
-            # must fail like every other write there
-            if file is sys.stdout:
-                file.write(message)
-            else:
-                super()._print_message(message, file)
-
-    parser = Parser(
-        prog="satgenus",
-        description="Genus bounds for braided satellite links and their covering-surface arithmetic.",
-    )
-    top = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, _, leaves) in _COMMANDS.items():
-        command_parser = top.add_parser(command, help=command_help)
-        if leaves[0][0] is not None:
-            sub = command_parser.add_subparsers(dest="subcommand", required=True)
-        for name, leaf_help, options in leaves:
-            p = command_parser if name is None else sub.add_parser(name, help=leaf_help)
-            for flag, kind, required, option_help in options + _OUTPUT_OPTIONS:
-                if kind is bool:
-                    p.add_argument(flag, action="store_true", help=option_help)
-                else:
-                    p.add_argument(
-                        flag, required=required, help=option_help,
-                        type=int if kind is int else None,
-                        choices=kind if isinstance(kind, tuple) else None,
-                        metavar="FILE" if flag == "--out" else None,  # as help shows it
-                    )
-            p.set_defaults(run=_run_of(command, name))
-    return parser
+    return Parser(_COMMANDS, _OUTPUT_OPTIONS)
 
 
 def _print_error(message: str) -> None:
@@ -387,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_by_table(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
+    if isinstance(args, tuple):  # help or a usage error
+        return build_parser().answer(*args)
     module, name = args.run
     # the import statement's machinery, unlike importlib.import_module, is
     # what -X importtime reports
@@ -414,17 +398,13 @@ def run() -> None:
     """Run ``main`` on the command line and end the process with its exit
     code, skipping interpreter finalization; it does not return.
 
-    argparse's exits (help, usage errors) end the same way.  A stdout whose
-    reader has gone (a closed pipe) is reported as one ``error: cannot write
-    stdout`` line on stderr and exit 2; a closed stderr leaves the exit code
-    as it is.  Uncaught exceptions leave as they would from ``main``.
+    A stdout whose reader has gone (a closed pipe) is reported as one
+    ``error: cannot write stdout`` line on stderr and exit 2, after help
+    too; a closed stderr leaves the exit code as it is.  Uncaught exceptions
+    leave as they would from ``main``.
     """
     try:
-        try:
-            code = main()
-        except SystemExit as exc:
-            # argparse exits 0 after help and 2 after a usage error
-            code = exc.code
+        code = main()
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the unwritten bytes stay buffered: point fd 1 at devnull so that

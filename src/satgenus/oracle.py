@@ -69,6 +69,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**9
+# The largest budget taken, far past any request that finishes.  The reach
+# loop of ``_check_budget`` runs until genus 1 passes the budget: about 1 s at
+# 10^400, twelve times longer with each doubling of the budget's digits.
+MAX_BUDGET = 10**100
 
 
 def _check_budget(g: int, n: int, budget: int | None) -> int:
@@ -103,6 +107,8 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
     limit = DEFAULT_BUDGET if budget is None else budget
     if limit < 1:
         raise ValueError("budget must be positive")
+    if limit > MAX_BUDGET:
+        raise ValueError("budget must be at most 10^100")
     counts = [1, 1]  # p(0), p(1)
     order, reach, work = 1, 0, 256 * 2 * g * ((n + 1) ** 2 // 4)
     for j in range(2, n + 1):

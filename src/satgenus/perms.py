@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import _Record, _cycle_notation
 

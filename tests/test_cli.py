@@ -1,4 +1,4 @@
-import argparse
+import ast
 import contextlib
 import functools
 import io
@@ -11,6 +11,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 import satgenus.cli as cli
 from satgenus import oracle
 from satgenus.cli import EXIT_BUDGET, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+
+from _argparse_tree import build_parser as build_argparse_tree
 
 
 def load_schema():
@@ -269,16 +272,16 @@ VALID_COMMANDS = [
 ]
 
 
-def _integer_options(parser, path=()):
-    """{subcommand path: its integer options}, read off the parser."""
-    found = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                found.update(_integer_options(sub, path + (name,)))
-        elif action.type is int:
-            found.setdefault(path, set()).add(action.option_strings[-1])
-    return found
+# every leaf of the option table: {subcommand path: its options}
+LEAVES = {
+    (command,) if name is None else (command, name): options + cli._OUTPUT_OPTIONS
+    for command, (_, _, subs) in cli._COMMANDS.items() for name, _, options in subs
+}
+
+
+def _integer_options():
+    """{subcommand path: its integer options}, read off the option table."""
+    return {path: {flag for flag, kind, _, _ in options if kind is int} for path, options in LEAVES.items()}
 
 
 def _integer_positions(argv):
@@ -307,7 +310,7 @@ def test_boundary_cases_cover_every_integer_option():
     for argv in VALID_COMMANDS:
         path = _subcommand(argv)
         covered.setdefault(path, set()).update(argv[i - 1] for i in _integer_positions(argv))
-    assert covered == _integer_options(cli.build_parser())
+    assert covered == _integer_options()
 
 
 def test_oversized_cases_cover_every_integer_option():
@@ -315,7 +318,7 @@ def test_oversized_cases_cover_every_integer_option():
     for argv in OVERSIZED_CASES:
         path = _subcommand(argv)
         covered.setdefault(path, set()).add(argv[argv.index(OVERSIZED) - 1])
-    assert covered == _integer_options(cli.build_parser())
+    assert covered == _integer_options()
 
 
 @pytest.mark.parametrize("argv", OVERSIZED_CASES, ids=" ".join)
@@ -333,15 +336,16 @@ def test_oversized_integers_keep_the_exit_code_contract(argv):
 
 def _reach_error(degree, budget=10**9):
     """The refusal of a genus-1 enumeration whose degree is past the reach
-    of the budget, 10^9 or 10^20: the character counts alone pass it at
-    degree 30 or 110."""
-    estimate, reach = {10**9: ("1131215305", 30), 10**20: ("about 10^20", 110)}[budget]
+    of the budget, 10^9, 10^20 or 10^100: the character counts alone pass it
+    at degree 30, 110 or 2166."""
+    estimate, reach = {10**9: ("1131215305", 30), 10**20: ("about 10^20", 110),
+                       10**100: ("about 10^100", 2166)}[budget]
     return (f"error: enumerating S_{degree}^2 needs an estimated {estimate} work units "
             f"for the character counts of degrees up to {reach} alone, over the budget of {budget}\n")
 
 
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
-@pytest.mark.parametrize("budget", [None, 10**20])
+@pytest.mark.parametrize("budget", [None, 10**20, 10**100])
 def test_cover_enumerate_refuses_huge_degrees_at_any_budget(degree, budget):
     # the budget alone sets the degree's reach, and a huge degree is refused
     # at once, in 128 MB, without forming n!
@@ -350,6 +354,21 @@ def test_cover_enumerate_refuses_huge_degrees_at_any_budget(degree, budget):
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == _reach_error(degree, budget or 10**9)
+
+
+def test_a_budget_over_10_to_the_100_is_refused_before_the_reach_loop(monkeypatch, capsys):
+    # with a budget of 4000 digits the reach loop would keep p(j) up to a
+    # degree in the millions: hours of work, refused at once in 128 MB
+    argv = ["cover", "enumerate", "--genus", "1", "--degree", OVERSIZED, "--budget", "9" * 4000]
+    refusal = "error: budget must be at most 10^100\n"
+    proc = _run_capped(argv, megabytes=128)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", refusal)
+    monkeypatch.setattr(oracle, "_next_partition_count", lambda counts: pytest.fail("ran the reach loop"))
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", refusal)
+    assert oracle._check_budget(1, 1, 10**100) == 10**100
+    with pytest.raises(ValueError, match="at most 10\\^100"):
+        oracle._check_budget(1, 1, 10**100 + 1)
 
 
 def test_enumeration_at_the_default_reach_fits_in_128_mb():
@@ -477,37 +496,56 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sat
                   sorted(set(sys.modules) - before)]))
 """
 
-# standard modules no request loads: dataclasses imports inspect, ast, dis
-# and tokenize, csv is imported only under --csv, and argparse, with the
-# gettext and locale it imports, only for help and usage errors
-UNLOADED_STDLIB = {"dataclasses", "inspect", "csv", "argparse", "gettext", "locale"}
+# standard modules that no request, help text or usage error loads:
+# dataclasses imports inspect, ast, dis and tokenize; csv is imported only
+# under --csv; no module of the package imports argparse (with the gettext
+# and locale it imports) or typing, which costs 6-8 ms where site preloads
+# nothing
+UNLOADED_STDLIB = {"dataclasses", "inspect", "csv", "argparse", "gettext", "locale", "typing"}
 
 
 def _loaded_modules(argv):
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+    # -S: site, which may preload modules such as typing through .pth files,
+    # would hide them from the list
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES, json.dumps(argv)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def _subcommand_paths(parser, path=()):
-    """Every runnable subcommand path, read off the parser."""
-    paths = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                paths |= _subcommand_paths(sub, path + (name,))
-    return paths or {path}
-
-
 def test_module_table_covers_every_subcommand():
-    assert set(SUBCOMMAND_MODULES) == _subcommand_paths(cli.build_parser())
+    assert set(SUBCOMMAND_MODULES) == set(LEAVES)
     assert {_subcommand(argv) for argv in VALID_COMMANDS} == set(SUBCOMMAND_MODULES)
 
 
-def test_building_the_parser_loads_no_layer():
-    code, layers, _ = _loaded_modules(None)
-    assert [code, layers] == [None, ["satgenus", "satgenus.cli"]]
+@pytest.mark.parametrize("argv, code", [
+    (None, None),
+    (["--help"], EXIT_OK),
+    (["cover", "-h"], EXIT_OK),
+    (["cover", "enumerate", "--genus", "1"], EXIT_USAGE),
+], ids=str)
+def test_help_and_usage_errors_load_no_layer(argv, code):
+    # build_parser alone (argv None), as a benchmark's set-up may call it,
+    # loads what help and usage errors load: the usage module and no layer
+    answer, layers, loaded = _loaded_modules(argv)
+    assert [answer, layers] == [code, ["satgenus", "satgenus.cli", "satgenus.usage"]]
+    assert UNLOADED_STDLIB.isdisjoint(loaded)
+
+
+def test_the_benchmark_set_up_runs_without_argparse(tmp_path):
+    # perfbench/run.py times its SETUP_CODE, which calls cli.build_parser,
+    # in a child of its own; a failing child fails every benchmark run.  An
+    # empty bytecode cache prefix makes the child compile from source.
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "run.py").read_text())
+    [setup] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(target, "id", None) for target in node.targets] == ["SETUP_CODE"]]
+    proc = subprocess.run([sys.executable, "-B", "-c", setup + "\nimport sys; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=60, cwd=root,
+                          env={**os.environ, "PYTHONPYCACHEPREFIX": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    assert {"argparse", "gettext", "locale"}.isdisjoint(proc.stdout.split())
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
@@ -673,14 +711,14 @@ def test_cover_enumerate_under_json_builds_no_human_lines(monkeypatch):
 
     saved = sys.get_int_max_str_digits()
     monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
-    args = argparse.Namespace(genus=2000, degree=3, budget=None, sharpness=True, json=True, out=None)
+    args = SimpleNamespace(genus=2000, degree=3, budget=None, sharpness=True, json=True, out=None)
     sys.set_int_max_str_digits(640)
     try:
         code, (command, _, results, human) = cmd_cover.cover_enumerate(args)
         assert (code, command, human) == (EXIT_OK, "cover enumerate", [])
         assert results["total_tuples"] == 6**4000
         with pytest.raises(ValueError, match="integer string conversion"):
-            cmd_cover.cover_enumerate(argparse.Namespace(**{**vars(args), "json": False}))
+            cmd_cover.cover_enumerate(SimpleNamespace(**{**vars(args), "json": False}))
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -889,8 +927,8 @@ def test_out_empty_path_is_usage_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# command lines that argparse refuses or answers with help, which the table
-# parse must leave to it
+# command lines answered with help or a usage error, each with the exit code
+# it had while argparse answered them: 0 for help, 2 for an error
 MALFORMED_COMMANDS = [
     [],
     ["bogus"],
@@ -917,7 +955,7 @@ MALFORMED_COMMANDS = [
 
 
 def _parse(parser, argv):
-    """(namespace, exit code, stdout, stderr) of parsing argv."""
+    """(namespace, exit code, stdout, stderr) of parsing argv with argparse."""
     out, err = io.StringIO(), io.StringIO()
     namespace, code = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -929,23 +967,73 @@ def _parse(parser, argv):
 
 
 @functools.lru_cache(maxsize=None)
-def _full_tree():
-    return cli.build_parser()
+def _argparse_tree():
+    return build_argparse_tree()
 
 
-def _parses_like_the_full_tree(argv):
-    """The table parse of argv; a namespace it gives must be the one that
-    argparse's full tree gives, with no output."""
+# the levels of the option table that help describes: the top, each command
+# and each leaf
+LEVELS = [()] + sorted(set(LEAVES) | {path[:1] for path in LEAVES})
+
+
+def _level(argv):
+    """The leading words of argv that name a level of the option table."""
+    return max((path for path in LEVELS if list(path) == argv[:len(path)]), key=len)
+
+
+def _drops_a_value(argv):
+    """Whether argv holds ``--flag=--``: argparse drops that ``--`` as an
+    end-of-options marker and leaves the option at its default, so that a
+    required option reached its handler as None; the table reads ``--``."""
+    return any(word.partition("=")[2] == "--" for word in argv)
+
+
+def _dropped_spelling(argv):
+    """Whether argv spells a request in a way argparse read and the table
+    parse does not: an abbreviated or repeated flag, a value that starts
+    with --, one that argparse reads as a negative number only because its
+    regex lets $ match before a final newline, or ``--flag=--``."""
+    flags = [word.partition("=")[0] for word in argv if word.startswith("--")]
+    return (len(set(flags)) < len(flags) or not set(flags) <= {flag for flag, _, _, _ in LEAVES[_subcommand(argv)]}
+            or any(word.startswith("-") and word.endswith("\n") for word in argv) or _drops_a_value(argv))
+
+
+def _parses_like_argparse(argv):
+    """The namespace that the table parse reads off argv, or None.  A
+    namespace must be the one that the argparse tree gives, with no output;
+    a line the table parse refuses, argparse must refuse too, unless it is
+    a dropped spelling.  Only ``--flag=--`` reads differently (see
+    ``_drops_a_value``).
+    """
     namespace = cli._parse_by_table(argv)
-    if namespace is not None:
-        assert _parse(_full_tree(), argv) == (vars(namespace), None, "", "")
+    parsed = _parse(_argparse_tree(), argv)
+    if isinstance(namespace, tuple):
+        assert parsed[0] is None or _dropped_spelling(argv), (argv, namespace)
+        return None
+    if not _drops_a_value(argv):
+        assert parsed == (vars(namespace), None, "", "")
     return namespace
 
 
 @pytest.mark.parametrize("argv", VALID_COMMANDS + MALFORMED_COMMANDS, ids=" ".join)
-def test_the_table_parse_reads_like_the_full_tree(argv):
-    namespace = _parses_like_the_full_tree(argv)
+def test_the_table_parse_reads_like_argparse(argv):
+    namespace = _parses_like_argparse(argv)
     assert (namespace is not None) == (argv in VALID_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", MALFORMED_COMMANDS, ids=" ".join)
+def test_help_and_usage_errors_keep_their_exit_codes(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == _parse(_argparse_tree(), argv)[1]
+    prog = " ".join(["satgenus", *_level(argv)])
+    if code == EXIT_OK:
+        assert out.startswith(f"usage: {prog} [-h]") and err == ""
+    else:
+        usage, error = err.splitlines()
+        assert out == "" and err.count("\n") == 2
+        assert usage.startswith(f"usage: {prog} [-h]")
+        assert error.startswith(f"{prog}: error: ")
 
 
 def _equals_form(argv):
@@ -965,26 +1053,22 @@ def _equals_form(argv):
 def test_the_table_parse_reads_every_valid_command_line(argv, mode):
     path = list(_subcommand(argv))
     for words in (argv + mode, path + mode + argv[len(path):], _equals_form(argv + mode)):
-        assert _parses_like_the_full_tree(words) is not None, words
+        assert _parses_like_argparse(words) is not None, words
 
 
 def _table_words():
     """Words a command line of some leaf may hold: its flags whole, cut
     short, with = and a value or followed by one, values of every kind, help
     and stray words."""
-    leaves = [
-        ([command] + ([] if name is None else [name]), options + cli._OUTPUT_OPTIONS)
-        for command, (_, _, subs) in cli._COMMANDS.items() for name, _, options in subs
-    ]
 
-    def words(leaf):
-        path, options = leaf
+    def words(path):
+        options = LEAVES[path]
         flags = [flag for flag, _, _, _ in options]
         flag = st.sampled_from(flags)
         short = flag.map(lambda f: f[:-1]).filter(len)
         value = (st.integers(-3, 12).map(str) | st.text(max_size=3)
                  | st.sampled_from(["", "x", " 2", "+3", "1 2", "-1 2", "--", "-h", "1_0",
-                                    "k1", "k2", "odd", "even"]))
+                                    "k1", "k2", "odd", "even", "-", "-x", "-.5", "-h 1", "--x 1"]))
         group = st.one_of(
             st.tuples(flag, value).map(list),
             st.tuples(flag, value).map(lambda pair: ["=".join(pair)]),
@@ -1000,42 +1084,105 @@ def _table_words():
             for flag, kind, needed, _ in options if needed
             for good in ["2" if kind is int else kind[-1] if isinstance(kind, tuple) else "w"]
         ]).flatmap(lambda groups: st.permutations(list(groups)))
-        return st.tuples(st.just(path), required, st.lists(group, max_size=3))
+        return st.tuples(st.just(list(path)), required, st.lists(group, max_size=3))
 
-    return st.sampled_from(leaves).flatmap(words).map(
+    return st.sampled_from(list(LEAVES)).flatmap(words).map(
         lambda parts: parts[0] + [w for group in parts[1] + parts[2] for w in group])
 
 
 @settings(max_examples=500, deadline=None)
 @given(_table_words())
 def test_the_table_parse_never_reads_a_line_differently(argv):
-    _parses_like_the_full_tree(argv)
+    _parses_like_argparse(argv)
 
 
-# command lines that argparse reads and the table parse leaves to it, each
-# with a twin in the table form that asks for the same thing
-FALLBACK_COMMANDS = [
+# command lines with a value that starts with -, which the table parse reads
+# as argparse did, each with its twin in the --flag=value form
+DASH_VALUE_COMMANDS = [
     (["cover", "cyclic", "--genus", "-1", "--degree", "3"],
      ["cover", "cyclic", "--genus=-1", "--degree", "3"]),
-    (["cover", "cyclic", "--gen", "2", "--degree", "3"],
-     ["cover", "cyclic", "--genus", "2", "--degree", "3"]),
-    (["cover", "cyclic", "--genus", "1", "--degree", "2", "--degree", "3"],
-     ["cover", "cyclic", "--genus", "1", "--degree", "3"]),
     (["braid", "analyze", "--word", "-1 2", "--strands", "3"],
      ["braid", "analyze", "--word=-1 2", "--strands", "3"]),
 ]
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=" ".join)
-@pytest.mark.parametrize("argv, twin", FALLBACK_COMMANDS, ids=lambda argv: " ".join(argv))
-def test_main_answers_what_argparse_reads_like_its_table_form(capsys, argv, twin, mode):
-    assert cli._parse_by_table(argv + mode) is None
-    assert cli._parse_by_table(twin + mode) is not None
+@pytest.mark.parametrize("argv, twin", DASH_VALUE_COMMANDS, ids=lambda argv: " ".join(argv))
+def test_a_value_starting_with_a_dash_reads_like_its_equals_form(capsys, argv, twin, mode):
+    assert _parses_like_argparse(argv + mode) == _parses_like_argparse(twin + mode) is not None
     answers = []
     for words in (argv + mode, twin + mode):
         code = main(words)
         answers.append((code, *capsys.readouterr()))
     assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("value", ["-", "-x", "-h", "-h 1", "-1", "-1.5", "-.5", "-1.", "-1 2", "-x y",
+                                   "--", "--x", "--x 1", "-1\n"], ids=repr)
+def test_a_value_starting_with_a_dash_is_taken_as_argparse_took_it(value):
+    # a value, unless argparse took the word for an option; but a word
+    # starting with -- is never a value
+    _parses_like_argparse(["braid", "analyze", "--word", value, "--strands", "2"])
+
+
+# spellings that argparse read and the table parse refuses: an abbreviated
+# flag, a repeated one and a value starting with --
+DROPPED_SPELLINGS = [
+    ["cover", "cyclic", "--gen", "2", "--degree", "3"],
+    ["cover", "cyclic", "--genus", "1", "--degree", "2", "--degree", "3"],
+    ["braid", "analyze", "--word", "--x 1", "--strands", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_SPELLINGS, ids=" ".join)
+def test_dropped_spellings_are_usage_errors(capsys, argv):
+    assert _parse(_argparse_tree(), argv)[0] is not None
+    assert _dropped_spelling(argv)
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 2
+    assert err.splitlines()[1].startswith(f"satgenus {' '.join(_subcommand(argv))}: error: ")
+
+
+@pytest.mark.parametrize("path", LEVELS, ids=lambda path: " ".join(path) or "top")
+def test_help_at_every_level(capsys, path):
+    # the commands or subcommands with their help, or each option with its
+    # metavar, whether it is required, its choices and its help
+    assert main([*path, "--help"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(" ".join(["usage: satgenus", *path, "[-h]"]))
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.startswith("  ")}
+    assert rows.pop("-h,") == "--help show this help message and exit".split()
+    if path in LEAVES:
+        for flag, kind, required, option_help in LEAVES[path]:
+            metavar = ([] if kind is bool else ["{" + ",".join(kind) + "}"] if isinstance(kind, tuple)
+                       else ["FILE"] if flag == "--out" else [flag[2:].upper().replace("-", "_")])
+            assert rows.pop(flag) == metavar + ["(required)"] * required + (option_help or "").split()
+    else:
+        names = ([(name, entry[0]) for name, entry in cli._COMMANDS.items()] if not path
+                 else [(name, name_help) for name, name_help, _ in cli._COMMANDS[path[0]][2]])
+        for name, name_help in names:
+            assert rows.pop(name) == name_help.split()
+    assert rows == {}
+
+
+def test_help_of_a_leaf(capsys):
+    assert main(["cover", "enumerate", "-h"]) == EXIT_OK
+    assert capsys.readouterr() == ("""\
+usage: satgenus cover enumerate [-h] --genus GENUS --degree DEGREE [--budget BUDGET] [--sharpness] [--json] [--out FILE]
+
+exhaustive scan of all monodromy tuples
+
+options:
+  -h, --help       show this help message and exit
+  --genus GENUS    (required)
+  --degree DEGREE  (required)
+  --budget BUDGET  work budget (default 10^9, at most 10^100)
+  --sharpness      also run the equality analysis
+  --json           print the JSON envelope
+  --out FILE       also write the JSON envelope to FILE
+""", "")
 
 
 @pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
@@ -1061,9 +1208,7 @@ def test_json_output_is_deterministic(capsys):
 
 
 def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["braid"])
-    assert exc.value.code == EXIT_USAGE
+    assert main(["braid"]) == EXIT_USAGE
 
 
 def test_module_entry_point():
@@ -1122,7 +1267,7 @@ def _run_with_a_closed_pipe(argv, stream, unbuffered=""):
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--g4k", "3", "--winding", "2", "--json"],
-    # argparse's help, at each level of the tree
+    # help, at each level of the table
     ["--help"],
     ["bounds", "--help"],
     ["braid", "--help"],
