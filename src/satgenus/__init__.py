@@ -18,7 +18,8 @@ What more than one layer needs lives here, where no layer has to be loaded
 for it: ``_Record``, the frozen-value base of every record class; the
 command line's exit codes and ``BudgetExceededError``, which
 ``satgenus.cli``, its handler modules and the oracle share; and
-``_cycle_notation``, which the oracle shares with :mod:`satgenus.perms`.
+``_cycle_notation`` and the orbit union-find ``_orbits``, which the oracle
+shares with :mod:`satgenus.perms`.
 Without a bytecode cache each module a process imports is compiled from
 source, so a layer loaded only for a base class or a function would cost
 its whole compile.
@@ -56,6 +57,28 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
             x = images[x]
         parts.append("(" + " ".join(cycle) + ")")
     return "".join(parts) or "()"
+
+
+def _orbits(n: int, *perms: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The 1-indexed orbits of 0..n-1 under the image tuples, by least point:
+    a union-find whose roots stay the least points of their blocks."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for images in perms:
+        for x, y in enumerate(images):
+            x, y = find(x), find(y)
+            if x != y:
+                root[max(x, y)] = min(x, y)
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x + 1)
+    return [tuple(block) for block in blocks.values()]
 
 
 # exported name: (submodule, attribute)

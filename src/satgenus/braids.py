@@ -60,12 +60,11 @@ class BraidWord(_Record):
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
         check_size(self.strands, "strand count")
-        for pos, letter in enumerate(self.letters):
-            if letter == 0 or not -self.strands < letter < self.strands:
-                raise ValueError(
-                    f"letter {letter} at position {pos} is not a generator "
-                    f"index{_index_range(self.strands)}"
-                )
+        letters, n = self.letters, self.strands
+        # one pass in C over the whole word; a letter walk only names the culprit
+        if letters and (0 in letters or min(letters) <= -n or max(letters) >= n):
+            pos, letter = next((pos, x) for pos, x in enumerate(letters) if x == 0 or not -n < x < n)
+            raise ValueError(f"letter {letter} at position {pos} is not a generator index{_index_range(n)}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -109,7 +108,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
 def braid_text(w: BraidWord) -> str:
     """Render a word back to the whitespace-separated letter format."""
-    return " ".join(str(letter) for letter in w.letters)
+    text = {letter: str(letter) for letter in set(w.letters)}
+    return " ".join(map(text.__getitem__, w.letters))
 
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -137,10 +137,14 @@ def half_twist(n: int) -> BraidWord:
     if n < 1:
         raise ValueError("a braid needs at least one strand")
     _check_length(n * (n - 1) // 2, f"the half twist on {n} strands")
+    return BraidWord(n, tuple(_half_twist_letters(n)))
+
+
+def _half_twist_letters(n: int) -> list[int]:
     letters: list[int] = []
     for top in range(n - 1, 0, -1):
         letters.extend(range(1, top + 1))
-    return BraidWord(n, tuple(letters))
+    return letters
 
 
 def cable_generator(j: int) -> BraidWord:
@@ -161,9 +165,9 @@ def orevkov_k1(n: int) -> BraidWord:
     if n < 2:
         raise ValueError("the family starts at two strands")
     _check_length(n * n - 1, f"orevkov_k1({n})")
-    twist = half_twist(n)
-    tail = BraidWord(n, tuple(range(n - 1, 0, -1)))
-    return concat(concat(twist, twist), tail)
+    letters = _half_twist_letters(n) * 2
+    letters.extend(range(n - 1, 0, -1))
+    return BraidWord(n, tuple(letters))
 
 
 def orevkov_k2(n: int, twists: int) -> BraidWord:
@@ -179,8 +183,7 @@ def orevkov_k2(n: int, twists: int) -> BraidWord:
     letters: list[int] = [-1] * twists
     for j in range(n - 1, 0, -1):
         letters.extend(cable_generator(j).letters)
-    twist = half_twist(2 * n)
-    letters.extend(twist.letters * 2)
+    letters.extend(_half_twist_letters(2 * n) * 2)
     return BraidWord(2 * n, tuple(letters))
 
 
@@ -189,13 +192,14 @@ def permutation_of(w: BraidWord) -> Permutation:
 
     Both sigma_i and its inverse induce the transposition (i, i+1).
     """
-    images = list(range(w.strands))
+    # the strand at each position; a strand's image is where it ends
     position = list(range(w.strands))
     for letter in w.letters:
         i = abs(letter) - 1
-        x, y = position[i], position[i + 1]
-        images[x], images[y] = i + 1, i
-        position[i], position[i + 1] = y, x
+        position[i], position[i + 1] = position[i + 1], position[i]
+    images = [0] * w.strands
+    for end, strand in enumerate(position):
+        images[strand] = end
     return Permutation(tuple(images))
 
 

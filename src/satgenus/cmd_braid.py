@@ -15,8 +15,8 @@ from . import EXIT_OK
 
 
 def _word_results(w) -> dict:
-    from .braids import braid_text, closure_component_count, exponent_sum, permutation_of
-    from .perms import cycles_str
+    from .braids import braid_text, exponent_sum, permutation_of
+    from .perms import cycle_count, cycles_str
 
     perm = permutation_of(w)
     return {
@@ -25,7 +25,7 @@ def _word_results(w) -> dict:
         "length": len(w),
         "exponent_sum": exponent_sum(w),
         "permutation": cycles_str(perm),
-        "closure_components": closure_component_count(w),
+        "closure_components": cycle_count(perm),
     }
 
 

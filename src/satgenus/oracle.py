@@ -46,9 +46,10 @@ entry in ``perms.Permutation`` for arithmetic.  Shapes agree with
 ``covering.cover_from_homomorphism`` by construction; the tests cross-check
 the scan against brute force on small groups and against class products and
 Murnaghan-Nakayama characters on larger ones.  The oracle imports no other
-layer and keeps no cache.  ``_check_budget`` decides every refusal before
-any work, and the budget alone sets how far the degree reaches: at the
-default 10^9, degree 29 at genus 1 and 27 at genus 2.
+layer, only the package root, and keeps no cache.  ``_check_budget``
+decides every refusal before any work, and the budget alone sets how far
+the degree reaches: at the default 10^9, degree 29 at genus 1 and 27 at
+genus 2.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 import sys
 
-from . import BudgetExceededError, _Record, _cycle_notation
+from . import BudgetExceededError, _Record, _cycle_notation, _orbits
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -191,20 +192,6 @@ def _rough(x: int) -> str:
     return f"about 10^{math.floor(math.log10(x))}"
 
 
-def _orbit_count(n: int, *perms) -> int:
-    """The number of orbits of 0..n-1 under the image tuples: a union-find
-    whose roots stay the least points of their blocks."""
-    root = list(range(n))
-    for p in perms:
-        for x, y in enumerate(p):
-            while root[x] != x:
-                x = root[x]
-            while root[y] != y:
-                y = root[y]
-            root[max(x, y)] = min(x, y)
-    return sum(x == up for x, up in enumerate(root))
-
-
 def _first_pairs(n: int) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
     """The first pair (s, q) of every cover shape (m, k), 1 <= m <= k <= n
     and k = n mod 2, as image tuples, by the rule of the module docstring:
@@ -226,7 +213,7 @@ def _first_pairs(n: int) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[i
             q_inv = sorted(range(n), key=q.__getitem__)
             # [s, q] applies s, q, s^-1, q^-1 in turn
             commutator = [q_inv[s_inv[q[s[x]]]] for x in range(n)]
-            if (_orbit_count(n, s, q), _orbit_count(n, commutator)) != (m, k):
+            if (len(_orbits(n, s, q)), len(_orbits(n, commutator))) != (m, k):
                 raise AssertionError(f"the pair built for the shape {(m, k)} has another shape; this is a bug")
             pairs[m, k] = (s, q)
     return pairs

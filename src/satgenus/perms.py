@@ -12,8 +12,9 @@ it refuses degrees above ``MAX_TABLE_DEGREE``.
 :class:`Permutation`, like the record classes of the other layers, derives
 from the frozen-value base ``satgenus._Record``.  The oracle needs no
 arithmetic, so it imports nothing from here: its witnesses are bare image
-tuples, which ``Permutation`` wraps, and it formats them with the package's
-``_cycle_notation``, as ``cycles_str`` does.
+tuples, which ``Permutation`` wraps, and it formats them and counts their
+orbits with the package's ``_cycle_notation`` and ``_orbits``, as
+``cycles_str`` and ``orbits`` do.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import re
 from collections.abc import Sequence
 
-from . import _Record, _cycle_notation
+from . import _Record, _cycle_notation, _orbits
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
 CycleType = tuple[int, ...]
@@ -176,9 +177,9 @@ def from_cycles(cycle_list: Sequence[Sequence[int]], degree: int) -> Permutation
 def orbits(gens: Sequence[Permutation], degree: int | None = None) -> list[tuple[int, ...]]:
     """Orbits of ``{1..degree}`` under the group generated by ``gens``.
 
-    Computed by closing up under the generators point by point; the group
-    itself is never enumerated.  An empty generator list needs an explicit
-    degree and yields singletons.
+    Computed by joining each point with its images in the package's
+    union-find, ``satgenus._orbits``; the group itself is never enumerated.
+    An empty generator list needs an explicit degree and yields singletons.
     """
     if gens:
         n = gens[0].degree
@@ -193,23 +194,7 @@ def orbits(gens: Sequence[Permutation], degree: int | None = None) -> list[tuple
         n = degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for x, y in enumerate(g.images):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    buckets: dict[int, list[int]] = {}
-    for x in range(n):
-        buckets.setdefault(find(x), []).append(x + 1)
-    return [tuple(buckets[root]) for root in sorted(buckets)]
+    return _orbits(n, *(g.images for g in gens))
 
 
 def is_transitive(gens: Sequence[Permutation], degree: int | None = None) -> bool:

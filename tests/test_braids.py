@@ -42,6 +42,14 @@ def test_word_validation():
         BraidWord(3, (3,))
     with pytest.raises(ValueError):
         BraidWord(3, (-3,))
+    # the first bad letter is named, wherever it stands
+    with pytest.raises(ValueError) as err:
+        BraidWord(3, (1, -2, 3, 0))
+    assert str(err.value) == "letter 3 at position 2 is not a generator index for 3 strands (valid: 1..2)"
+    with pytest.raises(ValueError, match=r"^letter 0 at position 1 "):
+        BraidWord(3, (1, 0, 5))
+    with pytest.raises(ValueError, match=r"^letter -3 at position 2 "):
+        BraidWord(3, (2, -1, -3))
 
 
 def test_parse_basic():

@@ -613,6 +613,24 @@ def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
     assert histograms == [(2, 1), (2, 2), (2, 3), (2, 4)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["braid", "orevkov", "--family", "k1", "--n", "4"],
+    ["braid", "orevkov", "--family", "k2", "--n", "3"],
+    ["braid", "analyze", "--word", "1 -2 1^2", "--strands", "3"],
+])
+def test_a_braid_request_walks_its_word_once(capsys, monkeypatch, argv):
+    # the closure components are read off the strand permutation
+    from satgenus import braids
+
+    words = []
+    permutation_of = braids.permutation_of
+    monkeypatch.setattr(braids, "permutation_of", lambda w: words.append(w) or permutation_of(w))
+    code, env = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert len(words) == 1
+    assert env["results"]["length"] == len(words[0])
+
+
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_enumerate.json").read_text())
 
 

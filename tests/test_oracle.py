@@ -486,8 +486,8 @@ def test_each_witness_row_is_the_first_of_its_cycle_type():
 
 def test_a_built_pair_of_another_shape_is_a_bug(monkeypatch):
     # count one orbit too many for every pair
-    count = oracle._orbit_count
-    monkeypatch.setattr(oracle, "_orbit_count", lambda n, *perms: count(n, *perms) + 1)
+    orbits_of = oracle._orbits
+    monkeypatch.setattr(oracle, "_orbits", lambda n, *perms: [*orbits_of(n, *perms), ()])
     with pytest.raises(AssertionError, match=r"the pair built for the shape \(1, 1\) has another shape"):
         enumerate_covers(1, 3)
 
