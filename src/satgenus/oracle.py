@@ -13,13 +13,16 @@ records minima with witnesses, and characterizes the equality cases, also
 after adding one simple branch point.  Everything is exact and deterministic;
 reports serialize to byte-identical JSON across runs.
 
-The scan never visits tuples.  Hook lengths and contents count them by
-boundary circles at any genus, one exact integer power per partition of n,
-with no character table (``_boundary_histogram``), and the exponential
-formula turns the counts of degrees 1..n into those of every cover shape (m
-components, k boundary circles).  Each orbit carries an even boundary
-product, so every tuple has k = n mod 2 and m <= k.  The sharpness check
-and the realizability table read no counts.
+The scan never visits tuples and builds no character table.  By Frobenius and
+Mednykh a tuple count is a sum over the characters of S_j; summing a
+character over the permutations with k cycles takes the coefficient of x^k in
+d_lam * prod (x + col - row) over the boxes (row, col) of lam (Jucys 1974;
+Murphy 1981), where j!/d_lam = H_lam, the product of the hook lengths.  One
+walk over the partitions of every size j <= n counts degrees 1..n by boundary
+circles (``_boundary_histograms``), and the exponential formula turns them
+into the counts of every cover shape (m components, k boundary circles).
+Each orbit carries an even boundary product, so every tuple has k = n mod 2
+and m <= k.  The sharpness check and the realizability table read no counts.
 
 The witnesses are built by a rule (``_first_pairs``), with no table of S_n.
 Padding a pair with identities keeps its shape, so a shape's first tuple at
@@ -37,7 +40,7 @@ is s times q s^-1 q^-1, a conjugate of s^-1, and length is subadditive and
 constant on classes, so for such an s the commutator has more than k
 cycles: no earlier row (s, all q) reaches k, and the row of (n-j ... n)
 reaches every (m, k).  That q is then the first of its row is not proved;
-it is checked against exhaustion of S_n x S_n through n = 10.
+it is checked against exhaustion of S_n x S_n through n = 11 (161 shapes).
 
 Violations and counterexamples (none are expected) are reported once per
 shape class, with the lexicographically first witness tuple.  A witness is
@@ -231,44 +234,31 @@ def _shape_rows(g: int, n: int) -> dict[tuple[int, int, int], tuple[tuple[int, .
     }
 
 
-def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
-    """The partitions of n, the cycle types of S_n, as non-increasing
-    tuples in lexicographic order from the largest: (n) first, 1^n last."""
-    if n == 0:
-        return [()]
-    return [
-        (part, *rest)
-        for part in range(min(n, largest or n), 0, -1)
-        for rest in _partitions(n - part, part)
-    ]
-
-
-def _boundary_histogram(g: int, n: int) -> list[int]:
-    """How many tuples of S_n^(2g) have k boundary circles, the cycles of
-    their boundary product, as a list indexed by k = 0..n.
-
-    By Frobenius and Mednykh a tuple count is a sum over the characters of
-    S_n, and summing a character over the permutations with k cycles takes
-    the coefficient of x^k in d_lam * prod (x + col - row) over the boxes
-    (row, col) of lam (Jucys 1974; Murphy 1981).  With the hook length
-    formula n!/d_lam = H_lam, the product of the hook lengths of lam, each
-    partition adds H_lam^(2g - 1) * (n!/H_lam) times those coefficients.
-    """
-    order = math.factorial(n)
-    hist = [0] * (n + 1)
-    for lam in _partitions(n):
-        heights = [sum(part > col for part in lam) for col in range(lam[0])]
-        hooks = 1
-        poly = [1] + [0] * n  # prod (x + content), lowest power first
-        for row, part in enumerate(lam):
-            for col in range(part):
-                hooks *= part - col + heights[col] - row - 1
-                poly = [(col - row) * c + lower for c, lower in zip(poly, [0, *poly])]
-        weight = hooks ** (2 * g - 1) * (order // hooks)
-        hist = [total + weight * c for total, c in zip(hist, poly)]
-    if sum(hist) != order ** (2 * g):
+def _boundary_histograms(g: int, n: int) -> list[list[int]]:
+    """How many tuples of S_j^(2g) have k boundary circles, as lists indexed
+    by k = 0..j, for j = 1..n: each partition lam of j adds H_lam^(2g - 1) *
+    (j!/H_lam) times the coefficients of its content product.  One
+    depth-first walk visits each partition of each size once, as its parent
+    and a last row r of p boxes, no longer than the row above: the box
+    (r, p - 1) extends the product of the row of p - 1, and H_lam = H_parent
+    * p! * prod b / prod (b - p) over b = lam_i + r - i for the rows i < r."""
+    orders = [math.factorial(j) for j in range(n + 1)]
+    hists = [[0] * (j + 1) for j in range(n + 1)]
+    stack = [((), [1], 1)]  # a partition, prod (x + content) lowest power first, H_lam
+    while stack:
+        lam, poly, hooks = stack.pop()
+        r, size = len(lam), len(poly) - 1
+        betas = [part + r - i for i, part in enumerate(lam)]
+        above, child = hooks * math.prod(betas), poly
+        for p in range(1, min(lam[-1] if lam else n, n - size) + 1):
+            child = [(p - 1 - r) * c + lower for c, lower in zip([*child, 0], [0, *child])]
+            child_hooks = above * orders[p] // math.prod(b - p for b in betas)
+            weight = child_hooks ** (2 * g - 1) * (orders[size + p] // child_hooks)
+            hists[size + p] = [total + weight * c for total, c in zip(hists[size + p], child)]
+            stack.append(((*lam, p), child, child_hooks))
+    if any(sum(hists[j]) != orders[j] ** (2 * g) for j in range(1, n + 1)):
         raise AssertionError("scan lost tuples; this is a bug")
-    return hist
+    return hists[1:]
 
 
 def _report_histogram(g: int, n: int, rows: dict) -> list[int]:
@@ -295,9 +285,8 @@ def _shape_histogram(g: int, n: int) -> dict[tuple[int, int], int]:
     """
     full = [{(0, 0): 1}]
     transitive: list[dict[int, int]] = []
-    for size in range(1, n + 1):
+    for size, connected in enumerate(_boundary_histograms(g, n), 1):
         shapes: dict[tuple[int, int], int] = {}
-        connected = _boundary_histogram(g, size)
         for j, counts in enumerate(transitive, 1):
             ways = math.comb(size - 1, j - 1)
             for k, count in counts.items():

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from . import _Record, _cycle_notation, _orbits
 
@@ -97,28 +97,38 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
 def cycles(p: Permutation) -> list[tuple[int, ...]]:
     """Disjoint cycles as 1-indexed tuples, each starting at its least point,
     ordered by least point.  Fixed points appear as length-1 cycles."""
-    seen = [False] * p.degree
-    out = []
+    seen, out = [False] * p.degree, []
     for start in range(p.degree):
-        if seen[start]:
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x + 1)
-            x = p.images[x]
-        out.append(tuple(cyc))
+        if not seen[start]:
+            cyc, x = [], start
+            while not seen[x]:
+                seen[x] = True
+                cyc.append(x + 1)
+                x = p.images[x]
+            out.append(tuple(cyc))
     return out
 
 
+def _cycle_lengths(p: Permutation) -> Iterator[int]:
+    """Each cycle's length by least point, walked as ``cycles`` walks them."""
+    images, seen = p.images, bytearray(p.degree)
+    for start in range(p.degree):
+        if not seen[start]:
+            length, x = 0, start
+            while not seen[x]:
+                seen[x] = 1
+                length += 1
+                x = images[x]
+            yield length
+
+
 def cycle_count(p: Permutation) -> int:
-    return len(cycles(p))
+    return sum(1 for _ in _cycle_lengths(p))
 
 
 def cycle_type(p: Permutation) -> CycleType:
     """Cycle lengths, fixed points included, sorted descending."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    return tuple(sorted(_cycle_lengths(p), reverse=True))
 
 
 def is_even(p: Permutation) -> bool:

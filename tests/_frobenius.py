@@ -18,6 +18,12 @@ character on every class by the Murnaghan-Nakayama rule, in ``Fraction``
 arithmetic, without touching the package, and counts class by class.  The
 other routes are brute force and the class products and genus levels of
 ``_naive.naive_class_product_counts``.
+
+``content_histogram`` is the oracle's formula computed the plain way, size
+by size: each partition of n rebuilds its content product box by box and
+its hook product from the column heights.  It checks the oracle's single
+walk over the partitions of every size past the degrees where characters
+stay cheap.
 """
 
 from fractions import Fraction
@@ -98,6 +104,26 @@ def boundary_histogram(g, n):
         count = class_size(mu) * commutator_product_count(g, mu)
         if count:
             hist[len(mu)] = hist.get(len(mu), 0) + count
+    return hist
+
+
+def content_histogram(g, n):
+    """Tuples in S_n^(2g) by the number k = 0..n of cycles of their
+    commutator product, as a list: each partition lam adds H^(2g-1) *
+    (n!/H) times the coefficients of prod (x + col - row) over its boxes
+    (row, col), H the product of its hook lengths."""
+    order = factorial(n)
+    hist = [0] * (n + 1)
+    for lam in partitions(n):
+        heights = [sum(part > col for part in lam) for col in range(lam[0])]
+        hooks = 1
+        poly = [1] + [0] * n  # lowest power first
+        for row, part in enumerate(lam):
+            for col in range(part):
+                hooks *= part - col + heights[col] - row - 1
+                poly = [(col - row) * c + lower for c, lower in zip(poly, [0, *poly])]
+        weight = hooks ** (2 * g - 1) * (order // hooks)
+        hist = [total + weight * c for total, c in zip(hist, poly)]
     return hist
 
 

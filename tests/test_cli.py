@@ -602,15 +602,15 @@ def test_cover_enumerate_sharpness(capsys):
 
 
 def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
-    # the enumeration counts degrees 1..4 at genus 2 for its shape check,
-    # and the sharpness check counts nothing
+    # the enumeration counts degrees 1..4 at genus 2 in one walk for its
+    # shape check, and the sharpness check counts nothing
     histograms = []
-    histogram = oracle._boundary_histogram
-    monkeypatch.setattr(oracle, "_boundary_histogram",
+    histogram = oracle._boundary_histograms
+    monkeypatch.setattr(oracle, "_boundary_histograms",
                         lambda g, n: histograms.append((g, n)) or histogram(g, n))
     code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
     assert code == EXIT_OK
-    assert histograms == [(2, 1), (2, 2), (2, 3), (2, 4)]
+    assert histograms == [(2, 4)]
 
 
 @pytest.mark.parametrize("argv", [

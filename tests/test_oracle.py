@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from _frobenius import (
     class_size,
     commutator_product_count,
     connected_boundary_histogram,
+    content_histogram,
     partitions,
 )
 from _naive import (
@@ -392,7 +395,7 @@ def test_pair_classes_match_naive_double_loop(n):
         kind = perms_module.cycle_type(Permutation(c))
         naive[kind] = naive.get(kind, 0) + count
     assert {kind: count for kind, count in _frobenius_by_type(1, n).items() if count} == naive
-    assert oracle._boundary_histogram(1, n) == _by_boundary_circles(naive, n)
+    assert oracle._boundary_histograms(1, n)[-1] == _by_boundary_circles(naive, n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -403,7 +406,30 @@ def test_boundary_histograms_match_class_products_and_genus_levels(n):
     genera = (1, 2, 3, 20) if n <= 6 else (1, 2, 3)
     for g, counts in naive_class_product_counts(n, genera).items():
         assert _frobenius_by_type(g, n) == counts
-        assert oracle._boundary_histogram(g, n) == _by_boundary_circles(counts, n)
+        assert oracle._boundary_histograms(g, n)[-1] == _by_boundary_circles(counts, n)
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, 40])
+def test_the_partition_walk_matches_the_per_size_route(g):
+    # one walk over the partitions of every size up to 20 against the same
+    # formula computed size by size, each partition built box by box
+    hists = oracle._boundary_histograms(g, 20)
+    assert [len(hist) for hist in hists] == list(range(2, 22))
+    for j, hist in enumerate(hists, 1):
+        assert hist == content_histogram(g, j)
+
+
+def test_the_partition_walk_needs_no_recursion():
+    # a budget of 10^100 admits degrees in the thousands, where a recursive
+    # walk would end the request in a RecursionError
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    sys.setrecursionlimit(depth + 20)
+    try:
+        hists = oracle._boundary_histograms(1, 30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(hists[-1]) == math.factorial(30) ** 2
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -441,7 +467,7 @@ def test_enumerations_past_degree_eight_match_frobenius(n):
     # neither the counts nor the witnesses build an S_n table, so degrees
     # past 8 are served in full
     for g in (1, 2, 5):
-        hist = oracle._boundary_histogram(g, n)
+        hist = oracle._boundary_histograms(g, n)[-1]
         assert {k: count for k, count in enumerate(hist) if count} == boundary_histogram(g, n)
         connected = {k: count for (m, k), count in oracle._shape_histogram(g, n).items() if m == 1}
         assert connected == connected_boundary_histogram(g, n)
@@ -592,10 +618,10 @@ def test_budget_counts_the_shapes_the_rule_builds(n):
 
 
 def test_partition_counts_match_the_partitions():
-    # the budget counts p(j) by recurrence, the histogram lists partitions
+    # the budget counts p(j) by recurrence, the reference route lists them
     counts = [1, 1]
     for j in range(2, 30):
-        assert oracle._next_partition_count(counts) == len(oracle._partitions(j)) == len(partitions(j))
+        assert oracle._next_partition_count(counts) == len(partitions(j))
     assert counts[-1] == 4565
 
 
@@ -629,7 +655,7 @@ def test_sharpness_and_the_table_read_no_histogram(monkeypatch):
     def refuse(g, n):
         raise AssertionError("counted tuples that no report reads")
 
-    monkeypatch.setattr(oracle, "_boundary_histogram", refuse)
+    monkeypatch.setattr(oracle, "_boundary_histograms", refuse)
     assert verify_sharpness(400, 5).ok
     assert len(realizability_table(400, 5)) == 9
 

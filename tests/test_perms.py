@@ -123,6 +123,27 @@ def test_cycles_and_type():
     assert cycle_type(identity(4)) == (1, 1, 1, 1)
 
 
+@given(perms())
+def test_counts_and_types_agree_with_the_cycles(p):
+    lengths = [len(c) for c in cycles(p)]
+    assert cycle_count(p) == len(lengths)
+    assert cycle_type(p) == tuple(sorted(lengths, reverse=True))
+
+
+def test_cycles_are_counted_without_building_them():
+    # a million fixed points would take about 90 MB as cycle tuples; the
+    # count walks a bytearray of seen flags
+    p = identity(10**6)
+    tracemalloc.start()
+    try:
+        assert cycle_count(p) == 10**6
+        assert is_even(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @given(perm_pairs())
 def test_parity_is_a_homomorphism(pair):
     a, b = pair
