@@ -37,7 +37,7 @@ EXIT_INVARIANT = 4
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration over its work budget or its print limit (EXIT_BUDGET)."""
+    """An enumeration over its work budget (EXIT_BUDGET)."""
 
 
 def _cycle_notation(images: tuple[int, ...]) -> str:

@@ -7,8 +7,8 @@ Every subcommand assembles an output envelope
 printed as human-readable lines by default, as canonical JSON (two-space
 indent, sorted keys) under ``--json``, and written atomically to a file with
 ``--out``.  Exit codes: 0 success, 2 bad usage or validation error (a closed
-stdout included), 3 budget or print limit exceeded or out of memory, 4
-internal invariant violation found by the enumeration oracle.
+stdout included), 3 work budget exceeded or out of memory, 4 internal
+invariant violation found by the enumeration oracle.
 
 A process compiles and builds only what its request runs.  ``main`` reads
 every command line off the option table ``_COMMANDS`` (see
@@ -377,6 +377,12 @@ def main(argv: list[str] | None = None) -> int:
     # the import statement's machinery, unlike importlib.import_module, is
     # what -X importtime reports
     handler = getattr(__import__(f"satgenus.{module}", fromlist=[name]), name)
+    # argv was read under the interpreter's limit on int digits; lift it
+    # while the request runs and prints, so every number prints in full (the
+    # budget bounds an enumeration's counts; 3.10 before 3.10.7 has no limit)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         code, report = handler(args)
         _emit(args, *report)
@@ -390,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         pass  # report below, once the traceback and the frames it holds are freed
     else:
         return code
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     _print_error("out of memory: the request needs more than this process can allocate")
     return EXIT_BUDGET
 

@@ -58,7 +58,6 @@ genus 2.
 from __future__ import annotations
 
 import math
-import sys
 
 from . import BudgetExceededError, _Record, _cycle_notation, _orbits
 
@@ -102,7 +101,9 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
     The character counts come first, also at the weights of genus 1, which
     no genus undercuts: a degree past the budget's reach is refused at the
     first j where they pass it, before n! or a partition of n is formed.
-    The print limit comes next, so a huge genus is refused for its digits.
+    This is the only rule that refuses an enumeration, under any setting of
+    the interpreter: the print term bounds the digits of the counts, which
+    the command line prints in full.
     """
     if g < 1:
         raise ValueError("the base surface needs genus at least 1")
@@ -127,7 +128,6 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
                 f"enumerating {_power(n, 2 * g)} needs an estimated {_rough(reach)} work units "
                 f"for the character counts of degrees up to {j} alone, over the budget of {limit}"
             )
-    _check_printable(g, n, order)
     num, den = math.log10(order).as_integer_ratio()
     work += ((n + 1) // 2 + 1) * (2 * g * num // den + 1) ** 2 // 1024
     if work > limit:
@@ -152,35 +152,6 @@ def _next_partition_count(counts: list[int]) -> int:
     return total
 
 
-def _check_printable(base_genus: int, degree: int, order: int) -> None:
-    """Refuse a tuple count (n!)^(2g), n! = order, with more decimal digits
-    than the interpreter converts to text (``sys.get_int_max_str_digits``,
-    0 for no limit); the histogram counts never exceed that total.  The
-    digit count floor(2g log10 n!) + 1 comes from a log estimate; the power
-    is formed only near the limit, where the estimate may be one off."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    exponent = 2 * base_genus
-    # exact rational arithmetic on the float log, so no genus overflows it
-    num, den = math.log10(order).as_integer_ratio()
-    digits = exponent * num // den + 1
-    if digits < limit - 1:
-        return
-    if digits <= limit + 2:
-        total = order**exponent
-        while total >= 10**digits:
-            digits += 1
-        while total < 10 ** (digits - 1):
-            digits -= 1
-    if digits <= limit:
-        return
-    raise BudgetExceededError(
-        f"the tuple count of {_power(degree, exponent)} has {_rough(digits)} decimal digits, "
-        f"over this interpreter's limit of {limit} for printing an integer"
-    )
-
-
 def _power(degree: int, exponent: int) -> str:
     """S_n^e, the exponent as ``_rough`` gives it."""
     text = _rough(exponent)
@@ -189,7 +160,7 @@ def _power(degree: int, exponent: int) -> str:
 
 def _rough(x: int) -> str:
     """x in decimal up to 15 digits, its power of ten above: a longer count
-    may be an estimate, or too long to print at all."""
+    may be an estimate, or too long for a one-line message."""
     if x < 10**15:
         return str(x)
     return f"about 10^{math.floor(math.log10(x))}"

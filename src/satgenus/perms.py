@@ -20,6 +20,7 @@ orbits with the package's ``_cycle_notation`` and ``_orbits``, as
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections.abc import Iterator, Sequence
 
@@ -45,7 +46,8 @@ class Permutation(_Record):
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
+        # compared lazily: range(n) as a list would be n more fresh ints
+        if any(map(operator.ne, sorted(self.images), range(len(self.images)))):
             raise ValueError(f"images {self.images!r} do not describe a bijection")
 
     @property

@@ -400,16 +400,16 @@ def test_running_out_of_memory_is_the_budget_exit():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("genus,degree,budget,env,estimate", [
-    ("1000000", "1", ["--budget", "10000000"], None, "512000000"),
-    ("36000", "8", [], {"PYTHONINTMAXSTRDIGITS": "0"}, "1018106380"),
+@pytest.mark.parametrize("genus,degree,budget,estimate", [
+    ("1000000", "1", ["--budget", "10000000"], "512000000"),
+    ("36000", "8", [], "1018106380"),
 ])
-def test_an_over_budget_genus_is_refused_before_any_work(genus, degree, budget, env, estimate):
-    # a small explicit budget, or the default one with the print limit off;
-    # the witness of a million handles, which does not fit in 32 MB, and the
-    # counts of 72000 must not be started
+def test_an_over_budget_genus_is_refused_before_any_work(genus, degree, budget, estimate):
+    # a small explicit budget, or the default one; the witness of a million
+    # handles, which does not fit in 32 MB, and the counts of 72000 must not
+    # be started
     proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", degree, *budget],
-                       env=env, megabytes=32)
+                       megabytes=32)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -419,15 +419,15 @@ def test_an_over_budget_genus_is_refused_before_any_work(genus, degree, budget, 
     )
 
 
-@pytest.mark.parametrize("genus,degree,env", [
-    ("1000000000", "1", None),
-    ("1000000", "3", {"PYTHONINTMAXSTRDIGITS": "0"}),
-    ("1" + "0" * 400, "3", {"PYTHONINTMAXSTRDIGITS": "0"}),
+@pytest.mark.parametrize("genus,degree", [
+    ("1000000000", "1"),
+    ("1000000", "3"),
+    ("1" + "0" * 400, "3"),
 ])
-def test_a_deep_genus_is_refused_by_its_estimate(genus, degree, env):
+def test_a_deep_genus_is_refused_by_its_estimate(genus, degree):
     # each used to pass the budget and run on, building 2g-entry witnesses
     # or genus levels on totals of millions of digits
-    proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", degree], env=env)
+    proc = _run_capped(["cover", "enumerate", "--genus", genus, "--degree", degree])
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -436,10 +436,9 @@ def test_a_deep_genus_is_refused_by_its_estimate(genus, degree, env):
 
 @pytest.mark.parametrize("degree", [OVERSIZED, "1" + "0" * 400])
 def test_huge_degrees_are_refused_without_a_print_limit(degree):
-    # with the print limit off only the budget guards the counts, and it
-    # must be decided without forming n!, which does not finish at 10^12
-    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree],
-                       env={"PYTHONINTMAXSTRDIGITS": "0"}, megabytes=128)
+    # only the budget guards the counts, and it must be decided without
+    # forming n!, which does not finish at 10^12
+    proc = _run_capped(["cover", "enumerate", "--genus", "1", "--degree", degree], megabytes=128)
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == _reach_error(degree)
@@ -711,7 +710,9 @@ def default_int_digits():
 
 
 def test_cover_enumerate_prints_the_largest_printable_tuple_count(capsys, default_int_digits):
-    # 6^(2g) < 10^4300 up to g = 2762; its histogram counts are smaller still
+    # 6^(2g) < 10^4300 up to g = 2762, the largest count the interpreter
+    # prints under its default limit; the CLI lifts that limit, so this is
+    # no longer the edge of what it prints
     assert 36**2762 < 10**default_int_digits <= 36**2763
     code, env = run_json(capsys, ["cover", "enumerate", "--genus", "2762", "--degree", "3"])
     assert code == EXIT_OK
@@ -728,7 +729,6 @@ def test_cover_enumerate_under_json_builds_no_human_lines(monkeypatch):
     from satgenus import cmd_cover
 
     saved = sys.get_int_max_str_digits()
-    monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
     args = SimpleNamespace(genus=2000, degree=3, budget=None, sharpness=True, json=True, out=None)
     sys.set_int_max_str_digits(640)
     try:
@@ -741,21 +741,97 @@ def test_cover_enumerate_under_json_builds_no_human_lines(monkeypatch):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("genus,degree", [(2763, 3), (3000, 3), (467, 8)])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_cover_enumerate_prints_counts_past_the_digit_limit(capsys, default_int_digits, genus,
+                                                            degree, mode):
+    # (n!)^(2g) has more digits than the interpreter prints by default;
+    # main prints it in full and gives the caller its limit back
+    total = math.factorial(degree) ** (2 * genus)
+    assert total >= 10**default_int_digits
+    code = main(["cover", "enumerate", "--genus", str(genus), "--degree", str(degree)] + mode)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert sys.get_int_max_str_digits() == default_int_digits
+    sys.set_int_max_str_digits(0)  # to read the counts back; the fixture restores the limit
+    if mode:
+        assert json.loads(out)["results"]["total_tuples"] == total
+    else:
+        assert f"tuples scanned:    {total}\n" in out
+
+
 # the last two have 4300 digits, as many as the interpreter reads, and 2g
-# has 4301, too many to print
-@pytest.mark.parametrize("genus", ["2763", "3000", "1" + "0" * 400,
+# has 4301
+@pytest.mark.parametrize("genus", ["1" + "0" * 400,
                                    pytest.param("9" * 4300, id="nines4300"),
                                    pytest.param("5" + "0" * 4299, id="five4300")])
 @pytest.mark.parametrize("mode", [[], ["--json"]])
-def test_cover_enumerate_refuses_unprintable_tuple_counts(capsys, default_int_digits, genus, mode):
+def test_cover_enumerate_refuses_huge_genera_by_the_budget(capsys, monkeypatch, default_int_digits,
+                                                           genus, mode):
+    def refuse(*args):
+        raise AssertionError("work done for a refused request")
+
+    monkeypatch.setattr(oracle, "_shape_histogram", refuse)
+    monkeypatch.setattr(oracle, "_first_pairs", refuse)
     code = main(["cover", "enumerate", "--genus", genus, "--degree", "3"] + mode)
     captured = capsys.readouterr()
     assert code == EXIT_BUDGET
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "decimal digits" in captured.err and "4300" in captured.err
-    if genus == "2763":
-        assert "has 4301 decimal digits" in captured.err
+    assert captured.err.startswith("error: enumerating S_3^(about 10^")
+    assert captured.err.endswith(" work units (witnesses and character counts), "
+                                 f"over the budget of {10**9}\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_genus_past_the_digit_limit_stays_a_usage_error(capsys, default_int_digits):
+    # argv is read under the interpreter's limit, which main lifts only for
+    # the request
+    code = main(["cover", "enumerate", "--genus", "1" * 4301, "--degree", "3"])
+    assert code == EXIT_USAGE
+    assert "argument --genus: invalid int value" in capsys.readouterr().err
+
+
+def test_bounds_print_a_product_past_the_digit_limit(capsys, default_int_digits):
+    # 2 g4k has 4301 digits
+    nines = "9" * 4300
+    code = main(["bounds", "--g4k", nines, "--winding", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    sys.set_int_max_str_digits(0)  # to read the product back; the fixture restores the limit
+    values = {line.split()[0]: line.split()[3] for line in out.splitlines()}
+    assert values["thm1_knot"] == str(2 * int(nines))
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+@pytest.mark.parametrize("outcome,code", [
+    (None, EXIT_OK), ("usage", EXIT_USAGE), (ValueError, EXIT_USAGE),
+    (oracle.BudgetExceededError, EXIT_BUDGET), (MemoryError, EXIT_BUDGET),
+])
+def test_main_gives_the_caller_its_digit_limit_back(capsys, monkeypatch, limit, outcome, code):
+    from satgenus import cmd_cover
+
+    seen = []
+    enumerate_ = cmd_cover.cover_enumerate
+
+    def handler(args):
+        seen.append(sys.get_int_max_str_digits())
+        if outcome is None:
+            return enumerate_(args)
+        raise outcome("refused")
+
+    monkeypatch.setattr(cmd_cover, "cover_enumerate", handler)
+    argv = ["cover", "enumerate", "--genus", "2", "--degree", "3"]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert main(argv + (["--bogus"] if outcome == "usage" else [])) == code
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(saved)
+    capsys.readouterr()
+    assert after == limit
+    # the handler runs with the limit lifted; a usage error never reaches it
+    assert seen == ([] if outcome == "usage" else [0])
 
 
 def test_cover_enumerate_refuses_degrees_past_the_float_range(capsys, default_int_digits):

@@ -690,19 +690,29 @@ def test_budget_is_checked_before_any_work(monkeypatch):
     assert "estimated 9425 work units" in str(exc.value)
 
 
-def test_unprintable_tuple_count_is_refused_before_the_scan(monkeypatch):
-    _refuse_work(monkeypatch)
-    limit = 1000
-    monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: limit)
-    # 2^(2g) has 1000 digits up to g = 1660; this close to the limit the
-    # check forms the power exactly
-    assert 4**1660 < 10**limit <= 4**1661
-    with pytest.raises(AssertionError):
-        enumerate_covers(1660, 2)
-    with pytest.raises(BudgetExceededError, match="1001 decimal digits"):
-        enumerate_covers(1661, 2)
-    with pytest.raises(BudgetExceededError, match="decimal digits"):
-        verify_sharpness(10**400, 6)
+def test_the_digit_limit_changes_no_report_or_refusal():
+    # the budget alone refuses an enumeration: the interpreter's limit on
+    # int digits, whatever it is, changes no report and no refusal; the
+    # first three tuple counts have 1001, 4301 and 4302 digits
+    cases = ((1661, 2), (2763, 3), (467, 8), (10**400, 3))
+    saved = sys.get_int_max_str_digits()
+    outcomes = {case: [] for case in cases}
+    try:
+        for limit in (640, 4300, 0):
+            sys.set_int_max_str_digits(limit)
+            for g, n in cases:
+                try:
+                    outcomes[g, n].append(enumerate_covers(g, n))
+                except BudgetExceededError as exc:
+                    outcomes[g, n].append(str(exc))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    for (g, n), (first, *rest) in outcomes.items():
+        assert rest == [first, first]
+        if g < 10**400:
+            assert first.total_tuples == math.factorial(n) ** (2 * g)
+        else:
+            assert "work units" in first
 
 
 def test_budget_refuses_one_more_handle_before_any_work(monkeypatch):
@@ -716,10 +726,9 @@ def test_budget_refuses_one_more_handle_before_any_work(monkeypatch):
 
 
 def test_a_deep_genus_is_refused_before_any_work(monkeypatch):
-    # a billion handles at degree 1 and, with the print limit off, a genus
-    # of a million or of 401 digits at degree 3
+    # a billion handles at degree 1, and a genus of a million or of 401
+    # digits at degree 3
     _refuse_work(monkeypatch)
-    monkeypatch.setattr(oracle.sys, "get_int_max_str_digits", lambda: 0)
     for g, n in ((10**9, 1), (10**6, 3), (10**400, 3)):
         for run in (enumerate_covers, verify_sharpness, realizability_table):
             with pytest.raises(BudgetExceededError, match="work units"):

@@ -51,10 +51,27 @@ def perm_pairs(draw, max_degree=7):
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not describe a bijection"):
         Permutation((0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not describe a bijection"):
         Permutation((1, 2))
+    with pytest.raises(ValueError, match="do not describe a bijection"):
+        Permutation((0.5, 1))
+    # entries equal to the points pass, whatever their type
+    assert Permutation((1.0, 0)).degree == 2
+
+
+def test_the_bijection_check_builds_no_second_list():
+    # the sorted copy of a million images is 8 MB of pointers; comparing it
+    # with list(range(n)) would add a million fresh ints, about 36 MB more
+    images = tuple(reversed(range(10**6)))
+    tracemalloc.start()
+    try:
+        Permutation(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_apply_is_one_indexed():
