@@ -1,7 +1,7 @@
 """Exact 4-ball genus bounds for braided satellite links.
 
 The layers, bottom up: symmetric-group arithmetic (:mod:`satgenus.perms`),
-braid words and band presentations (:mod:`satgenus.braids`),
+braid words and their families (:mod:`satgenus.braids`),
 Euler-characteristic bookkeeping for branched covers
 (:mod:`satgenus.covering`), the integer bound evaluators
 (:mod:`satgenus.bounds`), and an exhaustive enumeration oracle that
@@ -17,9 +17,10 @@ pays only for the layers it uses; ``satgenus.cli`` imports the package first.
 What more than one layer needs lives here, where no layer has to be loaded
 for it: ``_Record``, the frozen-value base of every record class; the
 command line's exit codes and ``BudgetExceededError``, which
-``satgenus.cli``, its handler modules and the oracle share; and
+``satgenus.cli``, its handler modules and the oracle share;
 ``_cycle_notation`` and the orbit union-find ``_orbits``, which the oracle
-shares with :mod:`satgenus.perms`.
+shares with :mod:`satgenus.perms`; and ``_rough``, which shortens the long
+numbers that the layers' error messages name.
 Without a bytecode cache each module a process imports is compiled from
 source, so a layer loaded only for a base class or a function would cost
 its whole compile.
@@ -38,6 +39,16 @@ EXIT_INVARIANT = 4
 
 class BudgetExceededError(RuntimeError):
     """An enumeration over its work budget (EXIT_BUDGET)."""
+
+
+def _rough(x: int) -> str:
+    """x in decimal up to 15 digits, its sign and power of ten above: a
+    longer count may be an estimate, or too long for a one-line message."""
+    if abs(x) < 10**15:
+        return str(x)
+    import math
+
+    return f"about {'-' * (x < 0)}10^{math.floor(math.log10(abs(x)))}"
 
 
 def _cycle_notation(images: tuple[int, ...]) -> str:
@@ -84,15 +95,13 @@ def _orbits(n: int, *perms: tuple[int, ...]) -> list[tuple[int, ...]]:
 # exported name: (submodule, attribute)
 _EXPORTS = {
     **{name: ("braids", name) for name in (
-        "BandFactorization", "BraidWord", "braid_text", "cable_generator",
-        "closure_component_count", "concat", "expand_bands", "exponent_sum",
-        "half_twist", "inverse", "orevkov_k1", "orevkov_k2", "parse_braid",
+        "BraidWord", "braid_text", "closure_component_count", "concat",
+        "exponent_sum", "half_twist", "orevkov_k1", "orevkov_k2", "parse_braid",
         "permutation_of",
     )},
     **{name: ("bounds", name) for name in (
         "BoundReport", "OrevkovGapReport", "bound_reports_to_csv",
-        "chi4_satellite_bound", "lemma1_satellite_genus", "orevkov_gap_report",
-        "qp_closure_euler", "qp_closure_genus", "schubert_bound",
+        "orevkov_gap_report", "qp_closure_genus", "schubert_bound",
         "suggested_twist_count", "thm1_knot_bound", "thm1_link_bound",
     )},
     **{name: ("covering", name) for name in (
@@ -106,7 +115,7 @@ _EXPORTS = {
     )},
     **{name: ("perms", name) for name in (
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",
-        "cycle_type", "cycles", "cycles_str", "example1_pair", "example2_pair",
+        "cycle_type", "cycles_str", "example1_pair", "example2_pair",
         "from_cycles", "identity", "is_even", "is_transitive", "orbits",
         "ore_commutator_search", "parse_cycles",
     )},

@@ -1,9 +1,9 @@
-"""Genus and Euler-characteristic bounds for satellites of analytic links.
+"""Genus bounds for satellites of analytic links.
 
 Every evaluator works in exact integer arithmetic and returns a
 :class:`BoundReport` carrying the raw value (which may be non-positive), a
-clamped copy for genus quantities, the formula identifier, and the named
-inputs.  Parity preconditions are enforced, never rounded away.
+copy clamped at zero, the formula identifier, and the named inputs.
+Parity preconditions are enforced, never rounded away.
 """
 
 from __future__ import annotations
@@ -18,19 +18,14 @@ __all__ = [
     "schubert_bound",
     "thm1_knot_bound",
     "thm1_link_bound",
-    "qp_closure_euler",
     "qp_closure_genus",
-    "lemma1_satellite_genus",
-    "chi4_satellite_bound",
     "suggested_twist_count",
     "OrevkovGapReport",
     "orevkov_gap_report",
 ]
 
-FORMULA_IDS = frozenset(
-    {"schubert_1", "schubert_2", "thm1_knot", "thm1_link", "lemma1", "qp_euler", "chi4_satellite"}
-)
-QUANTITIES = frozenset({"genus4_lower", "genus4_exact", "euler4_upper", "genus3_lower"})
+FORMULA_IDS = frozenset({"schubert_1", "schubert_2", "thm1_knot", "thm1_link", "qp_euler"})
+QUANTITIES = frozenset({"genus4_lower", "genus4_exact", "genus3_lower"})
 
 
 class BoundReport(_Record):
@@ -117,18 +112,6 @@ def thm1_link_bound(g4_companion: int, winding: int) -> BoundReport:
     return _genus_report("genus4_lower", "thm1_link", value, inputs)
 
 
-def qp_closure_euler(strands: int, bands: int) -> BoundReport:
-    """chi4 of the closure of a quasipositive braid: strands - bands,
-    realized by the braided surface."""
-    if strands < 1:
-        raise ValueError("strand count must be at least 1")
-    if bands < 0:
-        raise ValueError("band count cannot be negative")
-    value = strands - bands
-    inputs = {"strands": strands, "bands": bands}
-    return BoundReport("euler4_upper", "qp_euler", value, value, inputs)
-
-
 def qp_closure_genus(strands: int, bands: int) -> BoundReport:
     """g4 of the knot closure of a quasipositive braid:
     (bands - strands + 1) / 2.  The caller must know the closure is a knot;
@@ -145,36 +128,6 @@ def qp_closure_genus(strands: int, bands: int) -> BoundReport:
     value = (bands - strands + 1) // 2
     inputs = {"strands": strands, "bands": bands}
     return _genus_report("genus4_exact", "qp_euler", value, inputs)
-
-
-def lemma1_satellite_genus(g4_companion: int, winding: int, pattern_bands: int) -> BoundReport:
-    """Exact g4 of a satellite with analytic companion and quasipositive
-    pattern braid whose closure is a knot:
-    n * g4(companion) + (pattern_bands - n + 1) / 2."""
-    if g4_companion < 0:
-        raise ValueError("companion 4-genus cannot be negative")
-    if winding < 1:
-        raise ValueError("the pattern braid needs at least one strand")
-    if pattern_bands < 0:
-        raise ValueError("band count cannot be negative")
-    pattern = qp_closure_genus(winding, pattern_bands)
-    value = winding * g4_companion + pattern.value
-    inputs = {
-        "companion_g4": g4_companion,
-        "winding": winding,
-        "pattern_bands": pattern_bands,
-    }
-    return _genus_report("genus4_exact", "lemma1", value, inputs)
-
-
-def chi4_satellite_bound(chi4_companion: int, winding: int) -> BoundReport:
-    """Upper bound chi4(satellite) <= n * chi4(companion) for positive
-    winding."""
-    if winding < 1:
-        raise ValueError("winding number must be positive")
-    value = winding * chi4_companion
-    inputs = {"companion_chi4": chi4_companion, "winding": winding}
-    return BoundReport("euler4_upper", "chi4_satellite", value, value, inputs)
 
 
 def suggested_twist_count(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Braid words and band presentations.
+"""Braid words and the braid families of the gap example.
 
 A braid word on n strands is a finite sequence of nonzero letters, where
 letter ``+i`` is the Artin generator sigma_i (1 <= i <= n-1) and ``-i`` its
@@ -9,30 +9,28 @@ Words longer than ``MAX_WORD_LENGTH`` letters are refused with ValueError
 before their letters are built: the families check their closed-form
 lengths, ``parse_braid`` its running letter count before each ``^e``.
 Strand counts over ``perms.MAX_DEGREE`` are refused the same way, before a
-strand permutation of that size is built.
+strand permutation of that size is built.  An error names a number of 15
+digits or more by its power of ten, and a word token by its first 20
+characters.
 """
 
 from __future__ import annotations
 
-from . import _Record
+from . import _Record, _rough
 from .perms import Permutation, check_size, cycle_count
 
 __all__ = [
     "MAX_WORD_LENGTH",
     "BraidWord",
-    "BandFactorization",
     "parse_braid",
     "braid_text",
     "concat",
-    "inverse",
     "exponent_sum",
     "half_twist",
-    "cable_generator",
     "orevkov_k1",
     "orevkov_k2",
     "permutation_of",
     "closure_component_count",
-    "expand_bands",
 ]
 
 MAX_WORD_LENGTH = 10**6
@@ -40,14 +38,14 @@ MAX_WORD_LENGTH = 10**6
 
 def _check_length(length: int, what: str) -> None:
     if length > MAX_WORD_LENGTH:
-        raise ValueError(f"{what} has {length} letters, over the limit of {MAX_WORD_LENGTH}")
+        raise ValueError(f"{what} has {_rough(length)} letters, over the limit of {MAX_WORD_LENGTH}")
 
 
 def _index_range(strands: int) -> str:
     """The end of an error for a generator index outside 1..strands-1."""
     if strands == 1:
         return ": a braid on 1 strand has no generators"
-    return f" for {strands} strands (valid: 1..{strands - 1})"
+    return f" for {_rough(strands)} strands (valid: 1..{_rough(strands - 1)})"
 
 
 class BraidWord(_Record):
@@ -88,17 +86,18 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             base = int(base_text)
             exp = int(exp_text) if caret else 1
         except ValueError:
-            raise ValueError(f"token {pos} ({token!r}): not an integer letter") from None
+            raise ValueError(f"token {pos} ({token[:20]!r}): not an integer letter") from None
         if base == 0:
-            raise ValueError(f"token {pos} ({token!r}): generator index must be nonzero")
+            raise ValueError(f"token {pos} ({token[:20]!r}): generator index must be nonzero")
         if abs(base) >= strands:
             raise ValueError(
-                f"token {pos} ({token!r}): index {abs(base)} out of range{_index_range(strands)}"
+                f"token {pos} ({token[:20]!r}): index {_rough(abs(base))} "
+                f"out of range{_index_range(strands)}"
             )
         length += abs(exp)
         if length > MAX_WORD_LENGTH:
             raise ValueError(
-                f"token {pos} ({token!r}): the word reaches {length} letters, "
+                f"token {pos} ({token[:20]!r}): the word reaches {_rough(length)} letters, "
                 f"over the limit of {MAX_WORD_LENGTH}"
             )
         letter = base if exp >= 0 else -base
@@ -118,10 +117,6 @@ def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     return BraidWord(a.strands, a.letters + b.letters)
 
 
-def inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(-letter for letter in reversed(w.letters)))
-
-
 def exponent_sum(w: BraidWord) -> int:
     """Signed letter count; a homomorphism to the integers."""
     return sum(1 if letter > 0 else -1 for letter in w.letters)
@@ -136,7 +131,7 @@ def half_twist(n: int) -> BraidWord:
     """
     if n < 1:
         raise ValueError("a braid needs at least one strand")
-    _check_length(n * (n - 1) // 2, f"the half twist on {n} strands")
+    _check_length(n * (n - 1) // 2, f"the half twist on {_rough(n)} strands")
     return BraidWord(n, tuple(_half_twist_letters(n)))
 
 
@@ -147,24 +142,13 @@ def _half_twist_letters(n: int) -> list[int]:
     return letters
 
 
-def cable_generator(j: int) -> BraidWord:
-    """Image of sigma_j under the 2-cabling of the strands.
-
-    The word is sigma_2j sigma_{2j-1} sigma_{2j+1} sigma_2j, returned on the
-    minimal 2j+2 strands; reuse ``.letters`` to embed it in a wider group.
-    """
-    if j < 1:
-        raise ValueError("generator index must be at least 1")
-    return BraidWord(2 * j + 2, (2 * j, 2 * j - 1, 2 * j + 1, 2 * j))
-
-
 def orevkov_k1(n: int) -> BraidWord:
     """Orevkov's quasipositive knot family: the full twist on n strands
     followed by sigma_{n-1} ... sigma_1.  Exponent sum n^2 - 1; the closure
     is a knot."""
     if n < 2:
         raise ValueError("the family starts at two strands")
-    _check_length(n * n - 1, f"orevkov_k1({n})")
+    _check_length(n * n - 1, f"orevkov_k1({_rough(n)})")
     letters = _half_twist_letters(n) * 2
     letters.extend(range(n - 1, 0, -1))
     return BraidWord(n, tuple(letters))
@@ -179,10 +163,13 @@ def orevkov_k2(n: int, twists: int) -> BraidWord:
         raise ValueError("the family starts at two strands")
     if twists < 0:
         raise ValueError("the kink count must be non-negative")
-    _check_length(twists + 4 * (n - 1) + 2 * n * (2 * n - 1), f"orevkov_k2({n}, {twists})")
+    _check_length(
+        twists + 4 * (n - 1) + 2 * n * (2 * n - 1), f"orevkov_k2({_rough(n)}, {_rough(twists)})"
+    )
     letters: list[int] = [-1] * twists
     for j in range(n - 1, 0, -1):
-        letters.extend(cable_generator(j).letters)
+        # the 2-cabled sigma_j: sigma_2j sigma_{2j-1} sigma_{2j+1} sigma_2j
+        letters.extend((2 * j, 2 * j - 1, 2 * j + 1, 2 * j))
     letters.extend(_half_twist_letters(2 * n) * 2)
     return BraidWord(2 * n, tuple(letters))
 
@@ -207,40 +194,3 @@ def closure_component_count(w: BraidWord) -> int:
     """Number of link components of the braid closure: the cycle count of the
     strand permutation."""
     return cycle_count(permutation_of(w))
-
-
-class BandFactorization(_Record):
-    """A quasipositive presentation: an ordered product of conjugated
-    positive generators w^-1 sigma_k w, one per band."""
-
-    strands: int
-    bands: tuple[tuple[BraidWord, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise ValueError("a braid needs at least one strand")
-        check_size(self.strands, "strand count")
-        for pos, (conjugator, index) in enumerate(self.bands):
-            if conjugator.strands != self.strands:
-                raise ValueError(
-                    f"band {pos}: conjugator lives on {conjugator.strands} "
-                    f"strands, expected {self.strands}"
-                )
-            if not 1 <= index < self.strands:
-                raise ValueError(f"band {pos}: generator index {index} out of range")
-
-    def __len__(self) -> int:
-        return len(self.bands)
-
-
-def expand_bands(f: BandFactorization) -> BraidWord:
-    """Multiply the bands out to a single word, without free reduction.
-
-    The exponent sum of the result is the band count.
-    """
-    letters: list[int] = []
-    for conjugator, index in f.bands:
-        letters.extend(inverse(conjugator).letters)
-        letters.append(index)
-        letters.extend(conjugator.letters)
-    return BraidWord(f.strands, tuple(letters))

@@ -10,7 +10,7 @@ of commutators.
 
 from __future__ import annotations
 
-from . import _Record
+from . import _Record, _rough
 from .perms import Permutation, check_size, commutator, compose, cycle_count, identity, orbits
 
 __all__ = [
@@ -105,7 +105,7 @@ class HomomorphismCover(_Record):
             raise ValueError("the base surface needs genus at least 1")
         if len(self.generator_images) != 2 * self.base_genus:
             raise ValueError(
-                f"expected {2 * self.base_genus} generator images, "
+                f"expected {_rough(2 * self.base_genus)} generator images, "
                 f"got {len(self.generator_images)}"
             )
         for p in self.generator_images:

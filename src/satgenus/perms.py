@@ -24,7 +24,7 @@ import operator
 import re
 from collections.abc import Iterator, Sequence
 
-from . import _Record, _cycle_notation, _orbits
+from . import _Record, _cycle_notation, _orbits, _rough
 
 # Multiset of cycle lengths, fixed points included, sorted descending.
 CycleType = tuple[int, ...]
@@ -54,20 +54,15 @@ class Permutation(_Record):
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        """Image of a 1-indexed point."""
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} outside 1..{self.degree}")
-        return self.images[point - 1] + 1
-
     def __repr__(self) -> str:
         return f"Permutation({cycles_str(self)!r}, degree={self.degree})"
 
 
 def check_size(size: int, what: str) -> None:
-    """Refuse ``size`` points or image entries over MAX_DEGREE."""
+    """Refuse ``size`` points or image entries over MAX_DEGREE, naming a
+    size of 15 digits or more by its power of ten."""
     if size > MAX_DEGREE:
-        raise ValueError(f"{what} {size} is over the limit of {MAX_DEGREE}")
+        raise ValueError(f"{what} {_rough(size)} is over the limit of {MAX_DEGREE}")
 
 
 def identity(degree: int) -> Permutation:
@@ -96,23 +91,8 @@ def commutator(a: Permutation, b: Permutation) -> Permutation:
     return compose(compose(a, b), compose(inverse(a), inverse(b)))
 
 
-def cycles(p: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles as 1-indexed tuples, each starting at its least point,
-    ordered by least point.  Fixed points appear as length-1 cycles."""
-    seen, out = [False] * p.degree, []
-    for start in range(p.degree):
-        if not seen[start]:
-            cyc, x = [], start
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x + 1)
-                x = p.images[x]
-            out.append(tuple(cyc))
-    return out
-
-
 def _cycle_lengths(p: Permutation) -> Iterator[int]:
-    """Each cycle's length by least point, walked as ``cycles`` walks them."""
+    """Each cycle's length, fixed points included, by least point."""
     images, seen = p.images, bytearray(p.degree)
     for start in range(p.degree):
         if not seen[start]:
@@ -168,7 +148,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         here: set[int] = set()
         for pt in points:
             if not 1 <= pt <= degree:
-                raise ValueError(f"point {pt} outside 1..{degree}")
+                raise ValueError(f"point {_rough(pt)} outside 1..{degree}")
             if pt in here:
                 raise ValueError(f"point {pt} appears twice in the cycle ({group})")
             if pt in used:
@@ -242,7 +222,7 @@ def check_search_degree(degree: int) -> None:
     """Refuse an exhaustive search above MAX_TABLE_DEGREE."""
     if degree > MAX_TABLE_DEGREE:
         raise ValueError(
-            f"degree {degree} exceeds the search limit {MAX_TABLE_DEGREE} "
+            f"degree {_rough(degree)} exceeds the search limit {MAX_TABLE_DEGREE} "
             "of the exhaustive commutator search"
         )
 

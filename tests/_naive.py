@@ -128,6 +128,8 @@ def naive_first_commutator_pair(target):
 
 
 def naive_cycles(p):
+    """The 1-indexed cycles of an image tuple, fixed points included, each
+    from its least point, in order of least point."""
     n = len(p)
     seen = set()
     out = []

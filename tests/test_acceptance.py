@@ -11,13 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from satgenus.bounds import (
-    lemma1_satellite_genus,
-    orevkov_gap_report,
-    qp_closure_euler,
-    qp_closure_genus,
-    thm1_knot_bound,
-)
+from satgenus.bounds import orevkov_gap_report
 from satgenus.braids import (
     closure_component_count,
     concat,
@@ -138,15 +132,3 @@ def test_commutator_witness_search():
                     assert commutator(a, b) == target
                 else:
                     assert witness is None
-
-
-def test_satellite_formula_consistency():
-    with criterion("satellite formula consistency", 1.0):
-        for strands in range(1, 7):
-            for bands in range(strands - 1, 41, 2):
-                chi = qp_closure_euler(strands, bands).value
-                genus = qp_closure_genus(strands, bands).value
-                assert chi == 1 - 2 * genus
-                for g4k in range(0, 6):
-                    exact = lemma1_satellite_genus(g4k, strands, bands).value
-                    assert exact >= thm1_knot_bound(g4k, strands).value

@@ -6,10 +6,7 @@ from satgenus.bounds import (
     QUANTITIES,
     BoundReport,
     bound_reports_to_csv,
-    chi4_satellite_bound,
-    lemma1_satellite_genus,
     orevkov_gap_report,
-    qp_closure_euler,
     qp_closure_genus,
     schubert_bound,
     suggested_twist_count,
@@ -64,8 +61,6 @@ def test_thm1_clamping():
 
 
 def test_qp_closure_frozen():
-    assert qp_closure_euler(4, 0).value == 4
-    assert qp_closure_euler(2, 3).value == -1
     assert qp_closure_genus(2, 1).value == 0
     assert qp_closure_genus(2, 3).value == 1
     assert qp_closure_genus(9, 80).value == 36
@@ -80,21 +75,6 @@ def test_qp_closure_parity_rejection():
         qp_closure_genus(3, 5)
 
 
-def test_lemma1_frozen():
-    assert lemma1_satellite_genus(1, 2, 1).value == 2
-    assert lemma1_satellite_genus(1, 3, 2).value == 3
-    assert lemma1_satellite_genus(36, 2, 123).value == 72 + 61
-    with pytest.raises(ValueError, match="odd"):
-        lemma1_satellite_genus(1, 2, 2)
-
-
-def test_chi4_satellite_frozen():
-    assert chi4_satellite_bound(-1, 2).value == -2
-    assert chi4_satellite_bound(1, 4).value == 4
-    with pytest.raises(ValueError):
-        chi4_satellite_bound(-1, 0)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         schubert_bound(-1, 2)
@@ -106,9 +86,7 @@ def test_input_validation():
         with pytest.raises(ValueError, match="winding number must be positive"):
             bound(5, 0)
     with pytest.raises(ValueError):
-        qp_closure_euler(0, 1)
-    with pytest.raises(ValueError):
-        lemma1_satellite_genus(1, 0, 1)
+        qp_closure_genus(0, 1)
 
 
 @given(st.integers(0, 5), st.integers(1, 6))
@@ -121,20 +99,21 @@ def test_knot_bound_dominates_link_bound(g, n):
 
 @given(st.integers(0, 5), st.integers(1, 6), st.integers(0, 40))
 def test_lemma1_meets_knot_bound(g, n, bands):
+    # Lemma 1's exact genus of a satellite with a quasipositive pattern,
+    # n g4(companion) + g4(pattern closure), never undercuts Theorem 1
     if (bands - n + 1) % 2:
         bands += 1
-    exact = lemma1_satellite_genus(g, n, bands).value
-    lower = thm1_knot_bound(g, n).value
-    assert exact >= lower
+    exact = n * g + qp_closure_genus(n, bands).value
+    assert exact >= thm1_knot_bound(g, n).value
 
 
 @given(st.integers(1, 12), st.integers(0, 60))
 def test_euler_and_genus_agree_on_knots(strands, bands):
+    # the braided surface of a quasipositive knot closure has Euler
+    # characteristic strands - bands and one boundary circle
     if (bands - strands + 1) % 2:
         bands += 1
-    chi = qp_closure_euler(strands, bands).value
-    genus = qp_closure_genus(strands, bands).value
-    assert chi == 1 - 2 * genus
+    assert 1 - 2 * qp_closure_genus(strands, bands).value == strands - bands
 
 
 def test_csv_rendering():
@@ -216,5 +195,5 @@ def test_gap_report_json_keys():
 
 
 def test_registry_contents():
-    assert "lemma1" in FORMULA_IDS
-    assert "genus4_exact" in QUANTITIES
+    assert FORMULA_IDS == {"schubert_1", "schubert_2", "thm1_knot", "thm1_link", "qp_euler"}
+    assert QUANTITIES == {"genus4_lower", "genus4_exact", "genus3_lower"}

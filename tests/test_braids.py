@@ -3,16 +3,12 @@ from hypothesis import given, strategies as st
 
 from satgenus import braids
 from satgenus.braids import (
-    BandFactorization,
     BraidWord,
     braid_text,
-    cable_generator,
     closure_component_count,
     concat,
-    expand_bands,
     exponent_sum,
     half_twist,
-    inverse,
     orevkov_k1,
     orevkov_k2,
     parse_braid,
@@ -114,15 +110,6 @@ def test_exponent_sum_additive(a, b):
     assert exponent_sum(concat(a, b)) == exponent_sum(a) + exponent_sum(b)
 
 
-@given(words())
-def test_inverse_properties(w):
-    assert inverse(inverse(w)) == w
-    assert exponent_sum(inverse(w)) == -exponent_sum(w)
-    # w w^-1 is anti-palindromic: letter i is the negative of letter -1-i
-    letters = concat(w, inverse(w)).letters
-    assert all(letters[i] == -letters[-1 - i] for i in range(len(letters)))
-
-
 def test_half_twist_words():
     with pytest.raises(ValueError, match="at least one strand"):
         half_twist(0)
@@ -144,7 +131,7 @@ def test_half_twist_exponent_and_square():
 def test_half_twist_permutation_reverses_strands():
     for n in range(2, 9):
         p = permutation_of(half_twist(n))
-        assert [p.apply(i) for i in range(1, n + 1)] == list(range(n, 0, -1))
+        assert [p.images[i - 1] + 1 for i in range(1, n + 1)] == list(range(n, 0, -1))
 
 
 def test_word_length_cap_uses_the_closed_forms(monkeypatch):
@@ -163,18 +150,9 @@ def test_word_length_cap_uses_the_closed_forms(monkeypatch):
         parse_braid("1^12 -1^-8 1", 2)
 
 
-def test_cable_generator():
-    w = cable_generator(1)
-    assert w.strands == 4
-    assert w.letters == (2, 1, 3, 2)
-    assert cable_generator(2).letters == (4, 3, 5, 4)
-    with pytest.raises(ValueError):
-        cable_generator(0)
-
-
-def test_cable_generator_permutation_swaps_blocks():
-    # the cabled generator swaps the strand pairs {2j-1, 2j} and {2j+1, 2j+2}
-    p = permutation_of(cable_generator(1))
+def test_cabled_generator_swaps_blocks():
+    # the 2-cabled sigma_1 swaps the strand pairs {1, 2} and {3, 4}
+    p = permutation_of(BraidWord(4, (2, 1, 3, 2)))
     assert cycles_str(p) == "(1 3)(2 4)"
 
 
@@ -187,6 +165,18 @@ def test_orevkov_k1():
         assert closure_component_count(w) == 1
     with pytest.raises(ValueError):
         orevkov_k1(1)
+
+
+def test_orevkov_k2_letters_frozen():
+    # the kinks, the 2-cabled sigma_{n-1} ... sigma_1, then the full twist
+    assert orevkov_k2(2, 1).letters == (
+        -1, 2, 1, 3, 2, 1, 2, 3, 1, 2, 1, 1, 2, 3, 1, 2, 1,
+    )
+    assert orevkov_k2(3, 5).letters == (
+        -1, -1, -1, -1, -1, 4, 3, 5, 4, 2, 1, 3, 2,
+        1, 2, 3, 4, 5, 1, 2, 3, 4, 1, 2, 3, 1, 2, 1,
+        1, 2, 3, 4, 5, 1, 2, 3, 4, 1, 2, 3, 1, 2, 1,
+    )
 
 
 def test_orevkov_k2():
@@ -204,7 +194,7 @@ def test_orevkov_k2():
 def test_permutation_letters_apply_left_to_right():
     w = parse_braid("1 2", 3)
     assert cycles_str(permutation_of(w)) == "(1 3 2)"
-    assert permutation_of(w).apply(1) == 3
+    assert permutation_of(w).images[0] + 1 == 3
 
 
 def test_permutation_ignores_letter_signs():
@@ -232,7 +222,8 @@ def test_permutation_is_a_homomorphism(a, b):
 
 @given(words())
 def test_permutation_of_inverse(w):
-    assert permutation_of(inverse(w)) == perm_inverse(permutation_of(w))
+    reversed_negated = BraidWord(w.strands, tuple(-letter for letter in reversed(w.letters)))
+    assert permutation_of(reversed_negated) == perm_inverse(permutation_of(w))
 
 
 def test_closure_components():
@@ -246,32 +237,3 @@ def test_closure_components_full_iff_pure(w):
     count = closure_component_count(w)
     assert 1 <= count <= w.strands
     assert (count == w.strands) == (permutation_of(w) == identity(w.strands))
-
-
-def test_expand_bands():
-    f = BandFactorization(3, ((parse_braid("1", 3), 2),))
-    assert expand_bands(f).letters == (-1, 2, 1)
-    assert exponent_sum(expand_bands(f)) == 1
-
-
-def test_band_validation():
-    with pytest.raises(ValueError):
-        BandFactorization(3, ((parse_braid("1", 4), 2),))
-    with pytest.raises(ValueError):
-        BandFactorization(3, ((parse_braid("1", 3), 3),))
-
-
-@st.composite
-def factorizations(draw):
-    n = draw(st.integers(2, 5))
-    alphabet = [i for i in range(-(n - 1), n) if i != 0]
-    bands = []
-    for _ in range(draw(st.integers(0, 5))):
-        conj = BraidWord(n, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=6))))
-        bands.append((conj, draw(st.integers(1, n - 1))))
-    return BandFactorization(n, tuple(bands))
-
-
-@given(factorizations())
-def test_expanded_exponent_sum_counts_bands(f):
-    assert exponent_sum(expand_bands(f)) == len(f)

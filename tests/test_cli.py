@@ -802,6 +802,32 @@ def test_bounds_print_a_product_past_the_digit_limit(capsys, default_int_digits)
     assert values["thm1_knot"] == str(2 * int(nines))
 
 
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid", "orevkov", "--family", "k2", "--n", NINES],
+    ["braid", "halftwist", "--strands", NINES],
+    ["examples", "orevkov", "--n", NINES],
+    ["braid", "analyze", "--strands", "3", "--word", "1" + NINES],
+    ["braid", "analyze", "--strands", NINES, "--word", "1^" + NINES],
+    ["cover", "cyclic", "--genus", NINES, "--degree", "2"],
+    ["cover", "from-hom", "--genus", NINES, "--degree", "3", "--images", "();()"],
+    ["perm", "examples", "--type", "odd", "--m", NINES],
+    ["perm", "ore", "--target", "(1 2 3)", "--degree", NINES],
+    ["perm", "ore", "--target", f"(1 -{NINES})", "--degree", "3"],
+], ids=["braid orevkov", "braid halftwist", "examples orevkov", "braid analyze token",
+        "braid analyze strands", "cover cyclic", "cover from-hom", "perm examples",
+        "perm ore degree", "perm ore point"])
+def test_a_validation_error_names_a_huge_number_in_one_short_line(capsys, default_int_digits, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) <= 200
+
+
 @pytest.mark.parametrize("limit", [640, 4300, 0])
 @pytest.mark.parametrize("outcome,code", [
     (None, EXIT_OK), ("usage", EXIT_USAGE), (ValueError, EXIT_USAGE),

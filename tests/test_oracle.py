@@ -238,7 +238,6 @@ def test_sharpness_checks_depend_on_parity():
     even = verify_sharpness(1, 4)
     assert "no_unbranched_connected_boundary" in even.checks
     assert "connected_boundary_floor_attained_branched" in even.checks
-    assert "connected_boundary_minimizers_merge_two_circles" in even.checks
 
 
 def test_sharpness_notes_frozen():

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import satgenus
+from satgenus import braids, perms
 from satgenus.bounds import BoundReport, OrevkovGapReport
-from satgenus.braids import BandFactorization, BraidWord
+from satgenus.braids import BraidWord
 from satgenus.covering import CoverData, HomomorphismCover, SurfaceShape
 from satgenus.oracle import EnumerationReport, SharpnessReport
 from satgenus.perms import Permutation, identity
@@ -22,15 +23,13 @@ from satgenus.perms import Permutation, identity
 # every name the package exports, with the submodule attribute it stands for
 EXPORTS = {
     **{name: ("braids", name) for name in [
-        "BandFactorization", "BraidWord", "braid_text", "cable_generator",
-        "closure_component_count", "concat", "expand_bands", "exponent_sum",
-        "half_twist", "inverse", "orevkov_k1", "orevkov_k2", "parse_braid",
+        "BraidWord", "braid_text", "closure_component_count", "concat",
+        "exponent_sum", "half_twist", "orevkov_k1", "orevkov_k2", "parse_braid",
         "permutation_of",
     ]},
     **{name: ("bounds", name) for name in [
         "BoundReport", "OrevkovGapReport", "bound_reports_to_csv",
-        "chi4_satellite_bound", "lemma1_satellite_genus", "orevkov_gap_report",
-        "qp_closure_euler", "qp_closure_genus", "schubert_bound",
+        "orevkov_gap_report", "qp_closure_genus", "schubert_bound",
         "suggested_twist_count", "thm1_knot_bound", "thm1_link_bound",
     ]},
     **{name: ("covering", name) for name in [
@@ -44,7 +43,7 @@ EXPORTS = {
     ]},
     **{name: ("perms", name) for name in [
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",
-        "cycle_type", "cycles", "cycles_str", "example1_pair", "example2_pair",
+        "cycle_type", "cycles_str", "example1_pair", "example2_pair",
         "from_cycles", "identity", "is_even", "is_transitive", "orbits",
         "ore_commutator_search", "parse_cycles",
     ]},
@@ -66,6 +65,29 @@ def test_star_import_binds_every_export():
     for name, (module, attr) in EXPORTS.items():
         assert namespace[name] is getattr(importlib.import_module(f"satgenus.{module}"), attr)
     assert sorted(satgenus.__all__) == sorted(EXPORTS)
+
+
+def _referenced_names(path):
+    """Every name, attribute and imported name that a source file uses."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_export_is_reached_outside_the_tests():
+    # an export that no layer, command or demo uses is only reached by its
+    # own tests: delete it rather than keep it
+    package = Path(satgenus.__file__).parent
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted(demos.glob("*.py"))
+    assert len(sources) > 10
+    reached = {name for path in sources for name in _referenced_names(path)}
+    assert sorted(name for name, (_, attr) in satgenus._EXPORTS.items() if attr not in reached) == []
 
 
 def test_unknown_name_raises_attribute_error_naming_it():
@@ -112,7 +134,6 @@ def test_lazy_exports_show_in_importtime():
 RECORD_FIELDS = {
     Permutation: {"images": (1, 0, 2)},
     BraidWord: {"strands": 3, "letters": (1, -2)},
-    BandFactorization: {"strands": 3, "bands": ((BraidWord(3, (1,)), 2),)},
     BoundReport: {"quantity": "genus4_lower", "formula_id": "thm1_knot", "value": 2,
                   "clamped": 2, "inputs": {"g4_companion": 1, "winding": 2}},
     OrevkovGapReport: {"n": 2, "twists": 1, "bands_k1": 3, "g4_k1": 1, "bands_k2": 15,
@@ -188,7 +209,6 @@ def test_keyword_construction_and_defaults():
     assert BraidWord(strands=3, letters=(1, -2)) == BraidWord(3, (1, -2))
     assert BraidWord(3, letters=(1, -2)) == BraidWord(3, (1, -2))
     assert BraidWord(3).letters == () and BraidWord(strands=3) == BraidWord(3, ())
-    assert BandFactorization(3).bands == () and BandFactorization(strands=3) == BandFactorization(3, ())
     assert SurfaceShape(genus_total=2, boundary_components=1, components=1) == SurfaceShape(1, 2, 1)
     # a default is shared, as the immutable class value it is
     assert BraidWord(2).letters is BraidWord(5).letters
@@ -197,7 +217,7 @@ def test_keyword_construction_and_defaults():
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_missing_or_unknown_fields_are_type_errors(cls):
     fields = RECORD_FIELDS[cls]
-    for name in [name for name in fields if name not in ("letters", "bands")]:
+    for name in [name for name in fields if name != "letters"]:
         with pytest.raises(TypeError, match=f"missing field '{name}'"):
             cls(**{k: v for k, v in fields.items() if k != name})
     with pytest.raises(TypeError, match="no field 'bogus'"):
@@ -230,10 +250,6 @@ S = SurfaceShape
     (lambda: BraidWord(10**6 + 1), "over the limit"),
     (lambda: BraidWord(3, (1, 0)), "letter 0 at position 1"),
     (lambda: BraidWord(3, (3,)), "not a generator index"),
-    (lambda: BandFactorization(0), "at least one strand"),
-    (lambda: BandFactorization(10**6 + 1), "over the limit"),
-    (lambda: BandFactorization(3, ((BraidWord(4), 1),)), "conjugator lives on 4"),
-    (lambda: BandFactorization(3, ((BraidWord(3), 3),)), "generator index 3 out of range"),
     (lambda: BoundReport("genus5_lower", "thm1_knot", 0, 0, {}), "unknown quantity"),
     (lambda: BoundReport("genus4_lower", "thm9", 0, 0, {}), "unknown formula id"),
     (lambda: S(0, 0, 0), "at least one component"),
@@ -253,6 +269,52 @@ S = SurfaceShape
 def test_record_validation_still_fires(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("x", [0, 7, -7, 10**15 - 1, -(10**15 - 1)])
+def test_rough_prints_a_number_under_15_digits_in_full(x):
+    assert satgenus._rough(x) == str(x)
+
+
+@pytest.mark.parametrize("x, text", [
+    (10**15, "about 10^15"),
+    (-(10**15), "about -10^15"),
+    (3 * 10**20, "about 10^20"),
+    (-(10**4300 - 1), "about -10^4300"),
+])
+def test_rough_names_a_longer_number_by_its_power_of_ten(x, text):
+    assert satgenus._rough(x) == text
+
+
+# every message that names a number under 15 digits reads as it did before
+# the numbers went through ``_rough``
+@pytest.mark.parametrize("build, message", [
+    (lambda: braids.half_twist(1500),
+     "the half twist on 1500 strands has 1124250 letters, over the limit of 1000000"),
+    (lambda: braids.orevkov_k1(1001), "orevkov_k1(1001) has 1002000 letters, over the limit of 1000000"),
+    (lambda: braids.orevkov_k2(400, 500000),
+     "orevkov_k2(400, 500000) has 1140796 letters, over the limit of 1000000"),
+    (lambda: BraidWord(10**6 + 1), "strand count 1000001 is over the limit of 1000000"),
+    (lambda: braids.parse_braid("1 5", 4), "token 2 ('5'): index 5 out of range for 4 strands (valid: 1..3)"),
+    (lambda: braids.parse_braid("1^999999 -2^3", 3),
+     "token 2 ('-2^3'): the word reaches 1000002 letters, over the limit of 1000000"),
+    (lambda: braids.parse_braid("1 x2", 3), "token 2 ('x2'): not an integer letter"),
+    (lambda: perms.parse_cycles("(1 9)", 4), "point 9 outside 1..4"),
+    (lambda: perms.check_search_degree(9),
+     "degree 9 exceeds the search limit 8 of the exhaustive commutator search"),
+    (lambda: HomomorphismCover(2, 2, (identity(2),)), "expected 4 generator images, got 1"),
+])
+def test_a_short_number_is_named_in_full(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
+
+
+def test_a_bad_word_token_is_echoed_to_20_characters():
+    token = "x" + "9" * 100
+    with pytest.raises(ValueError) as error:
+        braids.parse_braid(f"1 {token}", 3)
+    assert str(error.value) == f"token 2 ({token[:20]!r}): not an integer letter"
 
 
 def test_every_module_parses_as_python_3_10():

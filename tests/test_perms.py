@@ -10,7 +10,6 @@ from satgenus.perms import (
     compose,
     cycle_count,
     cycle_type,
-    cycles,
     cycles_str,
     example1_pair,
     example2_pair,
@@ -30,6 +29,7 @@ from _frobenius import partitions
 from _naive import (
     naive_commutator,
     naive_compose,
+    naive_cycles,
     naive_first_commutator_pair,
     naive_first_commutator_pairs,
     naive_orbits,
@@ -74,21 +74,11 @@ def test_the_bijection_check_builds_no_second_list():
     assert peak < 12 * 2**20
 
 
-def test_apply_is_one_indexed():
-    p = parse_cycles("(1 2 3)", 3)
-    assert p.apply(1) == 2
-    assert p.apply(3) == 1
-    with pytest.raises(ValueError):
-        p.apply(0)
-    with pytest.raises(ValueError):
-        p.apply(4)
-
-
 def test_compose_is_left_to_right():
     a = parse_cycles("(1 2)", 3)
     b = parse_cycles("(2 3)", 3)
     # apply a first: 1 -> 2, then b: 2 -> 3
-    assert compose(a, b).apply(1) == 3
+    assert compose(a, b).images[0] + 1 == 3
     assert cycles_str(compose(a, b)) == "(1 3 2)"
     with pytest.raises(ValueError):
         compose(a, identity(4))
@@ -134,7 +124,7 @@ def test_conjugate_of_commutator_is_commutator_of_conjugates(pair, c):
 
 def test_cycles_and_type():
     p = parse_cycles("(1 2)(3 4 5)", 6)
-    assert cycles(p) == [(1, 2), (3, 4, 5), (6,)]
+    assert naive_cycles(p.images) == [(1, 2), (3, 4, 5), (6,)]
     assert cycle_type(p) == (3, 2, 1)
     assert cycle_count(p) == 3
     assert cycle_type(identity(4)) == (1, 1, 1, 1)
@@ -142,7 +132,7 @@ def test_cycles_and_type():
 
 @given(perms())
 def test_counts_and_types_agree_with_the_cycles(p):
-    lengths = [len(c) for c in cycles(p)]
+    lengths = [len(c) for c in naive_cycles(p.images)]
     assert cycle_count(p) == len(lengths)
     assert cycle_type(p) == tuple(sorted(lengths, reverse=True))
 
