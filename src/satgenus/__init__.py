@@ -116,7 +116,7 @@ _EXPORTS = {
     **{name: ("perms", name) for name in (
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",
         "cycle_type", "cycles_str", "example1_pair", "example2_pair",
-        "from_cycles", "identity", "is_even", "is_transitive", "orbits",
+        "identity", "is_even", "is_transitive", "orbits",
         "ore_commutator_search", "parse_cycles",
     )},
     "perm_inverse": ("perms", "inverse"),

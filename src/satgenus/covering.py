@@ -128,16 +128,16 @@ def cover_from_homomorphism(h: HomomorphismCover) -> CoverData:
 
     Components are the point orbits of the image subgroup, boundary circles
     the cycles of the boundary permutation, and the genus falls out of the
-    Euler count chi(cover) = degree * (1 - 2 * base_genus).
+    Euler count chi(cover) = degree * (1 - 2 * base_genus).  Every input
+    gives a genus of at least 1: twice the genus is 2m - k + n(2g - 1) >= 2
+    for m >= 1 components, k <= n circles and g >= 1, and it is even, as
+    n - k is even for the boundary, a product of commutators.
     """
     base = SurfaceShape(1, h.base_genus, 1)
     m = len(orbits(list(h.generator_images), degree=h.degree))
     k = cycle_count(boundary_permutation(h))
     chi = rh_euler(h.degree, euler_characteristic(base), 0)
-    two_genus = 2 * m - k - chi
-    if two_genus < 0 or two_genus % 2:
-        raise ValueError("monodromy data produced an impossible surface")
-    return CoverData(h.degree, base, 0, SurfaceShape(m, two_genus // 2, k))
+    return CoverData(h.degree, base, 0, SurfaceShape(m, (2 * m - k - chi) // 2, k))
 
 
 def cyclic_cover(base_genus: int, degree: int) -> CoverData:
@@ -158,7 +158,9 @@ def cyclic_cover(base_genus: int, degree: int) -> CoverData:
     images = [identity(n)] * (2 * base_genus)
     images[0] = full_cycle
     data = cover_from_homomorphism(HomomorphismCover(base_genus, n, tuple(images)))
-    assert data.cover == SurfaceShape(1, n * base_genus - (n - 1), n)
+    if data.cover != SurfaceShape(1, n * base_genus - (n - 1), n):
+        raise AssertionError(f"the cyclic cover has the shape {data.cover}, "
+                             "not the closed form's; this is a bug")
     return data
 
 
@@ -168,11 +170,11 @@ def add_branch_point(c: CoverData, merge: tuple[int, int] | None = None) -> Cove
     ``merge=(i, j)`` joins the boundary circles with those (0-based) indices
     into one, raising the genus by one; ``merge=None`` splits a boundary
     circle in two, leaving the genus alone.  Either way the Euler
-    characteristic drops by one.
+    characteristic drops by one, which ``CoverData`` checks.
     """
     if c.cover.components != 1:
         raise ValueError("branch points are only added to connected covers here")
-    k = c.cover.boundary_components
+    k, genus = c.cover.boundary_components, c.cover.genus_total
     if merge is None:
         new_k = k + 1
         if new_k > c.degree * c.base.boundary_components:
@@ -186,17 +188,8 @@ def add_branch_point(c: CoverData, merge: tuple[int, int] | None = None) -> Cove
             raise ValueError(f"merge indices {merge} out of range for {k} boundary circles")
         if i == j:
             raise ValueError("merging needs two distinct boundary circles")
-        new_k = k - 1
-    new_chi = euler_characteristic(c.cover) - 1
-    two_genus = 2 * c.cover.components - new_k - new_chi
-    if two_genus < 0 or two_genus % 2:
-        raise ValueError("branch point move produced an impossible surface")
-    return CoverData(
-        c.degree,
-        c.base,
-        c.branch_total + 1,
-        SurfaceShape(c.cover.components, two_genus // 2, new_k),
-    )
+        new_k, genus = k - 1, genus + 1
+    return CoverData(c.degree, c.base, c.branch_total + 1, SurfaceShape(1, genus, new_k))
 
 
 def cover_data_to_json(c: CoverData) -> dict:

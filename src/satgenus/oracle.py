@@ -154,9 +154,9 @@ def _next_partition_count(counts: list[int]) -> int:
 
 
 def _power(degree: int, exponent: int) -> str:
-    """S_n^e, the exponent as ``_rough`` gives it."""
-    text = _rough(exponent)
-    return f"S_{degree}^{text}" if text.isdigit() else f"S_{degree}^({text})"
+    """S_n^e, n and e as ``_rough`` gives them, bracketed when shortened."""
+    texts = [text if text.isdigit() else f"({text})" for text in map(_rough, (degree, exponent))]
+    return f"S_{texts[0]}^{texts[1]}"
 
 
 def _first_pairs(n: int) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:

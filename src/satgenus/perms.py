@@ -3,7 +3,9 @@
 Permutations are stored as 0-indexed image tuples but every piece of text
 I/O (cycle notation) is 1-indexed, matching the usual convention for
 braid-strand and sheet labels.  Composition is left-to-right throughout:
-``compose(a, b)`` means "apply a first, then b".
+``compose(a, b)`` means "apply a first, then b".  The package builds its
+permutations from image tuples; cycle text is parsed only when it comes
+from outside, through ``parse_cycles``.
 
 The exhaustive commutator search (``ore_commutator_search``) walks S_n in
 rank order, the lexicographic order of image tuples, and builds no table;
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from collections.abc import Iterator, Sequence
 
 from . import _Record, _cycle_notation, _orbits, _rough
@@ -36,8 +37,6 @@ MAX_DEGREE = 10**6
 # The largest degree of the exhaustive commutator search, which walks S_n in
 # rank order: at degree 8 it answers in at most about 0.05 s.
 MAX_TABLE_DEGREE = 8
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 class Permutation(_Record):
@@ -128,29 +127,36 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
     Fixed points are omitted from the notation, so the degree must be given
     separately.  Cycles must be disjoint.  ``()`` and the empty string both
-    denote the identity.
+    denote the identity.  The text is read in one pass: each ``)`` closes
+    the group after the last ``(`` before it, if there is one, and what no
+    group takes up must be blank.  A message names a group by at most its
+    first 20 characters.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     check_size(degree, "degree")
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
-        raise ValueError(f"cycle notation syntax error near {stripped.strip()[:20]!r}")
+    *pieces, rest = text.split(")")
+    # a piece with no "(" is all in group, and its ")" closes nothing
+    split = [piece.rpartition("(") for piece in pieces]
+    left = "".join(before if paren else group + ")" for before, paren, group in split) + rest
+    if left.strip():
+        raise ValueError(f"cycle notation syntax error near {left.strip()[:20]!r}")
     images = list(range(degree))
     used: set[int] = set()
-    for group in _CYCLE_RE.findall(text):
-        if not group.strip():
+    for _, paren, group in split:
+        if not paren or not group.strip():
             continue
+        shown = group if len(group) <= 20 else group[:20] + "..."
         try:
             points = [int(tok) for tok in group.split()]
         except ValueError:
-            raise ValueError(f"non-integer entry in cycle ({group})") from None
+            raise ValueError(f"non-integer entry in cycle ({shown})") from None
         here: set[int] = set()
         for pt in points:
             if not 1 <= pt <= degree:
                 raise ValueError(f"point {_rough(pt)} outside 1..{degree}")
             if pt in here:
-                raise ValueError(f"point {pt} appears twice in the cycle ({group})")
+                raise ValueError(f"point {pt} appears twice in the cycle ({shown})")
             if pt in used:
                 raise ValueError(f"point {pt} appears in two cycles")
             here.add(pt)
@@ -158,12 +164,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for src, dst in zip(points, points[1:] + points[:1]):
             images[src - 1] = dst - 1
     return Permutation(tuple(images))
-
-
-def from_cycles(cycle_list: Sequence[Sequence[int]], degree: int) -> Permutation:
-    """Build a permutation from disjoint cycles given as 1-indexed sequences."""
-    text = "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycle_list)
-    return parse_cycles(text, degree)
 
 
 def orbits(gens: Sequence[Permutation], degree: int | None = None) -> list[tuple[int, ...]]:
@@ -193,16 +193,23 @@ def is_transitive(gens: Sequence[Permutation], degree: int | None = None) -> boo
     return len(orbits(gens, degree)) == 1
 
 
+def _swap_pair(n: int) -> tuple[Permutation, Permutation]:
+    """(s1, s2) on n points: the products of the swaps (x, x+1) of 0-indexed
+    points x below n - 1, s1 of those with x odd and s2 with x even."""
+    check_size(n, "degree")
+    s1, s2 = list(range(n)), list(range(n))
+    for x in range(n - 1):
+        swaps = s1 if x % 2 else s2
+        swaps[x], swaps[x + 1] = x + 1, x
+    return Permutation(tuple(s1)), Permutation(tuple(s2))
+
+
 def example1_pair(m: int) -> tuple[Permutation, Permutation]:
     """Involutions s1 = (2 3)(4 5)...(2m 2m+1), s2 = (1 2)(3 4)...(2m-1 2m)
     on 2m+1 points; their commutator is a full (2m+1)-cycle."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    n = 2 * m + 1
-    check_size(n, "degree")
-    s1 = from_cycles([(2 * i, 2 * i + 1) for i in range(1, m + 1)], n)
-    s2 = from_cycles([(2 * i - 1, 2 * i) for i in range(1, m + 1)], n)
-    return s1, s2
+    return _swap_pair(2 * m + 1)
 
 
 def example2_pair(m: int) -> tuple[Permutation, Permutation]:
@@ -211,11 +218,7 @@ def example2_pair(m: int) -> tuple[Permutation, Permutation]:
     still generates a transitive group."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    n = 2 * m
-    check_size(n, "degree")
-    s1 = from_cycles([(2 * i, 2 * i + 1) for i in range(1, m)], n)
-    s2 = from_cycles([(2 * i - 1, 2 * i) for i in range(1, m + 1)], n)
-    return s1, s2
+    return _swap_pair(2 * m)
 
 
 def check_search_degree(degree: int) -> None:

@@ -5,11 +5,46 @@ different route than the package: orbits by breadth-first search instead of
 union-find, boundary permutations by pointwise application instead of table
 products, braid permutations by composing transposition maps, and tuple
 counts by class products and one genus level per handle instead of hook
-lengths and contents.
+lengths and contents, and cycle notation by a regular expression instead
+of one pass over the brackets.
 """
 
 import itertools
+import re
 from collections import deque
+
+from satgenus import _rough
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def naive_parse_cycles(text, degree):
+    """The image tuple of 1-indexed cycle notation, read through a regular
+    expression as ``perms.parse_cycles`` once read it, with its messages."""
+    stripped = _CYCLE_RE.sub("", text).strip()
+    if stripped:
+        raise ValueError(f"cycle notation syntax error near {stripped[:20]!r}")
+    images = list(range(degree))
+    used = set()
+    for group in _CYCLE_RE.findall(text):
+        if not group.strip():
+            continue
+        shown = group if len(group) <= 20 else group[:20] + "..."
+        try:
+            points = [int(tok) for tok in group.split()]
+        except ValueError:
+            raise ValueError(f"non-integer entry in cycle ({shown})") from None
+        for i, pt in enumerate(points):
+            if not 1 <= pt <= degree:
+                raise ValueError(f"point {_rough(pt)} outside 1..{degree}")
+            if pt in points[:i]:
+                raise ValueError(f"point {pt} appears twice in the cycle ({shown})")
+            if pt in used:
+                raise ValueError(f"point {pt} appears in two cycles")
+        used.update(points)
+        for src, dst in zip(points, points[1:] + points[:1]):
+            images[src - 1] = dst - 1
+    return tuple(images)
 
 
 def naive_compose(a, b):

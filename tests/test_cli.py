@@ -340,6 +340,8 @@ def _reach_error(degree, budget=10**9):
     at degree 30, 110 or 2166."""
     estimate, reach = {10**9: ("1131215305", 30), 10**20: ("about 10^20", 110),
                        10**100: ("about 10^100", 2166)}[budget]
+    # a degree of 15 digits or more is named by its power of ten
+    degree = {"1" + "0" * 400: "(about 10^400)"}.get(degree, degree)
     return (f"error: enumerating S_{degree}^2 needs an estimated {estimate} work units "
             f"for the character counts of degrees up to {reach} alone, over the budget of {budget}\n")
 
@@ -499,8 +501,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sat
 # dataclasses imports inspect, ast, dis and tokenize; csv is imported only
 # under --csv; no module of the package imports argparse (with the gettext
 # and locale it imports) or typing, which costs 6-8 ms where site preloads
-# nothing
-UNLOADED_STDLIB = {"dataclasses", "inspect", "csv", "argparse", "gettext", "locale", "typing"}
+# nothing; cycle notation is parsed without re, which costs as much
+UNLOADED_STDLIB = {"dataclasses", "inspect", "csv", "argparse", "gettext", "locale", "typing", "re"}
 
 
 def _loaded_modules(argv):
@@ -869,6 +871,14 @@ def test_cover_enumerate_refuses_degrees_past_the_float_range(capsys, default_in
     assert captured.err == _reach_error(degree)
 
 
+def test_budget_refusal_names_a_4300_digit_degree_by_its_power_of_ten(capsys, default_int_digits):
+    code = main(["cover", "enumerate", "--genus", "1", "--degree", "9" * 4300])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.err.startswith("error: enumerating S_(about 10^4300)^2 needs an estimated ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
 @pytest.fixture
 def no_int_digit_limit():
     saved = sys.get_int_max_str_digits()
@@ -900,6 +910,20 @@ def test_perm_commutator(capsys):
     assert env["results"]["commutator"] == "(1 3 2)"
     assert env["results"]["cycle_type"] == [3]
     assert env["results"]["even"] is True
+
+
+@pytest.mark.parametrize("cycle", [
+    "(" + " ".join(map(str, range(1, 10**5 + 1))) + " 1)",
+    "(1 " + "x" * 5000 + " y)",
+], ids=["repeated point", "non-integer entry"])
+def test_perm_commutator_names_a_long_cycle_briefly(capsys, cycle):
+    # in process: a 10^5-point cycle is longer than one command-line word may be
+    code = main(["perm", "commutator", "--a", cycle, "--b", "()", "--degree", str(10**5)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
 
 
 def test_perm_examples_odd(capsys):

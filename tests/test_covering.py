@@ -1,8 +1,11 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from satgenus import covering
 from satgenus.covering import (
     CoverData,
     HomomorphismCover,
@@ -152,6 +155,36 @@ def test_cyclic_cover_grid():
             assert data.cover.genus_total == n * g - (n - 1)
             assert data.branch_total == 0
             assert euler_characteristic(data.cover) == n * (1 - 2 * g)
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
+def test_every_homomorphism_cover_has_a_positive_integer_genus(g, n):
+    # the docstring's bound: twice the genus is even and at least 2
+    images = [Permutation(p) for p in itertools.permutations(range(n))]
+    for data in itertools.product(images, repeat=2 * g):
+        genus = cover_from_homomorphism(HomomorphismCover(g, n, data)).cover.genus_total
+        assert type(genus) is int and genus >= 1
+
+
+def test_cyclic_cover_checks_its_closed_form(monkeypatch):
+    wrong = CoverData(3, SurfaceShape(1, 1, 1), 0, SurfaceShape(3, 3, 3))
+    monkeypatch.setattr(covering, "cover_from_homomorphism", lambda h: wrong)
+    with pytest.raises(AssertionError, match="this is a bug"):
+        cyclic_cover(1, 3)
+
+
+def test_cyclic_cover_checks_its_closed_form_under_optimization():
+    # python -O strips assert statements, not this check
+    code = ("from satgenus import covering\n"
+            "covering.cover_from_homomorphism = lambda h: covering.CoverData(\n"
+            "    3, covering.SurfaceShape(1, 1, 1), 0, covering.SurfaceShape(3, 3, 3))\n"
+            "try:\n"
+            "    covering.cyclic_cover(1, 3)\n"
+            "except AssertionError as error:\n"
+            "    print(error)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("; this is a bug\n")
 
 
 def test_add_branch_point_merge():

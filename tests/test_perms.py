@@ -13,7 +13,6 @@ from satgenus.perms import (
     cycles_str,
     example1_pair,
     example2_pair,
-    from_cycles,
     identity,
     inverse,
     is_even,
@@ -33,6 +32,7 @@ from _naive import (
     naive_first_commutator_pair,
     naive_first_commutator_pairs,
     naive_orbits,
+    naive_parse_cycles,
 )
 
 
@@ -199,6 +199,32 @@ def test_parse_cycles_names_where_a_point_repeats():
         parse_cycles("(3 2 1 2)", 3)
 
 
+def test_parse_cycles_names_a_long_group_by_its_first_20_characters():
+    with pytest.raises(ValueError) as error:
+        parse_cycles("(1 " + "x" * 5000 + " y)", 3)
+    assert str(error.value) == "non-integer entry in cycle (1 xxxxxxxxxxxxxxxxxx...)"
+    with pytest.raises(ValueError) as error:
+        parse_cycles("(1 2 3 4 5 6 7 8 9 10 1)", 10)
+    assert str(error.value) == "point 1 appears twice in the cycle (1 2 3 4 5 6 7 8 9 10...)"
+    # 20 characters print in full
+    with pytest.raises(ValueError) as error:
+        parse_cycles("(10 1 2 3 4 5 6 7 8 1)", 10)
+    assert str(error.value) == "point 1 appears twice in the cycle (10 1 2 3 4 5 6 7 8 1)"
+
+
+def _parsed(parse, text):
+    try:
+        result = parse(text, 3)
+    except ValueError as error:
+        return str(error)
+    return getattr(result, "images", result)
+
+
+@given(st.text(alphabet="()0123 -x", max_size=30))
+def test_one_pass_parse_matches_the_regex_route(text):
+    assert _parsed(parse_cycles, text) == _parsed(naive_parse_cycles, text)
+
+
 def test_orbits_without_generators():
     assert orbits([], degree=3) == [(1,), (2,), (3,)]
     assert not is_transitive([], degree=2)
@@ -237,6 +263,18 @@ def test_example1_pairs():
         example1_pair(0)
 
 
+@pytest.mark.parametrize("m", range(1, 31))
+def test_example_pairs_match_their_cycle_notation(m):
+    # the docstrings' products of swaps, read back through parse_cycles
+    odd = example1_pair(m)
+    assert odd == (parse_cycles("".join(f"({2 * i} {2 * i + 1})" for i in range(1, m + 1)), 2 * m + 1),
+                   parse_cycles("".join(f"({2 * i - 1} {2 * i})" for i in range(1, m + 1)), 2 * m + 1))
+    if m >= 2:
+        even = example2_pair(m)
+        assert even == (parse_cycles("".join(f"({2 * i} {2 * i + 1})" for i in range(1, m)), 2 * m),
+                        parse_cycles("".join(f"({2 * i - 1} {2 * i})" for i in range(1, m + 1)), 2 * m))
+
+
 def test_example2_pairs():
     s1, s2 = example2_pair(2)
     assert cycles_str(s1) == "(2 3)"
@@ -249,6 +287,16 @@ def test_example2_pairs():
         assert is_transitive([s1, s2])
     with pytest.raises(ValueError):
         example2_pair(1)
+
+
+def test_cycle_text_is_only_read_from_outside():
+    # the pairs are built from image tuples; nothing formats cycle text to parse it back
+    import satgenus
+
+    with pytest.raises(AttributeError):
+        satgenus.from_cycles
+    with pytest.raises(AttributeError):
+        perms_module.from_cycles
 
 
 def test_ore_search_s3_exhaustive():
@@ -328,7 +376,9 @@ def _even_targets(n):
     for shape in partitions(n):
         if (n - len(shape)) % 2 == 0:
             ends = itertools.accumulate(shape)
-            yield from_cycles([range(end - size + 1, end + 1) for size, end in zip(shape, ends)], n)
+            # 0-indexed, each block end - size .. end - 1 is one cycle x -> x + 1
+            yield Permutation(tuple(x + 1 if x + 1 < end else end - size
+                                    for size, end in zip(shape, ends) for x in range(end - size, end)))
 
 
 def test_ore_search_at_the_degree_ceiling():
@@ -380,7 +430,3 @@ def test_ore_search_degree_limit():
     assert ore_commutator_search(identity(8)) == (identity(8), identity(8))
     with pytest.raises(ValueError, match="exceeds the search limit 8"):
         ore_commutator_search(identity(9))
-
-
-def test_from_cycles():
-    assert from_cycles([(1, 2), (3, 4)], 5) == parse_cycles("(1 2)(3 4)", 5)
