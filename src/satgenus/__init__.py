@@ -18,7 +18,7 @@ What more than one layer needs lives here, where no layer has to be loaded
 for it: ``_Record``, the frozen-value base of every record class; the
 command line's exit codes and ``BudgetExceededError``, which
 ``satgenus.cli``, its handler modules and the oracle share;
-``_cycle_notation`` and the orbit union-find ``_orbits``, which the oracle
+``_cycle_notation`` and the orbit walk ``_orbits``, which the oracle
 shares with :mod:`satgenus.perms`; and ``_rough``, which shortens the long
 numbers that the layers' error messages name.
 Without a bytecode cache each module a process imports is compiled from
@@ -72,24 +72,27 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
 
 def _orbits(n: int, *perms: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The 1-indexed orbits of 0..n-1 under the image tuples, by least point:
-    a union-find whose roots stay the least points of their blocks."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for images in perms:
-        for x, y in enumerate(images):
-            x, y = find(x), find(y)
-            if x != y:
-                root[max(x, y)] = min(x, y)
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x + 1)
-    return [tuple(block) for block in blocks.values()]
+    each point not yet labelled starts a block, which a walk along the images
+    labels whole (forward images run round a permutation's whole cycle)."""
+    label = [-1] * n
+    blocks: list[list[int]] = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        block = len(blocks)
+        blocks.append([])
+        label[start] = block
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for images in perms:
+                y = images[x]
+                if label[y] < 0:
+                    label[y] = block
+                    stack.append(y)
+    for x, block in enumerate(label):
+        blocks[block].append(x + 1)
+    return [tuple(block) for block in blocks]
 
 
 # exported name: (submodule, attribute)
@@ -97,12 +100,12 @@ _EXPORTS = {
     **{name: ("braids", name) for name in (
         "BraidWord", "braid_text", "closure_component_count", "concat",
         "exponent_sum", "half_twist", "orevkov_k1", "orevkov_k2", "parse_braid",
-        "permutation_of",
+        "permutation_of", "suggested_twist_count",
     )},
     **{name: ("bounds", name) for name in (
         "BoundReport", "OrevkovGapReport", "bound_reports_to_csv",
         "orevkov_gap_report", "qp_closure_genus", "schubert_bound",
-        "suggested_twist_count", "thm1_knot_bound", "thm1_link_bound",
+        "thm1_knot_bound", "thm1_link_bound",
     )},
     **{name: ("covering", name) for name in (
         "CoverData", "HomomorphismCover", "SurfaceShape", "add_branch_point",

@@ -19,7 +19,6 @@ __all__ = [
     "thm1_knot_bound",
     "thm1_link_bound",
     "qp_closure_genus",
-    "suggested_twist_count",
     "OrevkovGapReport",
     "orevkov_gap_report",
 ]
@@ -130,15 +129,6 @@ def qp_closure_genus(strands: int, bands: int) -> BoundReport:
     return _genus_report("genus4_exact", "qp_euler", value, inputs)
 
 
-def suggested_twist_count(n: int) -> int:
-    """Largest odd kink count not exceeding ceil(8 n^2 / 3), the choice that
-    keeps the gap family's genus ratio in its target window."""
-    if n < 2:
-        raise ValueError("the family starts at n = 2")
-    cap = (8 * n * n + 2) // 3
-    return cap if cap % 2 else cap - 1
-
-
 class OrevkovGapReport(_Record):
     """Comparison of the cabled family member against the satellite bound it
     would have to meet if it were an analytic satellite."""
@@ -169,12 +159,13 @@ def orevkov_gap_report(n: int, twists: int | None = None) -> OrevkovGapReport:
     """Build both family members and compare g4 of the cable against the
     degree-2 satellite bound 2 * g4(companion).
 
-    ``twists`` defaults to ``suggested_twist_count(n)`` and must be odd (the
-    parity check inside the genus formula rejects even values, for which the
-    closure is a two-component link).
+    ``twists`` defaults to ``braids.suggested_twist_count(n)`` and must be odd
+    (the parity check inside the genus formula rejects even values, for which
+    the closure is a two-component link).
     """
     # only this report builds braid words, so only it loads the braids layer
     from .braids import closure_component_count, exponent_sum, orevkov_k1, orevkov_k2
+    from .braids import suggested_twist_count
 
     if n < 2:
         raise ValueError("the family starts at n = 2")

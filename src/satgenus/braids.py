@@ -29,6 +29,7 @@ __all__ = [
     "half_twist",
     "orevkov_k1",
     "orevkov_k2",
+    "suggested_twist_count",
     "permutation_of",
     "closure_component_count",
 ]
@@ -172,6 +173,15 @@ def orevkov_k2(n: int, twists: int) -> BraidWord:
         letters.extend((2 * j, 2 * j - 1, 2 * j + 1, 2 * j))
     letters.extend(_half_twist_letters(2 * n) * 2)
     return BraidWord(2 * n, tuple(letters))
+
+
+def suggested_twist_count(n: int) -> int:
+    """Largest odd kink count not exceeding ceil(8 n^2 / 3), the choice that
+    keeps the gap family's genus ratio in its target window."""
+    if n < 2:
+        raise ValueError("the family starts at n = 2")
+    cap = (8 * n * n + 2) // 3
+    return cap if cap % 2 else cap - 1
 
 
 def permutation_of(w: BraidWord) -> Permutation:

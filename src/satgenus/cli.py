@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every subcommand assembles an output envelope
+Every request answers with an output envelope
 
     {"command": ..., "inputs": ..., "results": ..., "format_version": ...}
 
@@ -17,16 +17,20 @@ request, are rendered from the same table by :mod:`satgenus.usage`, which
 only they load, through ``build_parser``; no module imports argparse.
 ``main`` then imports the command group's handler module:
 :mod:`satgenus.cmd_braid`, :mod:`satgenus.cmd_bounds` (``bounds`` and
-``examples``), :mod:`satgenus.cmd_cover` or :mod:`satgenus.cmd_perm`.  A
-handler imports the library layers it calls when it runs and returns its exit
-code and envelope parts, which ``main`` prints; a refused request raises
-ValueError or ``BudgetExceededError``, which ``main`` prints as one ``error:``
-line.  So reading the command line loads no layer, only ``cover enumerate``
-loads the oracle, and no request loads ``json``: ``--json`` and ``--out``
-render the envelope with ``_json_text`` and load only the C module
-``_json``.  Neither the handler modules nor :mod:`satgenus.usage` import
-this module: run as ``python -m satgenus.cli`` it is ``__main__``, and
-importing it again would compile it a second time.
+``examples``), :mod:`satgenus.cmd_cover` or :mod:`satgenus.cmd_perm`, and
+calls the leaf's handler.  A handler takes the namespace, imports the layers
+it calls when it runs and returns ``(exit code, results, human lines)``; it
+raises ValueError for a usage or validation error and ``BudgetExceededError``
+for a refused request, which ``main`` prints as one ``error:`` line.  The
+envelope's ``command`` is the leaf's path and its ``inputs`` every value
+option of the leaf (no bool flag, ``--json`` or ``--out``) that is not None
+once the handler has run, so a handler that fills in a default writes it
+back onto the namespace.  Reading the command line loads no layer, only
+``cover enumerate`` loads the oracle, and no request loads ``json``:
+``--json`` and ``--out`` render the envelope with ``_json_text`` and load
+only the C module ``_json``.  Neither the handler modules nor
+:mod:`satgenus.usage` import this module: run as ``python -m satgenus.cli``
+it is ``__main__``, and importing it again would compile it a second time.
 
 ``main`` returns the exit code, for help and usage errors too, and is what
 in-process callers use.  The process entry point ``run`` calls it, flushes
@@ -163,12 +167,14 @@ def _json_text(value) -> str:
     return "".join(pieces)
 
 
-def _emit(args, command: str, inputs: dict, results: dict, human: list[str]) -> None:
+def _emit(args, results: dict, human: list[str]) -> None:
     if args.json or args.out is not None:
+        name = getattr(args, "subcommand", None)
+        dests = [_dest(flag) for flag, kind, _, _ in _options(args.command, name) if kind is not bool]
         envelope = {
-            "command": command,
+            "command": args.command if name is None else f"{args.command} {name}",
             "format_version": FORMAT_VERSION,
-            "inputs": inputs,
+            "inputs": {dest: value for dest in dests if (value := getattr(args, dest)) is not None},
             "results": results,
         }
         text = _json_text(envelope)
@@ -264,6 +270,16 @@ _OUTPUT_OPTIONS = [
 _HELP = ("-h", "--help")
 
 
+def _options(command: str, name: str | None) -> list:
+    """A leaf's own options; name is None for a command without subcommands."""
+    return next(options for sub, _, options in _COMMANDS[command][2] if sub == name)
+
+
+def _dest(flag: str) -> str:
+    """A flag's namespace attribute, as argparse names it."""
+    return flag[2:].replace("-", "_")
+
+
 def _takes(word: str) -> bool:
     """Whether a flag takes word as its value.  argparse's rule, less its
     reading of a word that starts with ``--``: a word that starts with ``-``
@@ -307,8 +323,7 @@ def _parse_by_table(argv: list[str]):
         names = [] if len(path) == 2 else [sub for sub, _, _ in _COMMANDS[word][2] if sub]
         what = "subcommand"
     command, name = path[0], path[1] if len(path) == 2 else None
-    module, leaves = _COMMANDS[command][1:]
-    options = next(opts for sub, _, opts in leaves if sub == name) + _OUTPUT_OPTIONS
+    options = _options(command, name) + _OUTPUT_OPTIONS
     kinds = {flag: kind for flag, kind, _, _ in options}
     values: dict[str, object] = {}
     for word in words:
@@ -344,9 +359,9 @@ def _parse_by_table(argv: list[str]):
     if name is not None:
         namespace["subcommand"] = name
     for flag, kind, _, _ in options:
-        namespace[flag[2:].replace("-", "_")] = values.get(flag, False if kind is bool else None)
+        namespace[_dest(flag)] = values.get(flag, False if kind is bool else None)
     handler = command if name is None else f"{command}_{name}"
-    namespace["run"] = (module, handler.replace("-", "_"))
+    namespace["run"] = (_COMMANDS[command][1], handler.replace("-", "_"))
     return SimpleNamespace(**namespace)
 
 
@@ -384,8 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        code, report = handler(args)
-        _emit(args, *report)
+        code, results, human = handler(args)
+        _emit(args, results, human)
     except ValueError as exc:
         _print_error(str(exc))
         return EXIT_USAGE

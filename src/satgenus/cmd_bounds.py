@@ -1,7 +1,7 @@
 """Handlers of ``satgenus bounds`` and ``satgenus examples orevkov``.
 
-See :mod:`satgenus.cmd_braid` for what a handler module may import and what
-a handler returns.
+See :mod:`satgenus.cli` for what a handler module may import and what a
+handler returns.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ def bounds(args):
     ]
     if args.pattern_genus is not None:
         reports.insert(1, schubert_bound(args.g4k, args.winding, args.pattern_genus))
-    inputs = {"g4k": args.g4k, "winding": args.winding}
-    if args.pattern_genus is not None:
-        inputs["pattern_genus"] = args.pattern_genus
     results = {"bounds": [r.to_json() for r in reports]}
     if args.csv:
         human = bound_reports_to_csv(reports).splitlines()
@@ -31,13 +28,14 @@ def bounds(args):
             f"{r.formula_id:<{width}}  {r.quantity:<13} value {r.value:>4}  clamped {r.clamped:>4}"
             for r in reports
         ]
-    return EXIT_OK, ("bounds", inputs, results, human)
+    return EXIT_OK, results, human
 
 
 def examples_orevkov(args):
     from .bounds import orevkov_gap_report
 
     report = orevkov_gap_report(args.n, args.twists)
+    args.twists = report.twists
     results = report.to_json()
     human = [
         f"n:                          {report.n}",
@@ -49,4 +47,4 @@ def examples_orevkov(args):
         f"analytic satellite bound:   {report.satellite_bound}",
         f"gap (cable beats bound):    {'yes' if report.gap else 'no'}",
     ]
-    return EXIT_OK, ("examples orevkov", {"n": args.n, "twists": report.twists}, results, human)
+    return EXIT_OK, results, human

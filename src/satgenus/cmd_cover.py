@@ -1,7 +1,7 @@
 """Handlers of ``satgenus cover cyclic|from-hom|enumerate``.
 
-See :mod:`satgenus.cmd_braid` for what a handler module may import and what
-a handler returns.
+See :mod:`satgenus.cli` for what a handler module may import and what a
+handler returns.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ def cover_cyclic(args):
     from .covering import cover_data_to_json, cyclic_cover
 
     data = cover_data_to_json(cyclic_cover(args.genus, args.degree))
-    return EXIT_OK, ("cover cyclic", {"genus": args.genus, "degree": args.degree},
-                     data, _cover_human(data))
+    return EXIT_OK, data, _cover_human(data)
 
 
 def cover_from_hom(args):
@@ -50,9 +49,7 @@ def cover_from_hom(args):
         f"boundary circle:  {results['boundary_permutation']}",
         f"orbits:           {results['orbits']}",
     ]
-    return EXIT_OK, ("cover from-hom",
-                     {"genus": args.genus, "degree": args.degree, "images": args.images},
-                     results, human)
+    return EXIT_OK, results, human
 
 
 def cover_enumerate(args):
@@ -80,5 +77,5 @@ def cover_enumerate(args):
         ]
         if args.sharpness:
             human.append(f"sharpness ok:      {results['sharpness']['ok']}")
-    inputs = {"genus": args.genus, "degree": args.degree, "budget": report.budget}
-    return (EXIT_INVARIANT if failed else EXIT_OK), ("cover enumerate", inputs, results, human)
+    args.budget = report.budget
+    return (EXIT_INVARIANT if failed else EXIT_OK), results, human

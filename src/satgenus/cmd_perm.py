@@ -1,7 +1,7 @@
 """Handlers of ``satgenus perm commutator|examples|ore``.
 
-See :mod:`satgenus.cmd_braid` for what a handler module may import and what
-a handler returns.
+See :mod:`satgenus.cli` for what a handler module may import and what a
+handler returns.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ def perm_commutator(args):
         f"cycle type: {results['cycle_type']}",
         f"even:       {results['even']}",
     ]
-    return EXIT_OK, ("perm commutator", {"a": args.a, "b": args.b, "degree": args.degree},
-                     results, human)
+    return EXIT_OK, results, human
 
 
 def perm_examples(args):
@@ -64,7 +63,7 @@ def perm_examples(args):
         f"cycle type: {results['cycle_type']}",
         f"transitive: {results['transitive']}",
     ]
-    return EXIT_OK, ("perm examples", {"type": args.type, "m": args.m}, results, human)
+    return EXIT_OK, results, human
 
 
 def perm_ore(args):
@@ -97,4 +96,4 @@ def perm_ore(args):
             f"b:       {results['witness']['b']}",
             f"[a, b]:  {cycles_str(commutator(a, b))}",
         ]
-    return EXIT_OK, ("perm ore", {"target": args.target, "degree": args.degree}, results, human)
+    return EXIT_OK, results, human

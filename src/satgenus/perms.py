@@ -169,8 +169,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 def orbits(gens: Sequence[Permutation], degree: int | None = None) -> list[tuple[int, ...]]:
     """Orbits of ``{1..degree}`` under the group generated by ``gens``.
 
-    Computed by joining each point with its images in the package's
-    union-find, ``satgenus._orbits``; the group itself is never enumerated.
+    Computed by one walk along the generators' images, the package's
+    ``satgenus._orbits``; the group itself is never enumerated.
     An empty generator list needs an explicit degree and yields singletons.
     """
     if gens:

@@ -1,8 +1,9 @@
 """Small independent reimplementations used as test oracles.
 
 Everything here favors directness over speed and deliberately takes a
-different route than the package: orbits by breadth-first search instead of
-union-find, boundary permutations by pointwise application instead of table
+different route than the package: orbits by breadth-first search along
+images and inverse images, or by the union-find the package once used,
+instead of one walk along forward images, boundary permutations by pointwise application instead of table
 products, braid permutations by composing transposition maps, and tuple
 counts by class products and one genus level per handle instead of hook
 lengths and contents, and cycle notation by a regular expression instead
@@ -179,6 +180,28 @@ def naive_cycles(p):
             x = p[x]
         out.append(tuple(cyc))
     return out
+
+
+def union_find_orbits(n, *perms):
+    """``satgenus._orbits`` by a union-find whose roots stay the least points
+    of their blocks, the route the package took before its labelled walk."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for images in perms:
+        for x, y in enumerate(images):
+            x, y = find(x), find(y)
+            if x != y:
+                root[max(x, y)] = min(x, y)
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x + 1)
+    return [tuple(block) for block in blocks.values()]
 
 
 def naive_orbits(images, degree):

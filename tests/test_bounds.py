@@ -9,10 +9,10 @@ from satgenus.bounds import (
     orevkov_gap_report,
     qp_closure_genus,
     schubert_bound,
-    suggested_twist_count,
     thm1_knot_bound,
     thm1_link_bound,
 )
+from satgenus.braids import suggested_twist_count
 
 
 def test_report_validation():

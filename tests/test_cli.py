@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -549,7 +550,10 @@ def test_the_benchmark_set_up_runs_without_argparse(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", VALID_COMMANDS + [
+    # the default kink count comes from the braids layer, not from bounds
+    ["braid", "orevkov", "--family", "k2", "--n", "20"],
+], ids=" ".join)
 def test_subcommand_loads_only_its_layers(argv):
     expected = {"satgenus", "satgenus.cli"}
     expected |= {f"satgenus.{name}" for name in SUBCOMMAND_MODULES[_subcommand(argv)]}
@@ -734,8 +738,8 @@ def test_cover_enumerate_under_json_builds_no_human_lines(monkeypatch):
     args = SimpleNamespace(genus=2000, degree=3, budget=None, sharpness=True, json=True, out=None)
     sys.set_int_max_str_digits(640)
     try:
-        code, (command, _, results, human) = cmd_cover.cover_enumerate(args)
-        assert (code, command, human) == (EXIT_OK, "cover enumerate", [])
+        code, results, human = cmd_cover.cover_enumerate(args)
+        assert (code, human) == (EXIT_OK, [])
         assert results["total_tuples"] == 6**4000
         with pytest.raises(ValueError, match="integer string conversion"):
             cmd_cover.cover_enumerate(SimpleNamespace(**{**vars(args), "json": False}))
@@ -1513,3 +1517,51 @@ def test_entry_points_end_through_run():
     assert '[project.scripts]\nsatgenus = "satgenus.cli:run"\n' in pyproject
     source = (root / "src" / "satgenus" / "cli.py").read_text()
     assert source.endswith('\nif __name__ == "__main__":\n    run()\n')
+
+
+# prints whether the interpreter is CPython, and its minor version
+CPYTHON_PROBE = "import sys; print(sys.implementation.name == 'cpython', sys.version_info[1])"
+
+
+def _cpython(minors):
+    """The first of the CPython 3.<minor> interpreters, in the order of
+    minors, that starts: ``python3.<minor>`` on PATH, else a pyenv install
+    of it.  None if none starts (a pyenv shim exits non-zero when no active
+    version provides the command)."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    for minor in minors:
+        candidates = [shutil.which(f"python3.{minor}")]
+        candidates += sorted(pyenv.glob(f"versions/3.{minor}*/bin/python"), reverse=True)
+        for python in filter(None, candidates):
+            try:
+                proc = subprocess.run([python, "-c", CPYTHON_PROBE],
+                                      capture_output=True, text=True, timeout=60)
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if proc.returncode == 0 and proc.stdout.split() == ["True", str(minor)]:
+                return python
+    return None
+
+
+def _outputs(python):
+    """Exit code, stdout and stderr of every VALID_COMMANDS line under --json
+    and of every demo, run by python on the source tree."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}  # conftest put src on PYTHONPATH
+    runs = [["-m", "satgenus.cli", *argv, "--json"] for argv in VALID_COMMANDS]
+    runs += [[str(demo)] for demo in sorted((root / "demos").glob("*.py"))]
+    assert len(runs) > len(VALID_COMMANDS)
+    return [subprocess.run([python, *run], capture_output=True, text=True, env=env, timeout=120)
+            for run in runs]
+
+
+@pytest.mark.parametrize("minors", [
+    [10],  # pyproject.toml's requires-python floor
+    range(30, 10, -1),  # the newest CPython found
+], ids=["floor", "newest"])
+def test_other_interpreters_print_what_this_one_prints(minors):
+    python = _cpython(minors)
+    if python is None:
+        pytest.skip(f"no CPython 3.{minors[0]}..3.{minors[-1]} starts here")
+    expected = [(p.returncode, p.stdout, p.stderr) for p in _outputs(sys.executable)]
+    assert [(p.returncode, p.stdout, p.stderr) for p in _outputs(python)] == expected

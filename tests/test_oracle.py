@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satgenus import oracle
+from satgenus.bounds import thm1_knot_bound, thm1_link_bound
 from satgenus.covering import HomomorphismCover, cover_from_homomorphism
 from satgenus.oracle import (
     DEFAULT_BUDGET,
@@ -187,6 +188,15 @@ def test_floor_for_connected_boundary():
     assert enumerate_covers(1, 2).min_genus_connected_boundary is None
     assert enumerate_covers(1, 4).min_genus_connected_boundary is None
     assert enumerate_covers(2, 2).min_genus_connected_boundary is None
+
+
+def test_the_oracle_certifies_the_floors_that_bounds_prints():
+    # the oracle loads no other layer, so it states Theorem 1's floors
+    # itself; they must be the values that ``satgenus bounds`` prints
+    for g, n in itertools.product(range(1, 7), range(1, 13)):
+        notes = verify_sharpness(g, n).notes
+        assert notes["unbranched_floor"] == thm1_link_bound(g, n).value, (g, n)
+        assert notes["connected_boundary_floor"] == thm1_knot_bound(g, n).value, (g, n)
 
 
 def test_min_witnesses_reproduce_their_minima():

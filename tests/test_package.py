@@ -25,12 +25,12 @@ EXPORTS = {
     **{name: ("braids", name) for name in [
         "BraidWord", "braid_text", "closure_component_count", "concat",
         "exponent_sum", "half_twist", "orevkov_k1", "orevkov_k2", "parse_braid",
-        "permutation_of",
+        "permutation_of", "suggested_twist_count",
     ]},
     **{name: ("bounds", name) for name in [
         "BoundReport", "OrevkovGapReport", "bound_reports_to_csv",
         "orevkov_gap_report", "qp_closure_genus", "schubert_bound",
-        "suggested_twist_count", "thm1_knot_bound", "thm1_link_bound",
+        "thm1_knot_bound", "thm1_link_bound",
     ]},
     **{name: ("covering", name) for name in [
         "CoverData", "HomomorphismCover", "SurfaceShape", "add_branch_point",

@@ -22,6 +22,7 @@ from satgenus.perms import (
     parse_cycles,
 )
 
+import satgenus
 from satgenus import oracle, perms as perms_module
 
 from _frobenius import partitions
@@ -33,6 +34,7 @@ from _naive import (
     naive_first_commutator_pairs,
     naive_orbits,
     naive_parse_cycles,
+    union_find_orbits,
 )
 
 
@@ -239,6 +241,19 @@ def test_orbits_example():
     assert orbits([p, q]) == [(1, 2), (3, 4)]
     assert not is_transitive([p, q])
     assert is_transitive([parse_cycles("(1 2 3 4)", 4)])
+
+
+@st.composite
+def image_tuples(draw, max_degree=12, max_generators=3):
+    n = draw(st.integers(0, max_degree))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=max_generators))
+    return n, [tuple(g) for g in gens]
+
+
+@given(image_tuples())
+def test_orbit_walk_matches_the_union_find(case):
+    n, gens = case
+    assert satgenus._orbits(n, *gens) == union_find_orbits(n, *gens)
 
 
 @given(st.lists(perms(min_degree=5, max_degree=5), max_size=4))
