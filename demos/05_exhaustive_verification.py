@@ -15,14 +15,14 @@ cover shape, so deep genus stays cheap.  A witness is a tuple of 0-indexed
 image tuples; ``Permutation`` wraps each entry for printing or arithmetic.
 """
 
-from satgenus import enumerate_covers, realizability_table, verify_sharpness
+from satgenus import enumerate_covers
 from satgenus.perms import Permutation, cycles_str
 
 GRID = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 5), (10, 5)]
 
 for g, n in GRID:
     r = enumerate_covers(g, n)
-    sharp = verify_sharpness(g, n)
+    sharp = r.sharpness()
     floor_all = n * g - (n - 1)
     floor_k1 = n * g - (n - 1) // 2
     print(f"g={g} n={n}: {r.total_tuples} tuples, "
@@ -41,6 +41,6 @@ for g, n in GRID:
 # change this table.
 print()
 print("realizable (components, boundary, genus) classes at g=1, n=3:")
-for (m, k, genus), wit in realizability_table(1, 3).items():
+for (m, k, genus), wit in enumerate_covers(1, 3).shapes.items():
     images = ", ".join(cycles_str(Permutation(p)) for p in wit)
     print(f"  m={m} k={k} genus={genus}: [{images}]")

@@ -114,7 +114,6 @@ _EXPORTS = {
     )},
     **{name: ("oracle", name) for name in (
         "EnumerationReport", "SharpnessReport", "enumerate_covers",
-        "realizability_table", "verify_sharpness",
     )},
     **{name: ("perms", name) for name in (
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",

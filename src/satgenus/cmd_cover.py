@@ -53,13 +53,13 @@ def cover_from_hom(args):
 
 
 def cover_enumerate(args):
-    from .oracle import enumerate_covers, verify_sharpness
+    from .oracle import enumerate_covers
 
     report = enumerate_covers(args.genus, args.degree, budget=args.budget)
     results = report.to_json()
     failed = bool(report.violations)
     if args.sharpness:
-        sharp = verify_sharpness(args.genus, args.degree, budget=args.budget)
+        sharp = report.sharpness()
         results["sharpness"] = sharp.to_json()
         failed = failed or not sharp.ok
     # --json prints no human line, so its counts skip the quadratic

@@ -22,7 +22,8 @@ walk over the partitions of every size j <= n counts degrees 1..n by boundary
 circles (``_boundary_histograms``), and the exponential formula turns them
 into the counts of every cover shape (m components, k boundary circles).
 Each orbit carries an even boundary product, so every tuple has k = n mod 2
-and m <= k.  The sharpness check and the realizability table read no counts.
+and m <= k.  An enumeration's sharpness report reads the shapes that its
+counts certify, and counts nothing again.
 
 The witnesses are built by a rule (``_first_pairs``), with no table of S_n.
 Padding a pair with identities keeps its shape, so a shape's first tuple at
@@ -68,7 +69,6 @@ __all__ = [
     "SharpnessReport",
     "enumerate_covers",
     "verify_sharpness",
-    "realizability_table",
 ]
 
 DEFAULT_BUDGET = 10**9
@@ -225,13 +225,13 @@ def _boundary_histograms(g: int, n: int) -> list[list[int]]:
     return hists[1:]
 
 
-def _report_histogram(g: int, n: int, rows: dict) -> list[int]:
+def _report_histogram(g: int, n: int, rows: dict) -> dict[int, int]:
     """The boundary histogram of an enumeration: the shape counts summed
     over components, whose support must be the shapes of ``rows``."""
     shapes = _shape_histogram(g, n)
     if shapes.keys() != {(m, k) for m, k, _ in rows}:
         raise AssertionError(f"the shapes at genus {g} are not those of the pairs; this is a bug")
-    khist = [0] * (n + 1)
+    khist = dict.fromkeys(sorted({k for _, k in shapes}), 0)
     for (_, k), count in shapes.items():
         khist[k] += count
     return khist
@@ -271,38 +271,34 @@ def _class_finding(check: str, key: tuple[int, int, int], wit: tuple, **extra) -
     return finding
 
 
+def _floors(g: int, n: int) -> tuple[int, int]:
+    """The genus floors of all covers and of covers with connected boundary."""
+    return n * g - (n - 1), n * g - (n - 1) // 2
+
+
 def _analyze(base_genus: int, degree: int, rows: dict) -> dict:
-    """Floor checks and minima over the achieved shape classes.
+    """Floor checks and minima over the shape classes, in order, as the
+    fields of their report.
 
     Every check is a function of the shape class alone, so verifying classes
     is equivalent to verifying tuples; witnesses are the class witnesses.
     """
-    g, n = base_genus, degree
-    bound_all = n * g - (n - 1)
-    bound_k1 = n * g - (n - 1) // 2
+    bound_all, bound_k1 = _floors(base_genus, degree)
     violations: list[dict] = []
-    counterexamples: list[dict] = []
-    for key in sorted(rows):
-        m, k, genus = key
-        wit = rows[key]
+    for key, wit in rows.items():
+        _, k, genus = key
         if genus < bound_all:
             violations.append(_class_finding("unbranched_floor", key, wit))
-        if (genus == bound_all) != (m == 1 and k == n):
-            counterexamples.append(_class_finding("unbranched_floor_equality", key, wit))
-        if k == 1:
-            if genus < bound_k1:
-                violations.append(_class_finding("connected_boundary_floor", key, wit))
-            if n % 2 == 0:
-                counterexamples.append(_class_finding("connected_boundary_parity", key, wit))
-            elif genus != bound_k1 or m != 1:
-                counterexamples.append(_class_finding("connected_boundary_equality", key, wit))
+        if k == 1 and genus < bound_k1:
+            violations.append(_class_finding("connected_boundary_floor", key, wit))
+    min_overall = min((genus, wit) for (_, _, genus), wit in rows.items())
+    min_k1 = min(((genus, wit) for (_, k, genus), wit in rows.items() if k == 1), default=(None, None))
     return {
-        "bound_all": bound_all,
-        "bound_k1": bound_k1,
-        "violations": violations,
-        "counterexamples": counterexamples,
-        "min_overall": min((genus, wit) for (_, _, genus), wit in rows.items()),
-        "min_k1": min(((genus, wit) for (_, k, genus), wit in rows.items() if k == 1), default=None),
+        "violations": tuple(violations),
+        "min_genus_overall": min_overall[0],
+        "min_overall_witness": min_overall[1],
+        "min_genus_connected_boundary": min_k1[0],
+        "connected_boundary_witness": min_k1[1],
     }
 
 
@@ -320,7 +316,12 @@ def _finding_json(finding: dict) -> dict:
 
 
 class EnumerationReport(_Record):
-    """Aggregate of one full scan of S_degree^(2*base_genus)."""
+    """Aggregate of one full scan of S_degree^(2*base_genus).
+
+    ``shapes`` maps every cover shape (components, boundary circles, genus),
+    in order, to its first tuple: the shapes whose counts the scan checked.
+    ``to_json`` leaves it out, and ``sharpness`` reads it.
+    """
 
     base_genus: int
     degree: int
@@ -332,6 +333,7 @@ class EnumerationReport(_Record):
     min_genus_connected_boundary: int | None
     connected_boundary_witness: tuple[tuple[int, ...], ...] | None
     boundary_k_histogram: dict[int, int]
+    shapes: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]]
 
     def to_json(self) -> dict:
         overall = _witness_json(self.min_overall_witness)
@@ -353,6 +355,93 @@ class EnumerationReport(_Record):
             },
         }
 
+    def sharpness(self) -> SharpnessReport:
+        """Where the genus floors are attained, read off this scan's shapes,
+        violations and minima: no budget check, pair or count of its own.
+
+        Unbranched covers: the floor n*g - (n - 1) holds, is attained, and
+        equality happens exactly for connected covers with the full n boundary
+        circles.  Connected-boundary covers: the floor n*g - floor((n-1)/2)
+        holds; for odd degree it is attained unbranched, with equality exactly on
+        connected covers; for even degree no unbranched cover has connected
+        boundary, and the minimum over one-branch-point covers (built by merging
+        two boundary circles of a connected cover) equals n*g - (n-2)/2.  The
+        one-branch-point stratum never attains the unbranched floor.
+
+        Which boundary counts happen to share the connected-boundary floor value
+        is recorded in the notes without being asserted.
+        """
+        g, n, rows = self.base_genus, self.degree, self.shapes
+        bound_all, bound_k1 = _floors(g, n)
+        counterexamples = list(self.violations)
+        for key, wit in rows.items():
+            m, k, genus = key
+            if (genus == bound_all) != (m == 1 and k == n):
+                counterexamples.append(_class_finding("unbranched_floor_equality", key, wit))
+            if k == 1:
+                if n % 2 == 0:
+                    counterexamples.append(_class_finding("connected_boundary_parity", key, wit))
+                elif genus != bound_k1 or m != 1:
+                    counterexamples.append(_class_finding("connected_boundary_equality", key, wit))
+
+        # One simple branch point on top of each connected cover shape: merging
+        # two boundary circles (k >= 2) raises the genus by one, splitting one
+        # circle (possible while k < n) keeps the genus.  Either move drops the
+        # Euler characteristic by one and keeps the cover connected.  Each
+        # (k, genus) keeps the first (move, witness) that reaches it.
+        branched: dict[tuple[int, int], tuple[str, tuple]] = {}
+        for (m, k, genus), wit in rows.items():
+            if m == 1 and k >= 2:
+                branched.setdefault((k - 1, genus + 1), ("merge", wit))
+            if m == 1 and k < n:
+                branched.setdefault((k + 1, genus), ("split", wit))
+
+        for (k, genus), (move, wit) in sorted(branched.items()):
+            if genus <= bound_all:
+                check = "branched_floor_equality" if genus == bound_all else "branched_floor"
+                counterexamples.append(_class_finding(check, (1, k, genus), wit, move=move))
+            if k == 1 and genus < bound_k1:
+                counterexamples.append(
+                    _class_finding("branched_connected_boundary_floor", (1, k, genus), wit, move=move)
+                )
+
+        found = {c["check"] for c in counterexamples}
+        min_k1_branched = min((genus for (k, genus) in branched if k == 1), default=None)
+        min_k1_unbranched = self.min_genus_connected_boundary
+        checks: dict[str, bool] = {
+            "unbranched_floor_holds": "unbranched_floor" not in found,
+            "unbranched_floor_attained": self.min_genus_overall == bound_all,
+            "unbranched_floor_equality_characterized": "unbranched_floor_equality" not in found,
+            "connected_boundary_floor_holds": "connected_boundary_floor" not in found,
+            "branched_stays_above_unbranched_floor": not found & {"branched_floor", "branched_floor_equality"},
+        }
+        if n % 2:
+            checks["connected_boundary_floor_attained_unbranched"] = min_k1_unbranched == bound_k1
+            checks["no_branched_connected_boundary"] = min_k1_branched is None
+        else:
+            checks["no_unbranched_connected_boundary"] = min_k1_unbranched is None
+            checks["connected_boundary_floor_attained_branched"] = min_k1_branched == bound_k1
+
+        ok = all(checks.values()) and not counterexamples
+        notes = {
+            "unbranched_floor": bound_all,
+            "connected_boundary_floor": bound_k1,
+            "min_genus_overall": self.min_genus_overall,
+            "min_genus_connected_boundary_unbranched": min_k1_unbranched,
+            "min_genus_connected_boundary_branched": min_k1_branched,
+            "floor_value_boundary_counts_unbranched": sorted(
+                {k for (_, k, genus) in rows if genus == bound_k1}
+            ),
+        }
+        return SharpnessReport(
+            base_genus=g,
+            degree=n,
+            ok=ok,
+            checks=checks,
+            counterexamples=tuple(counterexamples),
+            notes=notes,
+        )
+
 
 def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) -> EnumerationReport:
     """Account for every monodromy tuple and report minima, histogram and any
@@ -362,21 +451,15 @@ def enumerate_covers(base_genus: int, degree: int, budget: int | None = None) ->
     10^9).
     """
     limit = _check_budget(base_genus, degree, budget)
-    rows = _shape_rows(base_genus, degree)
-    a = _analyze(base_genus, degree, rows)
-    khist = _report_histogram(base_genus, degree, rows)
-    min_k1 = a["min_k1"]
+    shapes = dict(sorted(_shape_rows(base_genus, degree).items()))
     return EnumerationReport(
         base_genus=base_genus,
         degree=degree,
         total_tuples=math.factorial(degree) ** (2 * base_genus),
         budget=limit,
-        violations=tuple(a["violations"]),
-        min_genus_overall=a["min_overall"][0],
-        min_overall_witness=a["min_overall"][1],
-        min_genus_connected_boundary=None if min_k1 is None else min_k1[0],
-        connected_boundary_witness=None if min_k1 is None else min_k1[1],
-        boundary_k_histogram={k: v for k, v in enumerate(khist) if v},
+        boundary_k_histogram=_report_histogram(base_genus, degree, shapes),
+        shapes=shapes,
+        **_analyze(base_genus, degree, shapes),
     )
 
 
@@ -402,91 +485,7 @@ class SharpnessReport(_Record):
 
 
 def verify_sharpness(base_genus: int, degree: int, budget: int | None = None) -> SharpnessReport:
-    """Confirm by exhaustion where the genus floors are attained.
-
-    Unbranched covers: the floor n*g - (n - 1) holds, is attained, and
-    equality happens exactly for connected covers with the full n boundary
-    circles.  Connected-boundary covers: the floor n*g - floor((n-1)/2)
-    holds; for odd degree it is attained unbranched, with equality exactly on
-    connected covers; for even degree no unbranched cover has connected
-    boundary, and the minimum over one-branch-point covers (built by merging
-    two boundary circles of a connected cover) equals n*g - (n-2)/2.  The
-    one-branch-point stratum never attains the unbranched floor.
-
-    Which boundary counts happen to share the connected-boundary floor value
-    is recorded in the notes without being asserted.
-    """
-    g, n = base_genus, degree
-    _check_budget(g, n, budget)
-    rows = _shape_rows(g, n)
-    a = _analyze(g, n, rows)
-    bound_all, bound_k1 = a["bound_all"], a["bound_k1"]
-    counterexamples = a["violations"] + a["counterexamples"]
-
-    # One simple branch point on top of each connected cover shape: merging
-    # two boundary circles (k >= 2) raises the genus by one, splitting one
-    # circle (possible while k < n) keeps the genus.  Either move drops the
-    # Euler characteristic by one and keeps the cover connected.  Each
-    # (k, genus) keeps the first (move, witness) that reaches it.
-    branched: dict[tuple[int, int], tuple[str, tuple]] = {}
-    for (m, k, genus), wit in sorted(rows.items()):
-        if m == 1 and k >= 2:
-            branched.setdefault((k - 1, genus + 1), ("merge", wit))
-        if m == 1 and k < n:
-            branched.setdefault((k + 1, genus), ("split", wit))
-
-    for (k, genus), (move, wit) in sorted(branched.items()):
-        if genus <= bound_all:
-            check = "branched_floor_equality" if genus == bound_all else "branched_floor"
-            counterexamples.append(_class_finding(check, (1, k, genus), wit, move=move))
-        if k == 1 and genus < bound_k1:
-            counterexamples.append(
-                _class_finding("branched_connected_boundary_floor", (1, k, genus), wit, move=move)
-            )
-
-    found = {c["check"] for c in counterexamples}
-    min_k1_branched = min((genus for (k, genus) in branched if k == 1), default=None)
-    min_k1_unbranched = None if a["min_k1"] is None else a["min_k1"][0]
-    checks: dict[str, bool] = {
-        "unbranched_floor_holds": "unbranched_floor" not in found,
-        "unbranched_floor_attained": a["min_overall"][0] == bound_all,
-        "unbranched_floor_equality_characterized": "unbranched_floor_equality" not in found,
-        "connected_boundary_floor_holds": "connected_boundary_floor" not in found,
-        "branched_stays_above_unbranched_floor": not found & {"branched_floor", "branched_floor_equality"},
-    }
-    if n % 2:
-        checks["connected_boundary_floor_attained_unbranched"] = min_k1_unbranched == bound_k1
-        checks["no_branched_connected_boundary"] = min_k1_branched is None
-    else:
-        checks["no_unbranched_connected_boundary"] = min_k1_unbranched is None
-        checks["connected_boundary_floor_attained_branched"] = min_k1_branched == bound_k1
-
-    ok = all(checks.values()) and not counterexamples
-    notes = {
-        "unbranched_floor": bound_all,
-        "connected_boundary_floor": bound_k1,
-        "min_genus_overall": a["min_overall"][0],
-        "min_genus_connected_boundary_unbranched": min_k1_unbranched,
-        "min_genus_connected_boundary_branched": min_k1_branched,
-        "floor_value_boundary_counts_unbranched": sorted(
-            {k for (_, k, genus) in rows if genus == bound_k1}
-        ),
-    }
-    return SharpnessReport(
-        base_genus=g,
-        degree=n,
-        ok=ok,
-        checks=checks,
-        counterexamples=tuple(counterexamples),
-        notes=notes,
-    )
-
-
-def realizability_table(
-    base_genus: int, degree: int, budget: int | None = None
-) -> dict[tuple[int, int, int], tuple[tuple[int, ...], ...]]:
-    """Every achievable (components, boundary circles, genus) triple of an
-    unbranched cover, with the lexicographically first witness tuple as
-    image tuples."""
-    _check_budget(base_genus, degree, budget)
-    return dict(sorted(_shape_rows(base_genus, degree).items()))
+    """Confirm by exhaustion where the genus floors are attained: the
+    ``sharpness`` of ``enumerate_covers`` at the same budget, whose shapes
+    its counts certify."""
+    return enumerate_covers(base_genus, degree, budget).sharpness()

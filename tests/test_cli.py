@@ -607,15 +607,15 @@ def test_cover_enumerate_sharpness(capsys):
 
 
 def test_cover_enumerate_sharpness_scans_once(capsys, monkeypatch):
-    # the enumeration counts degrees 1..4 at genus 2 in one walk for its
-    # shape check, and the sharpness check counts nothing
-    histograms = []
-    histogram = oracle._boundary_histograms
-    monkeypatch.setattr(oracle, "_boundary_histograms",
-                        lambda g, n: histograms.append((g, n)) or histogram(g, n))
-    code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness"])
+    # one pass: the budget check, the witness rule and the walk that counts
+    # degrees 1..4 at genus 2 run once, and the sharpness report reads them
+    calls = {name: [] for name in ("_check_budget", "_first_pairs", "_boundary_histograms")}
+    for name, args in calls.items():
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, real=real, args=args: args.append(a) or real(*a))
+    code = main(["cover", "enumerate", "--genus", "2", "--degree", "4", "--sharpness", "--json"])
     assert code == EXIT_OK
-    assert histograms == [(2, 4)]
+    assert calls == {"_check_budget": [(2, 4, None)], "_first_pairs": [(4,)], "_boundary_histograms": [(2, 4)]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -683,6 +683,7 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
         min_genus_connected_boundary=real.min_genus_connected_boundary,
         connected_boundary_witness=real.connected_boundary_witness,
         boundary_k_histogram=real.boundary_k_histogram,
+        shapes=real.shapes,
     )
     # the handler reads the oracle's functions at call time
     monkeypatch.setattr(oracle, "enumerate_covers", lambda *a, **k: rigged)
@@ -693,7 +694,7 @@ def test_cover_enumerate_violation_exit_code(capsys, monkeypatch):
 
 
 def test_cover_enumerate_sharpness_failure_exit_code(capsys, monkeypatch):
-    real = oracle.verify_sharpness(1, 2)
+    real = oracle.enumerate_covers(1, 2).sharpness()
     rigged = oracle.SharpnessReport(
         base_genus=real.base_genus,
         degree=real.degree,
@@ -702,7 +703,7 @@ def test_cover_enumerate_sharpness_failure_exit_code(capsys, monkeypatch):
         counterexamples=real.counterexamples,
         notes=real.notes,
     )
-    monkeypatch.setattr(oracle, "verify_sharpness", lambda *a, **k: rigged)
+    monkeypatch.setattr(oracle.EnumerationReport, "sharpness", lambda self: rigged)
     code = main(["cover", "enumerate", "--genus", "1", "--degree", "2", "--sharpness"])
     assert code == EXIT_INVARIANT
 

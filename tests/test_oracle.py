@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satgenus import oracle
+from satgenus import cli, oracle
 from satgenus.bounds import thm1_knot_bound, thm1_link_bound
 from satgenus.covering import HomomorphismCover, cover_from_homomorphism
 from satgenus.oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     enumerate_covers,
-    realizability_table,
     verify_sharpness,
 )
 from satgenus import perms as perms_module
@@ -68,7 +67,7 @@ def test_budget_default(monkeypatch):
     # no budget means DEFAULT_BUDGET in every entry point: the 4 * 10^6
     # witness entries of two million handles at degree 1 are over it
     _refuse_work(monkeypatch)
-    for run in (enumerate_covers, verify_sharpness, realizability_table):
+    for run in (enumerate_covers, verify_sharpness):
         with pytest.raises(BudgetExceededError) as default:
             run(2 * 10**6, 1)
         with pytest.raises(BudgetExceededError) as explicit:
@@ -90,8 +89,6 @@ def test_budget_argument():
         enumerate_covers(1, 5, budget=100)
     assert "4676" in str(exc.value)
     assert "100" in str(exc.value)
-    with pytest.raises(BudgetExceededError):
-        realizability_table(1, 5, budget=100)
     with pytest.raises(BudgetExceededError):
         verify_sharpness(1, 5, budget=100)
 
@@ -136,7 +133,7 @@ def test_histogram_counts_every_tuple():
 
 
 def test_realizability_genus1_degree3_frozen():
-    table = realizability_table(1, 3)
+    table = enumerate_covers(1, 3).shapes
     rendered = {key: _cycle_texts(wit) for key, wit in table.items()}
     assert rendered == {
         (1, 1, 2): ["(2 3)", "(1 2)"],
@@ -148,7 +145,7 @@ def test_realizability_genus1_degree3_frozen():
 
 def test_realizability_witnesses_reproduce_their_class():
     for g, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
-        for (m, k, genus), wit in realizability_table(g, n).items():
+        for (m, k, genus), wit in enumerate_covers(g, n).shapes.items():
             cover = cover_from_homomorphism(_hom(g, n, wit)).cover
             assert (cover.components, cover.boundary_components, cover.genus_total) == (
                 m,
@@ -165,12 +162,12 @@ def test_scan_agrees_with_naive_exhaustion():
             m, k, genus = naive_cover_shape(g, images)
             classes.setdefault((m, k, genus), images)
             hist[k] = hist.get(k, 0) + 1
-        table = realizability_table(g, n)
-        assert set(table) == set(classes)
+        r = enumerate_covers(g, n)
+        assert set(r.shapes) == set(classes)
         # itertools.product is lexicographic, so first seen = lex first
-        for key, wit in table.items():
+        for key, wit in r.shapes.items():
             assert wit == classes[key]
-        assert enumerate_covers(g, n).boundary_k_histogram == hist
+        assert r.boundary_k_histogram == hist
 
 
 def test_floor_for_unbranched_covers():
@@ -323,10 +320,14 @@ E4, A4, B4 = (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)
         ),
     ],
 )
-def test_shapes_below_the_floors_fail_their_checks(monkeypatch, n, extra, failing, findings):
-    real = oracle._shape_rows
-    monkeypatch.setattr(oracle, "_shape_rows", lambda g, n: {**real(g, n), **extra})
-    report = verify_sharpness(1, n)
+def test_shapes_below_the_floors_fail_their_checks(n, extra, failing, findings):
+    # the extra shapes join a report's rows, and the analysis gives the
+    # report its violations and minima; no count could have these shapes
+    real = enumerate_covers(1, n)
+    rows = dict(sorted({**real.shapes, **extra}.items()))
+    fields = {name: getattr(real, name) for name in real._fields}
+    rigged = oracle.EnumerationReport(**{**fields, "shapes": rows, **oracle._analyze(1, n, rows)})
+    report = rigged.sharpness()
     assert not report.ok
     assert {name for name, held in report.checks.items() if not held} == failing
     assert [
@@ -341,10 +342,12 @@ def test_shapes_below_the_floors_fail_their_checks(monkeypatch, n, extra, failin
 
 
 def test_enumeration_and_sharpness_share_one_class_table():
-    # all three entry points build the same pairs; make sure they agree on them
-    direct = realizability_table(2, 4)
+    # the sharpness report reads the enumeration's shapes; both entry
+    # points give it
     r1 = enumerate_covers(2, 4)
+    direct = r1.shapes
     sharp = verify_sharpness(2, 4)
+    assert sharp == r1.sharpness()
     assert r1.min_genus_overall == min(genus for (_, _, genus) in direct)
     assert sharp.notes["min_genus_overall"] == r1.min_genus_overall
     assert sharp.notes["floor_value_boundary_counts_unbranched"] == sorted(
@@ -352,9 +355,28 @@ def test_enumeration_and_sharpness_share_one_class_table():
     )
 
 
+@pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (1, 4), (2, 4), (3, 5), (10, 5)])
+def test_sharpness_reads_only_its_report(monkeypatch, g, n):
+    # the scan runs once: the sharpness report checks no budget, builds no
+    # pair, forms no count and reruns no analysis, and its shapes stay out
+    # of the printed report
+    report = enumerate_covers(g, n)
+    expected = verify_sharpness(g, n)
+
+    def refuse(*args):
+        raise AssertionError("the sharpness report reran the scan")
+
+    for name in ("_check_budget", "_first_pairs", "_shape_rows", "_shape_histogram",
+                 "_boundary_histograms", "_analyze"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert report.sharpness() == expected
+    assert "shapes" not in report.to_json()
+    assert list(report.shapes) == sorted(report.shapes)
+
+
 def test_witness_entries_are_image_tuples():
     r = enumerate_covers(1, 3)
-    witnesses = [r.min_overall_witness, r.connected_boundary_witness, *realizability_table(1, 3).values()]
+    witnesses = [r.min_overall_witness, r.connected_boundary_witness, *r.shapes.values()]
     for wit in witnesses:
         assert type(wit) is tuple and len(wit) == 2
         for images in wit:
@@ -484,7 +506,7 @@ def test_enumerations_past_degree_eight_match_frobenius(n):
         r = enumerate_covers(g, n)
         assert r.boundary_k_histogram == boundary_histogram(g, n)
         assert _shape(g, n, r.min_overall_witness)[2] == r.min_genus_overall
-        table = realizability_table(g, n)
+        table = r.shapes
         assert len(table) == (n + 1) ** 2 // 4
         for key, wit in table.items():
             assert _shape(g, n, wit) == key
@@ -493,7 +515,8 @@ def test_enumerations_past_degree_eight_match_frobenius(n):
 @given(g=st.integers(1, 3), n=st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_every_built_witness_has_its_shape(g, n):
-    table = realizability_table(g, n, budget=10**20)
+    # the rule alone: counting degree 40 would take seconds an example
+    table = oracle._shape_rows(g, n)
     assert {(m, k) for m, k, _ in table} == {
         (m, k) for k in range(1, n + 1) if (n - k) % 2 == 0 for m in range(1, k + 1)
     }
@@ -552,9 +575,9 @@ def test_every_witness_reproduces_its_class(g, n):
         cover = cover_from_homomorphism(_hom(g, n, wit)).cover
         return cover.components, cover.boundary_components, cover.genus_total
 
-    for key, wit in realizability_table(g, n).items():
-        assert shape(wit) == key
     r = enumerate_covers(g, n)
+    for key, wit in r.shapes.items():
+        assert shape(wit) == key
     assert shape(r.min_overall_witness)[2] == r.min_genus_overall
     if r.connected_boundary_witness is not None:
         _, k, genus = shape(r.connected_boundary_witness)
@@ -563,7 +586,7 @@ def test_every_witness_reproduces_its_class(g, n):
 
 @pytest.mark.parametrize("g,n", BEYOND_EXHAUSTION)
 def test_connected_rows_match_frobenius_count(g, n):
-    connected = {k for (m, k, _) in realizability_table(g, n) if m == 1}
+    connected = {k for (m, k, _) in enumerate_covers(g, n).shapes if m == 1}
     assert connected == set(connected_boundary_histogram(g, n))
 
 
@@ -576,8 +599,9 @@ def test_enumeration_at_degree_eight():
     # even degree: no unbranched cover has connected boundary
     assert r.connected_boundary_witness is r.min_genus_connected_boundary is None
     # genus 2, and its shape check over degrees 1..8
-    assert enumerate_covers(2, 8).boundary_k_histogram == boundary_histogram(2, 8)
-    table = realizability_table(2, 8)
+    r = enumerate_covers(2, 8)
+    assert r.boundary_k_histogram == boundary_histogram(2, 8)
+    table = r.shapes
     assert len(table) == 20
     for key, wit in table.items():
         cover = cover_from_homomorphism(_hom(2, 8, wit)).cover
@@ -592,7 +616,7 @@ def test_huge_degrees_are_refused_before_any_work(monkeypatch, degree, budget, r
     _refuse_work(monkeypatch)
     factorial = math.factorial
     monkeypatch.setattr(math, "factorial", lambda n: factorial(n) if n <= 1000 else pytest.fail("formed n!"))
-    for run in (enumerate_covers, verify_sharpness, realizability_table):
+    for run in (enumerate_covers, verify_sharpness):
         with pytest.raises(BudgetExceededError, match=f"character counts of degrees up to {reach} alone"):
             run(1, degree, budget=budget)
 
@@ -645,7 +669,8 @@ def test_shape_histogram_matches_naive_exhaustion(g, n):
 
 def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
     # the shapes an enumeration counts at any genus, genus 1 too, must be
-    # those of the pairs; drop one
+    # those of the pairs; drop one.  The sharpness report, from the library
+    # and from the command line, reads those checked counts
     counted = oracle._shape_histogram
 
     def drop_one(g, n):
@@ -655,18 +680,13 @@ def test_a_shape_missing_past_genus_one_is_a_bug(monkeypatch):
 
     monkeypatch.setattr(oracle, "_shape_histogram", drop_one)
     for g in (1, 2):
-        with pytest.raises(AssertionError, match=f"shapes at genus {g} are not those of the pairs"):
-            enumerate_covers(g, 3)
-
-
-def test_sharpness_and_the_table_read_no_histogram(monkeypatch):
-    # neither reads a histogram, so a deep genus costs them no count
-    def refuse(g, n):
-        raise AssertionError("counted tuples that no report reads")
-
-    monkeypatch.setattr(oracle, "_boundary_histograms", refuse)
-    assert verify_sharpness(400, 5).ok
-    assert len(realizability_table(400, 5)) == 9
+        for run in (
+            lambda: enumerate_covers(g, 3),
+            lambda: verify_sharpness(g, 3),
+            lambda: cli.main(["cover", "enumerate", "--genus", str(g), "--degree", "3", "--sharpness"]),
+        ):
+            with pytest.raises(AssertionError, match=f"shapes at genus {g} are not those of the pairs"):
+                run()
 
 
 def test_budget_counts_work_not_tuples():
@@ -739,6 +759,6 @@ def test_a_deep_genus_is_refused_before_any_work(monkeypatch):
     # digits at degree 3
     _refuse_work(monkeypatch)
     for g, n in ((10**9, 1), (10**6, 3), (10**400, 3)):
-        for run in (enumerate_covers, verify_sharpness, realizability_table):
+        for run in (enumerate_covers, verify_sharpness):
             with pytest.raises(BudgetExceededError, match="work units"):
                 run(g, n)

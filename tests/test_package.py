@@ -39,7 +39,7 @@ EXPORTS = {
     ]},
     **{name: ("oracle", name) for name in [
         "BudgetExceededError", "EnumerationReport", "SharpnessReport",
-        "enumerate_covers", "realizability_table", "verify_sharpness",
+        "enumerate_covers",
     ]},
     **{name: ("perms", name) for name in [
         "CycleType", "Permutation", "commutator", "compose", "cycle_count",
@@ -148,7 +148,8 @@ RECORD_FIELDS = {
                         "min_overall_witness": ((0, 1), (0, 1)),
                         "min_genus_connected_boundary": None,
                         "connected_boundary_witness": None,
-                        "boundary_k_histogram": {1: 2, 2: 2}},
+                        "boundary_k_histogram": {1: 2, 2: 2},
+                        "shapes": {(2, 2, 2): ((0, 1), (0, 1))}},
     SharpnessReport: {"base_genus": 1, "degree": 2, "ok": True,
                       "checks": {"unbranched_floor_holds": True}, "counterexamples": (),
                       "notes": {"unbranched_floor": 1}},
