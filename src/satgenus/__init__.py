@@ -13,6 +13,8 @@ all of it as a command line tool.
 The names below are exported lazily (PEP 562): ``import satgenus`` loads no
 layer, and the first access to a name imports its submodule.  So a process
 pays only for the layers it uses; ``satgenus.cli`` imports the package first.
+``_EXPORTS`` is the package's one export list, which ``__all__``,
+``dir(satgenus)`` and the lazy loading read; a layer declares no ``__all__``.
 
 What more than one layer needs lives here, where no layer has to be loaded
 for it: ``_Record``, the frozen-value base of every record class; the
@@ -196,6 +198,10 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
+    def _asdict(self) -> dict:
+        """The fields by name, in order: what a report's JSON starts from."""
+        return dict(zip(self._fields, self._values()))
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -211,5 +217,5 @@ class _Record:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"

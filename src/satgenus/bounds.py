@@ -10,19 +10,6 @@ from __future__ import annotations
 
 from . import _Record
 
-__all__ = [
-    "FORMULA_IDS",
-    "QUANTITIES",
-    "BoundReport",
-    "bound_reports_to_csv",
-    "schubert_bound",
-    "thm1_knot_bound",
-    "thm1_link_bound",
-    "qp_closure_genus",
-    "OrevkovGapReport",
-    "orevkov_gap_report",
-]
-
 FORMULA_IDS = frozenset({"schubert_1", "schubert_2", "thm1_knot", "thm1_link", "qp_euler"})
 QUANTITIES = frozenset({"genus4_lower", "genus4_exact", "genus3_lower"})
 
@@ -44,13 +31,7 @@ class BoundReport(_Record):
             raise ValueError(f"unknown formula id {self.formula_id!r}")
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "formula_id": self.formula_id,
-            "value": self.value,
-            "clamped": self.clamped,
-            "inputs": dict(self.inputs),
-        }
+        return {**self._asdict(), "inputs": dict(self.inputs)}
 
 
 def _genus_report(quantity: str, formula_id: str, value: int, inputs: dict[str, int]) -> BoundReport:
@@ -143,16 +124,7 @@ class OrevkovGapReport(_Record):
     gap: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "twists": self.twists,
-            "bands_k1": self.bands_k1,
-            "g4_k1": self.g4_k1,
-            "bands_k2": self.bands_k2,
-            "g4_k2": self.g4_k2,
-            "satellite_bound": self.satellite_bound,
-            "gap": self.gap,
-        }
+        return self._asdict()
 
 
 def orevkov_gap_report(n: int, twists: int | None = None) -> OrevkovGapReport:

@@ -19,21 +19,6 @@ from __future__ import annotations
 from . import _Record, _rough
 from .perms import Permutation, check_size, cycle_count
 
-__all__ = [
-    "MAX_WORD_LENGTH",
-    "BraidWord",
-    "parse_braid",
-    "braid_text",
-    "concat",
-    "exponent_sum",
-    "half_twist",
-    "orevkov_k1",
-    "orevkov_k2",
-    "suggested_twist_count",
-    "permutation_of",
-    "closure_component_count",
-]
-
 MAX_WORD_LENGTH = 10**6
 
 

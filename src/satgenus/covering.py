@@ -13,19 +13,6 @@ from __future__ import annotations
 from . import _Record, _rough
 from .perms import Permutation, check_size, commutator, compose, cycle_count, identity, orbits
 
-__all__ = [
-    "SurfaceShape",
-    "CoverData",
-    "HomomorphismCover",
-    "euler_characteristic",
-    "rh_euler",
-    "boundary_permutation",
-    "cover_from_homomorphism",
-    "cyclic_cover",
-    "add_branch_point",
-    "cover_data_to_json",
-]
-
 
 class SurfaceShape(_Record):
     """(components, total genus, boundary circles) of a compact surface."""

@@ -62,15 +62,6 @@ import math
 
 from . import BudgetExceededError, _Record, _cycle_notation, _orbits, _rough
 
-__all__ = [
-    "DEFAULT_BUDGET",
-    "BudgetExceededError",
-    "EnumerationReport",
-    "SharpnessReport",
-    "enumerate_covers",
-    "verify_sharpness",
-]
-
 DEFAULT_BUDGET = 10**9
 # The largest budget taken, far past any request that finishes.  The reach
 # loop of ``_check_budget`` runs until genus 1 passes the budget: about 1 s at
@@ -82,8 +73,7 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
     """Validate the request and return the work limit, refusing it before
     any work.
 
-    The estimate counts what the request builds, in units of about 30 ns on
-    a 2-CPU host, so that the default 10^9 is about half a minute:
+    The estimate counts what the request builds, in work units:
 
     - 1 per 8 bits of the character counts: for each degree j <= n, p(j)
       + p(j)^2 numbers of about (2g - 1) log2 j! bits, p(j) the partitions
@@ -98,6 +88,12 @@ def _check_budget(g: int, n: int, budget: int | None) -> int:
       an int into decimal text in quadratic time, and a request does so
       once per count, for its human lines or its JSON, or twice when
       ``--out`` writes the JSON beside the human lines.
+
+    The units were set at about 30 ns on a 2-CPU host, so that the default
+    10^9 would be about half a minute.  The character term still prices the
+    deleted table (ROADMAP item 2), so at the deepest degrees that no longer
+    holds: (1, 29) runs in about 0.5 s, while (1, 30) is refused at
+    1 131 215 305 units.
 
     The character counts come first, also at the weights of genus 1, which
     no genus undercuts: a degree past the budget's reach is refused at the
@@ -340,15 +336,12 @@ class EnumerationReport(_Record):
         connected = self.connected_boundary_witness
         if connected is not None:  # at degree 1 both minima share one witness: render it once
             connected = overall if connected is self.min_overall_witness else _witness_json(connected)
+        out = self._asdict()
+        del out["shapes"]
         return {
-            "base_genus": self.base_genus,
-            "degree": self.degree,
-            "total_tuples": self.total_tuples,
-            "budget": self.budget,
+            **out,
             "violations": [_finding_json(v) for v in self.violations],
-            "min_genus_overall": self.min_genus_overall,
             "min_overall_witness": overall,
-            "min_genus_connected_boundary": self.min_genus_connected_boundary,
             "connected_boundary_witness": connected,
             "boundary_k_histogram": {
                 str(k): v for k, v in sorted(self.boundary_k_histogram.items())
@@ -475,9 +468,7 @@ class SharpnessReport(_Record):
 
     def to_json(self) -> dict:
         return {
-            "base_genus": self.base_genus,
-            "degree": self.degree,
-            "ok": self.ok,
+            **self._asdict(),
             "checks": dict(self.checks),
             "counterexamples": [_finding_json(c) for c in self.counterexamples],
             "notes": dict(self.notes),

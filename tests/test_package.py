@@ -242,6 +242,24 @@ def test_repr_names_every_field():
     assert repr(Permutation((1, 0, 2))) == "Permutation('(1 2)', degree=3)"
 
 
+# the fields a report's JSON leaves out
+JSON_OMITS = {EnumerationReport: {"shapes"}}
+
+
+@pytest.mark.parametrize("cls", [BoundReport, EnumerationReport, OrevkovGapReport, SharpnessReport],
+                         ids=lambda cls: cls.__name__)
+def test_report_json_names_every_field(cls):
+    # a field added to a report cannot silently miss its JSON
+    record = _record(cls)
+    data = record.to_json()
+    omitted = JSON_OMITS.get(cls, set())
+    assert sorted(data) == sorted(set(cls._fields) - omitted)
+    for name in data:
+        value = getattr(record, name)
+        if isinstance(value, (int, str)):  # bool is an int
+            assert data[name] is value
+
+
 S = SurfaceShape
 
 
